@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .operators import QUASI_AXES, pauli_eigenstate, pauli_expand
+from .operators import QUASI_AXES, _frozen, pauli_eigenstate, pauli_expand
 from .operators import bell_povm as _bell_povm
 from .standard_form import StandardForm
 
@@ -28,12 +28,6 @@ _AXIS_OF = [0, 0, 1, 1, 2, 2]
 def label_states() -> list[np.ndarray]:
     """The six Pauli eigenstates in grid order."""
     return [pauli_eigenstate(axis, sign) for axis, sign in QUASI_AXES]
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)

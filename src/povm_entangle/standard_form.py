@@ -1,11 +1,15 @@
 """Two-qubit standard form by local filtering and rotation.
 
 A positive two-qubit operator is brought to sum_w pi_w sigma_w (x) sigma_w in
-two steps: alternating local filters X = (reduced operator)^(-1/2) strip the
-single-arm Pauli terms, then an SO(3) pair from a signed singular value
-decomposition diagonalizes the 3x3 correlation block.  Both rotations keep
-determinant +1 so they lift to SU(2) conjugations.  The filters are rescaled
-at the end so the transformed operator keeps the source trace.
+two steps.  First local filters strip the single-arm Pauli terms: filters act
+on the Pauli correlation matrix as Lorentz transformations, so one 4x4
+eigenproblem gives the filter pair in closed form for full-rank operators.
+Rank-deficient operators have no such closed form, and alternating filters
+X = (reduced operator)^(-1/2) finish the job from there.  Then an SO(3) pair
+from a signed singular value decomposition diagonalizes the 3x3 correlation
+block.  Both rotations keep determinant +1 so they lift to SU(2)
+conjugations.  The filters are rescaled at the end so the transformed operator
+keeps the source trace.
 
 The inverse transform maps the six Pauli eigenstate projectors to the skewed
 pure states whose quasidistribution reproduces the original operator; signs
@@ -23,12 +27,14 @@ from .operators import (
     PAULIS,
     QUASI_AXES,
     HermitianOperator,
+    _frozen,
     _hermitize,
     pauli_eigenstate,
     pauli_expand,
 )
 
 _I2 = np.eye(2, dtype=complex)
+_ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
 # accumulated filters this large mean the iteration is running away, not
 # converging; bail out before float overflow starts emitting warnings
@@ -98,12 +104,6 @@ class LocalTransform:
             raise ValidationError(f"malformed transform record: {exc}") from exc
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class StandardForm:
     """Diagonal Pauli coefficients plus the transform that produced them."""
@@ -161,16 +161,48 @@ def _inv_sqrt(h: np.ndarray, floor: float) -> np.ndarray:
     return (v * (w**-0.5)) @ v.conj().T
 
 
+def _lorentz_filter(r: np.ndarray) -> np.ndarray:
+    """Filter that undoes the boost of arm A in the correlation matrix r.
+
+    Local filters act on r[mu, nu] = tr(rho sigma_mu (x) sigma_nu) / 4 as
+    Lorentz transformations, so r = L_A diag(s) L_B^T and the timelike column
+    x = L_A e_0 is the eigenvector of r eta r^T eta with the largest
+    x^T eta x / |x|^2.  With x^T eta x = 1 and x_0 > 0 the filter is
+    (x_0 + x.sigma)^(-1/2) = ((1 + x_0) - x.sigma) / sqrt(2 (1 + x_0)).
+    Returns NaN entries when no timelike eigenvector exists.
+    """
+    _, v = np.linalg.eig(r @ _ETA @ r.T @ _ETA)
+    w = np.abs(v) ** 2
+    k = int(np.argmax((w[0] - w[1:].sum(axis=0)) / w.sum(axis=0)))
+    x = (v[:, k] * np.conj(v[0, k])).real
+    with np.errstate(invalid="ignore", divide="ignore"):
+        y = _ETA @ x / np.sqrt(x @ _ETA @ x)
+        y[0] += 1.0
+        return np.einsum("m,mij->ij", y, PAULIS) / np.sqrt(2 * y[0])
+
+
+def _filtered(rho: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unit-trace k rho k^dagger and the trace it was divided by."""
+    out = _hermitize(k @ rho @ k.conj().T)
+    t = out.trace().real
+    return out / t, t
+
+
 def remove_local_terms(
     op: HermitianOperator, cfg: FormConfig = FormConfig()
 ) -> tuple[HermitianOperator, np.ndarray, np.ndarray]:
-    """Alternating local filters until both single-arm Bloch vectors vanish.
+    """Local filters that make both single-arm Bloch vectors vanish.
 
-    Returns (filtered operator, filter_a, filter_b) with
+    Unless the input is already free of local terms, the filters start from
+    the closed-form Lorentz pair of `_lorentz_filter`, which removes the local
+    terms of a full-rank operator outright.  Alternating sweeps
+    X = (reduced operator)^(-1/2), at most cfg.max_iter of them, then run
+    until the Bloch residual is below cfg.bloch_tol; rank-deficient inputs
+    need them.  Returns (filtered operator, filter_a, filter_b) with
     filtered = (filter_a (x) filter_b) op (...)^dagger and the filters scaled
     so the output trace equals the input trace.  Requires a positive operator;
-    rank-deficient inputs with nonzero local terms do not converge and raise
-    ConvergenceError with the residual reached.
+    rank-deficient inputs whose local terms cannot be filtered away, such as
+    product projectors, raise ConvergenceError with the residual reached.
     """
     if op.parties != (2, 2):
         raise ValidationError(f"standard form needs a two-qubit operator, got parties {op.parties}")
@@ -181,6 +213,14 @@ def remove_local_terms(
     ma = _I2.copy()
     mb = _I2.copy()
     res = _bloch_residual(rho)
+    if res >= cfg.bloch_tol:
+        r = pauli_expand(rho).coeffs
+        seed_a, seed_b = _lorentz_filter(r), _lorentz_filter(r.T)
+        if np.all(np.isfinite(seed_a)) and np.all(np.isfinite(seed_b)):
+            rho, t = _filtered(rho, np.kron(seed_a, seed_b))
+            ma = seed_a / t**0.25
+            mb = seed_b / t**0.25
+            res = _bloch_residual(rho)
     converged = res < cfg.bloch_tol
     for _ in range(cfg.max_iter):
         if converged:
@@ -188,16 +228,10 @@ def remove_local_terms(
         # fold each renormalization into the filter so the accumulated
         # product stays O(1) instead of growing exponentially
         xa = _inv_sqrt(_ptrace_b(rho), cfg.eig_floor)
-        k = np.kron(xa, _I2)
-        rho = _hermitize(k @ rho @ k.conj().T)
-        t = rho.trace().real
-        rho /= t
+        rho, t = _filtered(rho, np.kron(xa, _I2))
         ma = (xa / t**0.5) @ ma
         xb = _inv_sqrt(_ptrace_a(rho), cfg.eig_floor)
-        k = np.kron(_I2, xb)
-        rho = _hermitize(k @ rho @ k.conj().T)
-        t = rho.trace().real
-        rho /= t
+        rho, t = _filtered(rho, np.kron(_I2, xb))
         mb = (xb / t**0.5) @ mb
         res = _bloch_residual(rho)
         converged = res < cfg.bloch_tol

@@ -13,11 +13,16 @@ from povm_entangle import (
     StandardForm,
     ValidationError,
     back_transform,
+    bell_model,
+    draw_counts,
     min_eigenvalue,
     optimal_quasidistribution,
     partial_transpose,
     pauli_compose,
     pauli_expand,
+    physicality_correct,
+    reconstruct_povm,
+    relative_frequencies,
     remove_local_terms,
     so3_from_su2,
     standard_operator,
@@ -29,6 +34,21 @@ from povm_entangle.operators import PAULIS, pauli_eigenstate
 from conftest import random_pd_element
 
 SINGLET_PI = np.array([0.25, -0.25, -0.25, -0.25])
+PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+FILTER_A = np.array([[1.3, 0.2j], [0.1, 0.6]])
+
+
+def assert_maps_onto_standard(el, form, tol=1e-9):
+    t = form.transform
+    k = np.kron(t.rotation_a @ t.filter_a, t.rotation_b @ t.filter_b)
+    out = k @ el.matrix @ k.conj().T
+    assert np.max(np.abs(out - standard_operator(form.pi).matrix)) < tol
+
+
+def filtered_phi_plus_projector():
+    v = np.kron(FILTER_A, np.eye(2)) @ PHI_PLUS
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
 
 
 def axis_rotation(axis, angle):
@@ -101,6 +121,41 @@ def test_rank_deficient_raises_with_residual():
     assert err.value.residual > 0
 
 
+def test_near_pure_full_rank_element():
+    # full rank, but so close to a filtered pure state that alternating
+    # filters alone stall above bloch_tol
+    el = HermitianOperator(0.99996 * filtered_phi_plus_projector() + 1e-5 * np.eye(4), (2, 2))
+    form = to_standard_form(el)
+    assert form.residual < 1e-9
+    assert_maps_onto_standard(el, form)
+
+
+def test_resampled_bell_elements_need_no_sweeps():
+    counts = draw_counts(bell_model(counts_per_setting=10_000), 0)
+    povm, _, _ = physicality_correct(reconstruct_povm(relative_frequencies(counts)))
+    # one sweep at most: the closed-form filters must do the work on their own
+    for el in povm.elements:
+        form = to_standard_form(el, FormConfig(max_iter=1))
+        assert_maps_onto_standard(el, form)
+
+
+def test_rank_deficient_elements_still_converge(ideal_bell):
+    # r eta r^T eta is degenerate or defective for rank-deficient inputs, so
+    # the closed-form filters leave local terms and the sweeps finish the job
+    el = HermitianOperator(filtered_phi_plus_projector(), (2, 2))
+    form = to_standard_form(el)
+    assert np.max(np.abs(form.pi - np.array([0.25, 0.25, 0.25, -0.25]))) < 1e-9
+    assert_maps_onto_standard(el, form)
+
+    b = np.kron(FILTER_A, np.array([[0.9, 0.3], [0, 1.1]]))
+    mix = (ideal_bell.element("y").matrix + ideal_bell.element("z").matrix) / 2
+    el = HermitianOperator(b @ mix @ b.conj().T, (2, 2))
+    form = to_standard_form(el)
+    assert np.max(np.abs(form.pi - np.array([0.280988, 0.280988, 0, 0]))) < 1e-6
+    assert np.max(np.abs(form.pi - el.trace() / 4 * np.array([1, 1, 0, 0]))) < 1e-9
+    assert_maps_onto_standard(el, form)
+
+
 def test_form_config_validation():
     with pytest.raises(ValidationError):
         FormConfig(bloch_tol=0.0)
@@ -123,10 +178,7 @@ def test_construct_and_invert_rotations(rng):
     assert np.prod(np.sign(form.pi[1:])) == pytest.approx(-1.0)
     assert form.residual < 1e-9
     # transform really maps the element onto the reported diagonal form
-    t = form.transform
-    k = np.kron(t.rotation_a @ t.filter_a, t.rotation_b @ t.filter_b)
-    out = k @ el.matrix @ k.conj().T
-    assert np.max(np.abs(out - standard_operator(form.pi).matrix)) < 1e-9
+    assert_maps_onto_standard(el, form)
 
 
 def test_sorting_permutation_convention():
