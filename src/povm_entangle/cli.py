@@ -23,9 +23,9 @@ import numpy as np
 from . import __version__
 from .errors import ConvergenceError, ValidationError
 from .montecarlo import McConfig, propagate
-from .operators import PovmSet, bloch_vector
-from .quasidist import negativity_report, optimal_quasidistribution
-from .simulate import bell_model, draw_counts, model_from_spec
+from .operators import PovmSet, bloch_vector, lambda_operator, noisy_ghz_element, noisy_me_element
+from .quasidist import LABELS, negativity_report, optimal_quasidistribution
+from .simulate import DetectorModel, bell_model, draw_counts, model_from_spec
 from .standard_form import FormConfig, back_transform, to_standard_form
 from .svg import quasidist_svg
 from .tomography import (
@@ -46,7 +46,6 @@ from .witness import (
     separability_eigenvalue_numeric,
     witness_evaluate,
 )
-from .operators import lambda_operator, noisy_ghz_element, noisy_me_element
 
 SEED_ENV = "POVM_ENTANGLE_SEED"
 
@@ -156,8 +155,6 @@ def simulate(model_path, povm_path, eps, counts, indefiniteness, seed, basis_map
         if povm_path is None or povm_path.lower() == "bell":
             model = bell_model(eps, counts, indefiniteness, basis_map)
         else:
-            from .simulate import DetectorModel
-
             model = DetectorModel(
                 povm=_read_povm(povm_path),
                 eps=eps,
@@ -255,8 +252,6 @@ def quasidist(povm_path, out_dir, max_iter):
             },
         }
         Path(outp / fname).write_text(_canonical(payload))
-        from .quasidist import LABELS
-
         footer = tuple(
             "A %s: (%.4f, %.4f, %.4f)" % ((LABELS[k],) + tuple(bloch_a[k])) for k in range(6)
         ) + tuple(

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator
 
 from .errors import ConvergenceError, ValidationError
 from .quasidist import optimal_quasidistribution
 from .standard_form import FormConfig, to_standard_form
+from .streams import keyed_rng
 from .tomography import (
     CoincidenceCounts,
     RelativeFrequencies,
@@ -31,7 +32,6 @@ from .tomography import (
     relative_frequencies,
 )
 
-_MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 
 # same-axis 2x2 blocks can land in any axis slot when |diagonal| values tie,
@@ -84,10 +84,7 @@ def project_probabilities(draw: np.ndarray, fallback: np.ndarray) -> np.ndarray:
 
 
 def _pair_rng(seed: int, pair: int, sample: int) -> Generator:
-    key = np.array(
-        [seed & _MASK64, ((pair & _MASK32) << 32) | (sample & _MASK32)], dtype=np.uint64
-    )
-    return Generator(Philox(key=key))
+    return keyed_rng(seed, ((pair & _MASK32) << 32) | (sample & _MASK32))
 
 
 def gaussian_draws(

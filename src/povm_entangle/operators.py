@@ -82,6 +82,9 @@ class HermitianOperator:
         if m.shape != (dim, dim):
             raise ValidationError(f"matrix shape {m.shape} does not match parties {parties}")
         dev = float(np.max(np.abs(m - m.conj().T))) if dim else 0.0
+        # any NaN or infinite entry makes its own deviation NaN or infinite
+        if not math.isfinite(dev):
+            raise ValidationError("matrix has non-finite entries")
         if dev > HERMITICITY_TOL:
             raise ValidationError(f"matrix is not Hermitian (deviation {dev:.3e})")
         object.__setattr__(self, "matrix", _frozen(m))

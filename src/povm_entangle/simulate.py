@@ -16,13 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import ValidationError
 from .operators import HermitianOperator, PovmSet, bell_povm
+from .streams import keyed_rng
 from .tomography import PROBE_LABELS, BasisMap, CoincidenceCounts, RelativeFrequencies
 
-_MASK64 = (1 << 64) - 1
 # fixed stream key for the indefiniteness pattern: the distortion is part of
 # the model, not of the sampling, so it must not move with the user seed
 _DISTORTION_KEY = 0x9E3779B97F4A7C15
@@ -90,7 +89,7 @@ def effective_elements(model: DetectorModel) -> PovmSet:
 
 
 def _distortion(m: int, pair: int, scale: float) -> np.ndarray:
-    rng = Generator(Philox(key=np.array([_DISTORTION_KEY, pair], dtype=np.uint64)))
+    rng = keyed_rng(_DISTORTION_KEY, pair)
     d = rng.standard_normal(m)
     d -= d.mean()
     peak = np.max(np.abs(d))
@@ -124,7 +123,7 @@ def draw_counts(model: DetectorModel, seed: int = 0) -> CoincidenceCounts:
     counts = np.empty((m, 6, 6), dtype=np.int64)
     for i in range(6):
         for j in range(6):
-            rng = Generator(Philox(key=np.array([seed & _MASK64, i * 6 + j], dtype=np.uint64)))
+            rng = keyed_rng(seed, i * 6 + j)
             p = freqs.probs[:, i, j]
             counts[:, i, j] = rng.multinomial(model.counts_per_setting, p / p.sum())
     return CoincidenceCounts(freqs.outcomes, counts, model.basis_map)

@@ -7,6 +7,13 @@ projector mixtures whose g_max is known in closed form; a multi-start
 alternating maximization provides an independent numeric value, which is a
 certified lower bound on g_max and therefore only used for verdicts on
 explicit request.
+
+The solver (the separability-eigenvalue equations of Sperling and Vogel,
+PRL 111, 110503 (2013)) runs all its restarts together on stacked arrays:
+each half-step conditions the operator on the other parties' states of every
+active restart with one matrix product and solves the conditioned problems
+with one batched eigensolve.  Each restart drops out on its own convergence,
+so its sweeps are those it would take alone.
 """
 
 from __future__ import annotations
@@ -14,12 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator
 
 from .errors import ValidationError
 from .operators import HermitianOperator, lambda_operator, min_eigenvalue
+from .streams import keyed_rng
 
-_MASK64 = (1 << 64) - 1
+# A chunk of restarts holds at most max(D^2, _FRAME_FLOOR) frame entries: no
+# more than the operator itself, whatever the restart count, while small
+# operators still advance thousands of restarts per matrix product.
+_FRAME_FLOOR = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,22 +125,6 @@ def lambda_gmax_analytic(n: int, d: int) -> float:
     return max(dp * (dp - 1) / dp**n for dp in range(1, d + 1))
 
 
-def _conditioned(tensor: np.ndarray, states: list[np.ndarray], j: int, n: int) -> np.ndarray:
-    letters = [chr(ord("a") + i) for i in range(2 * n)]
-    subs = ["".join(letters)]
-    args = [tensor]
-    for i in range(n):
-        if i == j:
-            continue
-        subs.append(letters[i])
-        args.append(states[i].conj())
-        subs.append(letters[n + i])
-        args.append(states[i])
-    out = letters[j] + letters[n + j]
-    m = np.einsum(",".join(subs) + "->" + out, *args, optimize=True)
-    return (m + m.conj().T) / 2
-
-
 def _structured_starts(dims: tuple[int, ...]) -> list[list[np.ndarray]]:
     starts = []
     for dp in range(1, min(dims) + 1):
@@ -150,6 +145,38 @@ def _random_start(dims: tuple[int, ...], rng: Generator) -> list[np.ndarray]:
     return states
 
 
+def _kron_rows(factors: list[np.ndarray], rows: int) -> np.ndarray:
+    out = np.ones((rows, 1), dtype=complex)
+    for f in factors:
+        out = (out[:, :, None] * f[:, None, :]).reshape(rows, -1)
+    return out
+
+
+def _half_step(
+    matrix: np.ndarray, states: list[np.ndarray], j: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenpair of the operator conditioned on every party but j, per row.
+
+    `states` holds one (A, d_i) array per party.  The frames
+    F_r = a_1 (x) ... (x) 1_{d_j} (x) ... (x) a_n are laid out as one
+    D x (A d_j) matrix, so the conditioned operators F_r^dag op F_r of all A
+    rows cost a single matrix product with the operator.
+    """
+    a, dj = states[j].shape
+    left = _kron_rows(states[:j], a).T
+    right = _kron_rows(states[j + 1 :], a).T
+    eye = np.eye(dj)
+    frames = (
+        left[:, None, None, :, None] * eye[None, :, None, None, :] * right[None, None, :, :, None]
+    ).reshape(-1, a, dj)
+    x = (matrix @ frames.reshape(-1, a * dj)).reshape(-1, a, dj)
+    m = frames.conj().transpose(1, 2, 0) @ x.transpose(1, 0, 2)
+    w, vecs = np.linalg.eigh((m + m.conj().transpose(0, 2, 1)) / 2)
+    v = vecs[:, :, -1]
+    lead = v[np.arange(a), np.argmax(np.abs(v), axis=1)]
+    return w[:, -1], v * (np.abs(lead) / lead)[:, None]
+
+
 def separability_eigenvalue_numeric(
     op: HermitianOperator,
     restarts: int = 64,
@@ -163,56 +190,55 @@ def separability_eigenvalue_numeric(
     Each half-step replaces one party's state with the top eigenvector of the
     operator conditioned on the others, so the objective never decreases. The
     first starts sweep the uniform-support family, the rest are random from a
-    deterministic Philox stream keyed by (seed, restart).  The result is a
-    certified lower bound on the separability eigenvalue.
+    deterministic Philox stream keyed by (seed, restart).  All restarts
+    advance together as stacked (restarts, d_i) states: a half-step costs one
+    matrix product of the operator with the frames of the active restarts,
+    in chunks whose frames hold no more entries than the operator (or 2^16,
+    whichever is more), and one batched eigensolve.  A restart leaves the
+    active set after the first sweep that moves its value by less than
+    `tol`, or after `max_sweeps`; the best restart is the first to reach the
+    largest value.  The result is a certified lower bound on the
+    separability eigenvalue.
     """
     if restarts < 1:
         raise ValidationError(f"need at least 1 restart, got {restarts}")
     if tol <= 0:
         raise ValidationError(f"tol must be positive, got {tol}")
+    if max_sweeps < 1:
+        raise ValidationError(f"need at least 1 sweep, got {max_sweeps}")
     dims = op.parties
-    n = len(dims)
-    tensor = op.matrix.reshape(*dims, *dims)
-    starts = _structured_starts(dims)
-    best_val = -np.inf
-    best_states: list[np.ndarray] = []
-    best_conv = False
-    history = []
-    for r in range(restarts):
-        if r < len(starts):
-            states = [v.copy() for v in starts[r]]
-        else:
-            rng = Generator(Philox(key=np.array([seed & _MASK64, r], dtype=np.uint64)))
-            states = _random_start(dims, rng)
-        prev = -np.inf
-        val = -np.inf
-        converged = False
-        trace = []
-        for _ in range(max_sweeps):
-            for j in range(n):
-                m = _conditioned(tensor, states, j, n)
-                w, vecs = np.linalg.eigh(m)
-                v = vecs[:, -1]
-                k = int(np.argmax(np.abs(v)))
-                states[j] = v * (abs(v[k]) / v[k])
-                val = float(w[-1])
-            if track_history:
-                trace.append(val)
-            if abs(val - prev) < tol:
-                converged = True
-                break
-            prev = val
+    structured = _structured_starts(dims)
+    starts = [
+        structured[r] if r < len(structured) else _random_start(dims, keyed_rng(seed, r))
+        for r in range(restarts)
+    ]
+    states = [np.array([s[i] for s in starts]) for i in range(len(dims))]
+    chunk = max(op.dim**2, _FRAME_FLOOR) // (op.dim * max(dims))
+    prev = np.full(restarts, -np.inf)
+    val = np.full(restarts, -np.inf)
+    converged = np.zeros(restarts, dtype=bool)
+    history: list[list[float]] = [[] for _ in range(restarts)]
+    active = np.arange(restarts)
+    for _ in range(max_sweeps):
+        for j in range(len(dims)):
+            for lo in range(0, active.size, chunk):
+                rows = active[lo : lo + chunk]
+                val[rows], states[j][rows] = _half_step(op.matrix, [s[rows] for s in states], j)
         if track_history:
-            history.append(tuple(trace))
-        if val > best_val:
-            best_val = val
-            best_states = [s.copy() for s in states]
-            best_conv = converged
+            for r in active:
+                history[r].append(float(val[r]))
+        done = np.abs(val[active] - prev[active]) < tol
+        converged[active[done]] = True
+        prev[active] = val[active]
+        active = active[~done]
+        if not active.size:
+            break
+    best = int(np.argmax(val))
     return SeparabilityResult(
-        gmax=best_val,
-        states=tuple(best_states),
-        converged=best_conv,
-        history=tuple(history),
+        gmax=float(val[best]),
+        states=tuple(s[best].copy() for s in states),
+        converged=bool(converged[best]),
+        history=tuple(tuple(h) for h in history) if track_history else (),
     )
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from povm_entangle import HermitianOperator, PovmSet
+from povm_entangle import HermitianOperator, PovmSet, bell_povm
 from povm_entangle.cli import main
 
 
@@ -38,6 +38,15 @@ def mixed_povm_file(tmp_path):
     )
     path = tmp_path / "mixed_povm.json"
     path.write_text(json.dumps(povm.to_dict()))
+    return path
+
+
+def nan_bell_povm_file(tmp_path):
+    # json accepts NaN literals, so a corrupted record parses cleanly
+    record = bell_povm().to_dict()
+    record["elements"][0]["re"][1][1] = float("nan")
+    path = tmp_path / "nan_povm.json"
+    path.write_text(json.dumps(record))
     return path
 
 
@@ -222,6 +231,22 @@ class TestExitCodes:
         bad.write_text("{not json")
         rc, _, err = run(["reconstruct", "--counts", str(bad)], capsys)
         assert rc == 2
+
+    def test_witness_non_finite_povm_is_two(self, tmp_path, capsys):
+        povm_path = nan_bell_povm_file(tmp_path)
+        rc, out, err = run(
+            ["witness", "--povm", str(povm_path), "--element", "0", "--numeric"], capsys
+        )
+        assert rc == 2
+        assert out == ""
+        assert "non-finite" in err
+
+    def test_quasidist_non_finite_povm_is_two(self, tmp_path, capsys):
+        povm_path = nan_bell_povm_file(tmp_path)
+        qdir = tmp_path / "qout"
+        rc, _, err = run(["quasidist", "--povm", str(povm_path), "-o", str(qdir)], capsys)
+        assert rc == 2
+        assert "non-finite" in err
 
     def test_overlapping_groups_is_two(self, tmp_path, capsys, bell_csv):
         rc, _, err = run(

@@ -123,6 +123,26 @@ def test_hermitian_operator_validation():
     assert op.trace() == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {(0, 0): np.nan},
+        {(1, 2): 1j * np.nan, (2, 1): 1j * np.nan},
+        {(3, 3): np.inf},
+        {(0, 0): 1j * np.inf},
+        {(0, 1): np.inf, (1, 0): np.inf},
+        {(0, 1): -np.inf, (1, 0): -np.inf},
+        {(2, 3): complex(0, np.inf), (3, 2): complex(0, -np.inf)},
+    ],
+)
+def test_hermitian_operator_rejects_non_finite(entries):
+    m = np.eye(4, dtype=complex) / 4
+    for ij, value in entries.items():
+        m[ij] = value
+    with pytest.raises(ValidationError, match="non-finite"):
+        HermitianOperator(m, (2, 2))
+
+
 def test_operator_dict_round_trip(rng):
     el = random_pd_element(rng)
     back = HermitianOperator.from_dict(el.to_dict())

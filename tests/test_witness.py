@@ -20,6 +20,7 @@ from povm_entangle import (
     separability_eigenvalue_numeric,
     witness_evaluate,
 )
+from povm_entangle import witness
 
 from conftest import random_separable_element
 
@@ -27,6 +28,26 @@ from conftest import random_separable_element
 def closed_form_lhs(n, eps):
     # rate of the noisy GHZ element on the GHZ probe
     return (eps * 2**n + 2 * (1 - eps)) / (2**n * (eps * 2**n + (1 - eps)))
+
+
+def random_hermitian(rng, dims):
+    dim = int(np.prod(dims))
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return HermitianOperator((a + a.conj().T) / 2, dims)
+
+
+def product_vector(states):
+    v = states[0]
+    for s in states[1:]:
+        v = np.kron(v, s)
+    return v
+
+
+def assert_same_paths(histories, reference):
+    # same sweep count per restart, values equal up to rounding
+    for a, b in zip(histories, reference):
+        assert len(a) == len(b)
+        assert np.max(np.abs(np.subtract(a, b))) < 1e-12
 
 
 def test_probe_construction():
@@ -149,9 +170,7 @@ def test_solver_on_flip_operators(n, d, expect):
     assert res.converged
     assert len(res.states) == n
     # reported states achieve the reported value
-    v = res.states[0]
-    for s in res.states[1:]:
-        v = np.kron(v, s)
+    v = product_vector(res.states)
     achieved = float(np.real(v.conj() @ lambda_operator(n, d).matrix @ v))
     assert achieved == pytest.approx(res.gmax, abs=1e-9)
 
@@ -185,6 +204,57 @@ def test_solver_determinism_and_flags():
         separability_eigenvalue_numeric(op, restarts=0)
     with pytest.raises(ValidationError):
         separability_eigenvalue_numeric(op, tol=0.0)
+    with pytest.raises(ValidationError, match="sweep"):
+        separability_eigenvalue_numeric(op, max_sweeps=0)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda_operator(5, 4),
+        lambda_operator(3, 3),
+        random_hermitian(np.random.default_rng(5), (2, 3, 4)),
+    ],
+    ids=["lambda_5_4", "lambda_3_3", "random_2_3_4"],
+)
+def test_solver_restarts_are_independent(op):
+    # restarts share every matrix product, yet each one follows its own path
+    full = separability_eigenvalue_numeric(op, restarts=12, seed=9, track_history=True)
+    for k in (1, 3, 5):
+        part = separability_eigenvalue_numeric(op, restarts=k, seed=9, track_history=True)
+        assert len(part.history) == k
+        assert_same_paths(part.history, full.history[:k])
+
+
+def test_solver_chunks_bound_frames(monkeypatch):
+    # with no floor, a chunk's frames may hold no more entries than the operator
+    op = lambda_operator(3, 3)
+    whole = separability_eigenvalue_numeric(op, restarts=20, seed=4, track_history=True)
+    rows = []
+    half_step = witness._half_step
+
+    def spy(matrix, states, j):
+        rows.append(states[j].shape[0])
+        return half_step(matrix, states, j)
+
+    monkeypatch.setattr(witness, "_FRAME_FLOOR", 1)
+    monkeypatch.setattr(witness, "_half_step", spy)
+    chunked = separability_eigenvalue_numeric(op, restarts=20, seed=4, track_history=True)
+    assert max(rows) < 20
+    assert max(rows) * op.dim * 3 <= op.dim**2
+    assert chunked.gmax == pytest.approx(whole.gmax, abs=1e-12)
+    assert_same_paths(chunked.history, whole.history)
+
+
+def test_solver_mixed_party_dimensions():
+    op = random_hermitian(np.random.default_rng(5), (2, 3, 4))
+    res = separability_eigenvalue_numeric(op, restarts=12, seed=9, track_history=True)
+    assert [s.shape for s in res.states] == [(2,), (3,), (4,)]
+    assert all(abs(np.linalg.norm(s) - 1.0) < 1e-12 for s in res.states)
+    v = product_vector(res.states)
+    achieved = float(np.real(v.conj() @ op.matrix @ v))
+    assert achieved == pytest.approx(res.gmax, abs=1e-9)
+    assert res.gmax == pytest.approx(max(h[-1] for h in res.history), abs=0)
 
 
 def test_witness_soundness_on_separable_elements():
