@@ -19,6 +19,8 @@ from .errors import ValidationError
 HERMITICITY_TOL = 1e-12
 COMPLETENESS_TOL = 1e-9
 DIMENSION_GUARD = 4096
+# rows per block of the Hermiticity check: 1 MB per complex temporary at D = 1024
+_HERMITICITY_BLOCK = 64
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -64,9 +66,30 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
+def _hermiticity_deviation(m: np.ndarray) -> float:
+    """max |m - m^dag| over all entries, _HERMITICITY_BLOCK rows at a time.
+
+    Each block of rows is compared with the matching block of columns, so the
+    temporaries hold one block, not three copies of the matrix.  np.maximum
+    carries a NaN from any block; inf - inf makes NaN without a warning.
+    """
+    b = _HERMITICITY_BLOCK
+    with np.errstate(invalid="ignore"):
+        dev = np.abs(m[:b] - m[:, :b].conj().T).max()
+        for i in range(b, m.shape[0], b):
+            dev = np.maximum(dev, np.abs(m[i : i + b] - m[:, i : i + b].conj().T).max())
+    return float(dev)
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Hermitian matrix on a tensor product of finite-dimensional parties."""
+    """Hermitian matrix on a tensor product of finite-dimensional parties.
+
+    The matrix is stored as complex.  Construction rejects a matrix whose
+    largest |m - m^dag| entry exceeds HERMITICITY_TOL, or that has a NaN or
+    infinite entry.  The check runs over blocks of _HERMITICITY_BLOCK rows
+    against the matching columns, so it makes no full-size temporary.
+    """
 
     matrix: np.ndarray
     parties: tuple[int, ...] = (2, 2)
@@ -81,7 +104,7 @@ class HermitianOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (dim, dim):
             raise ValidationError(f"matrix shape {m.shape} does not match parties {parties}")
-        dev = float(np.max(np.abs(m - m.conj().T))) if dim else 0.0
+        dev = _hermiticity_deviation(m)
         # any NaN or infinite entry makes its own deviation NaN or infinite
         if not math.isfinite(dev):
             raise ValidationError("matrix has non-finite entries")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .operators import QUASI_AXES, _frozen, pauli_eigenstate, pauli_expand
+from .operators import QUASI_AXES, _frozen, pauli_expand
 from .operators import bell_povm as _bell_povm
 from .standard_form import StandardForm
 
@@ -23,11 +23,6 @@ LABELS = tuple(f"{axis}{'+' if sign > 0 else '-'}" for axis, sign in QUASI_AXES)
 
 _SIGNS = np.array([sign for _, sign in QUASI_AXES], dtype=float)
 _AXIS_OF = [0, 0, 1, 1, 2, 2]
-
-
-def label_states() -> list[np.ndarray]:
-    """The six Pauli eigenstates in grid order."""
-    return [pauli_eigenstate(axis, sign) for axis, sign in QUASI_AXES]
 
 
 @dataclass(frozen=True, eq=False)

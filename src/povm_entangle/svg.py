@@ -7,8 +7,6 @@ text with no external assets, so charts can be diffed byte for byte.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 from .errors import ValidationError
@@ -25,6 +23,11 @@ _CELL_H = 88.0
 _LEFT = 92.0
 _TOP = 64.0
 _FOOTER_LINE = 16.0
+
+
+def _escape(text: str) -> str:
+    """Escape &, < and > for XML text, as xml.sax.saxutils.escape does."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(x: float) -> str:
@@ -68,7 +71,7 @@ def quasidist_svg(
         'viewBox="0 0 %s %s">' % (_coord(width), _coord(height), _coord(width), _coord(height)),
         '<rect width="%s" height="%s" fill="#ffffff"/>' % (_coord(width), _coord(height)),
         '<g font-family="monospace" fill="%s">' % _TEXT,
-        '<text x="%s" y="22" font-size="15">%s</text>' % (_coord(_LEFT), escape(title)),
+        '<text x="%s" y="22" font-size="15">%s</text>' % (_coord(_LEFT), _escape(title)),
     ]
     if q is not None:
         out.append(
@@ -78,13 +81,13 @@ def quasidist_svg(
         x = _LEFT + (j + 0.5) * _CELL_W
         out.append(
             '<text x="%s" y="%s" font-size="11" text-anchor="middle">%s</text>'
-            % (_coord(x), _coord(_TOP - 8), escape(lbl))
+            % (_coord(x), _coord(_TOP - 8), _escape(lbl))
         )
     for i, lbl in enumerate(LABELS):
         y = _TOP + (i + 0.5) * _CELL_H
         out.append(
             '<text x="%s" y="%s" font-size="11" text-anchor="end">%s</text>'
-            % (_coord(_LEFT - 10), _coord(y + 4), escape(lbl))
+            % (_coord(_LEFT - 10), _coord(y + 4), _escape(lbl))
         )
 
     for i in range(6):
@@ -136,7 +139,7 @@ def quasidist_svg(
     for k, line in enumerate(footer_lines):
         out.append(
             '<text x="%s" y="%s" font-size="11">%s</text>'
-            % (_coord(_LEFT), _coord(fy + k * _FOOTER_LINE), escape(str(line)))
+            % (_coord(_LEFT), _coord(fy + k * _FOOTER_LINE), _escape(str(line)))
         )
     out.append("</g>")
     out.append("</svg>")

@@ -1,5 +1,7 @@
 """Pauli algebra, Bell projectors, probe elements, and the flip operator."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from povm_entangle import (
     pauli_eigenstate,
     pauli_expand,
 )
-from povm_entangle.operators import PAULIS
+from povm_entangle.operators import PAULIS, _hermiticity_deviation
 
 from conftest import random_pd_element
 
@@ -141,6 +143,28 @@ def test_hermitian_operator_rejects_non_finite(entries):
         m[ij] = value
     with pytest.raises(ValidationError, match="non-finite"):
         HermitianOperator(m, (2, 2))
+
+
+@pytest.mark.parametrize("ij", [(200, 3), (200, 200)])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_hermitian_operator_rejects_late_non_finite_quietly(ij, value):
+    # a diagonal entry at row 200 reaches only the last block of the check
+    m = np.eye(256, dtype=complex) / 256
+    m[ij] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="non-finite"):
+            HermitianOperator(m, (4, 4, 4, 4))
+
+
+@pytest.mark.parametrize("dim", [4, 100, 1024])
+def test_blocked_hermiticity_deviation_is_exact(dim):
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    near = (a + a.conj().T) / 2
+    near[dim - 1, 0] += 1e-13
+    for m in (a, (a + a.conj().T) / 2, near):
+        assert _hermiticity_deviation(m) == float(np.max(np.abs(m - m.conj().T)))
 
 
 def test_operator_dict_round_trip(rng):

@@ -36,6 +36,12 @@ def random_hermitian(rng, dims):
     return HermitianOperator((a + a.conj().T) / 2, dims)
 
 
+def random_real_symmetric(rng, dims):
+    dim = int(np.prod(dims))
+    a = rng.standard_normal((dim, dim))
+    return HermitianOperator((a + a.T) / 2, dims)
+
+
 def product_vector(states):
     v = states[0]
     for s in states[1:]:
@@ -244,6 +250,29 @@ def test_solver_chunks_bound_frames(monkeypatch):
     assert max(rows) * op.dim * 3 <= op.dim**2
     assert chunked.gmax == pytest.approx(whole.gmax, abs=1e-12)
     assert_same_paths(chunked.history, whole.history)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda_operator(3, 3),
+        random_real_symmetric(np.random.default_rng(6), (2, 3, 4)),
+    ],
+    ids=["lambda_3_3", "real_symmetric_2_3_4"],
+)
+def test_half_step_real_product_matches_complex(op):
+    rng = np.random.default_rng(11)
+    states = []
+    for d in op.parties:
+        s = rng.standard_normal((7, d)) + 1j * rng.standard_normal((7, d))
+        states.append(s / np.linalg.norm(s, axis=1, keepdims=True))
+    real = np.ascontiguousarray(op.matrix.real)
+    assert not op.matrix.imag.any()
+    for j in range(len(op.parties)):
+        val_r, vec_r = witness._half_step(real, states, j)
+        val_c, vec_c = witness._half_step(op.matrix, states, j)
+        assert np.max(np.abs(val_r - val_c)) < 1e-12
+        assert np.max(np.abs(vec_r - vec_c)) < 1e-12
 
 
 def test_solver_mixed_party_dimensions():
