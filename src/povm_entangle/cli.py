@@ -83,13 +83,26 @@ def _emit(obj: dict, out: str | None):
         Path(out).write_text(text)
 
 
+def _read_text(path: str) -> str:
+    """UTF-8 text of an input file; any failure to read it is invalid data."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ValidationError(f"no such file: {path}") from None
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{path} is not UTF-8 text: {e}") from None
+    except OSError as e:
+        raise ValidationError(f"cannot read {path}: {e.strerror or e}") from None
+
+
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ValidationError(f"no such file: {path}")
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as e:
-        raise ValidationError(f"{path} is not valid JSON: {e}")
+        raise ValidationError(f"{path} is not valid JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path} must hold a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _read_basis_map(path: str | None) -> BasisMap | None:
@@ -108,11 +121,7 @@ def _read_counts(path: str, basis_map: BasisMap | None = None) -> CoincidenceCou
             sub["basis_map"] = d["basis_map"]
         counts = CoincidenceCounts.from_json_dict(sub)
     else:
-        try:
-            text = Path(path).read_text()
-        except FileNotFoundError:
-            raise ValidationError(f"no such file: {path}")
-        counts = CoincidenceCounts.from_csv(text, basis_map=basis_map)
+        counts = CoincidenceCounts.from_csv(_read_text(path), basis_map=basis_map)
     return counts
 
 

@@ -3,12 +3,18 @@
 Coincidence frequencies carry multinomial noise.  Each synthetic sample
 perturbs the measured per-setting probability vectors with a Gaussian draw
 matching the multinomial covariance (optionally inflated), projects back onto
-the probability simplex, and reruns the full pipeline: linear inversion,
-physicality correction, standard form, optimal quasidistribution.  Cell-wise
-spreads over the samples give the error bars and negativity significances.
+the probability simplex, inverts linearly and repairs physicality.  A sample
+needs no standard form: q and the optimal grid are closed forms of the Pauli
+diagonal pi, and pi follows from the Lorentz singular values of each
+repaired element's correlation matrix (`_lorentz_pi`).  Samples run stacked
+along one axis, in blocks of at most _BLOCK; the reference pass is a block
+of one.  Elements outside the closed form's reach go through
+`to_standard_form` one at a time.  Cell-wise spreads over the samples give
+the error bars and negativity significances.
 
 Draws are keyed by (seed, setting pair, sample index) on a counter-based
-generator, so results are byte-identical for any worker count.
+generator, and no sample's arithmetic depends on the others in its block, so
+results are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -18,28 +24,46 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from numpy.random import Generator
 
 from .errors import ConvergenceError, ValidationError
-from .quasidist import optimal_quasidistribution
+from .operators import _PAULI_KRONS, HermitianOperator
+from .quasidist import grids_from_pi, optimal_quasidistribution
 from .standard_form import FormConfig, to_standard_form
-from .streams import keyed_rng
+from .streams import keyed_normals
 from .tomography import (
+    INDEFINITE_TOL,
     CoincidenceCounts,
     RelativeFrequencies,
-    physicality_correct,
-    reconstruct_povm,
     relative_frequencies,
+    sampling_matrices,
 )
 
 _MASK32 = (1 << 32) - 1
 
+# samples per stacked block; its largest arrays, the 6 relabelings of every
+# grid, then hold about 7 MB each
+_BLOCK = 1024
+
 # same-axis 2x2 blocks can land in any axis slot when |diagonal| values tie,
 # so sample grids are aligned to the reference over all 6 axis relabelings
-_AXIS_PERMS = tuple(permutations(range(3)))
-_PERM_IDX = tuple(
-    np.array([2 * a + s for a in sigma for s in (0, 1)], dtype=np.intp) for sigma in _AXIS_PERMS
+_PERM_IDX = np.array(
+    [[2 * a + s for a in sigma for s in (0, 1)] for sigma in permutations(range(3))],
+    dtype=np.intp,
 )
+
+_ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+# closed-form pi is left to to_standard_form where the squared Lorentz
+# singular values are not real to this share of the largest, where the top
+# two are this close, where the correlation block is already this diagonal,
+# or where the filters are this strong: |r|^2 over the sum of the squared
+# singular values is 1 for a standard form and grows with the filters, and
+# the closed form's error with it (below 1e-14 up to 10, 1e-8 past 100)
+_REAL_TOL = 1e-12
+_GAP_TOL = 1e-6
+_DIAGONAL_TOL = 1e-9
+_BOOST_TOL = 10.0
+
+_SAMPLE_FAILURES = (ConvergenceError, ValidationError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -60,31 +84,50 @@ class McConfig:
             raise ValidationError(f"workers must be positive, got {self.workers}")
 
 
-def counting_covariance(p: np.ndarray, total: int) -> np.ndarray:
-    """Multinomial covariance of estimated probabilities, (diag(p) - p p^T) / (E - 1)."""
+def counting_covariance(p: np.ndarray, total) -> np.ndarray:
+    """Multinomial covariance of estimated probabilities, (diag(p) - p p^T) / (E - 1).
+
+    Stacks: p[..., m] with total a scalar or an array of p's leading shape.
+    """
     p = np.asarray(p, dtype=float)
-    if total < 2:
-        raise ValidationError(f"need at least 2 events per setting, got {total}")
-    return (np.diag(p) - np.outer(p, p)) / (total - 1)
+    total = np.asarray(total)
+    if np.any(total < 2):
+        raise ValidationError(f"need at least 2 events per setting, got {total.min()}")
+    outer = p[..., :, None] * p[..., None, :]
+    return (np.eye(p.shape[-1]) * p[..., None, :] - outer) / (total - 1)[..., None, None]
 
 
 def covariance_factor(cov: np.ndarray) -> np.ndarray:
-    """Factor F with F F^T = cov; eigenvalue based, tolerates the singular direction."""
-    w, v = np.linalg.eigh((cov + cov.T) / 2)
-    return v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+    """Factor F with F F^T = cov; eigenvalue based, tolerates the singular direction.
+
+    Stacks: cov[..., m, m] gives one factor per matrix from one batched eigh.
+    """
+    w, v = np.linalg.eigh((cov + np.swapaxes(cov, -1, -2)) / 2)
+    return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
 def project_probabilities(draw: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Clip negatives and renormalize; an all-zero draw falls back to the input."""
+    """Clip negatives and renormalize; an all-zero draw falls back to the input.
+
+    Stacks: draw[..., m] against a fallback that broadcasts to it.
+    """
     v = np.clip(np.asarray(draw, dtype=float), 0.0, None)
-    s = v.sum()
-    if s <= 0:
-        return np.array(fallback, dtype=float, copy=True)
-    return v / s
+    s = v.sum(axis=-1, keepdims=True)
+    out = np.array(np.broadcast_to(fallback, v.shape), dtype=float)
+    return np.divide(v, s, out=out, where=s > 0)
 
 
-def _pair_rng(seed: int, pair: int, sample: int) -> Generator:
-    return keyed_rng(seed, ((pair & _MASK32) << 32) | (sample & _MASK32))
+def _raw_draws(p, factors, pairs, samples, seed: int, inflation: float) -> np.ndarray:
+    """p + inflation * F z for every sample and setting pair, shape (samples, pairs, m).
+
+    p[pairs, m] and factors[pairs, m, m]; z is the stream keyed by
+    (pair << 32) | sample, each reduced to 32 bits.
+    """
+    pairs = np.array([pair & _MASK32 for pair in pairs], dtype=np.uint64)
+    samples = np.asarray(samples, dtype=np.uint64) & np.uint64(_MASK32)
+    keys = (pairs[None, :] << np.uint64(32)) | samples[:, None]
+    z = keyed_normals(seed, keys.ravel(), p.shape[-1]).reshape(len(samples), len(pairs), -1)
+    return p + inflation * np.einsum("pij,spj->spi", factors, z)
 
 
 def gaussian_draws(
@@ -98,46 +141,135 @@ def gaussian_draws(
     """Pre-projection Gaussian draws for one setting pair, one row per sample."""
     p = np.asarray(p, dtype=float)
     factor = covariance_factor(counting_covariance(p, total))
-    out = np.empty((count, p.size))
-    for sidx in range(count):
-        rng = _pair_rng(seed, pair_index, sidx)
-        out[sidx] = p + inflation * (factor @ rng.standard_normal(p.size))
-    return out
+    return _raw_draws(p[None], factor[None], [pair_index], range(count), seed, inflation)[:, 0]
 
 
 def _pair_factors(freqs: RelativeFrequencies) -> np.ndarray:
+    """Covariance factors of the 36 setting pairs, indexed [pair, m, m]."""
     m = freqs.probs.shape[0]
-    factors = np.empty((6, 6, m, m))
-    for i in range(6):
-        for j in range(6):
-            cov = counting_covariance(freqs.probs[:, i, j], int(freqs.totals[i, j]))
-            factors[i, j] = covariance_factor(cov)
-    return factors
+    p = freqs.probs.reshape(m, 36).T
+    return covariance_factor(counting_covariance(p, freqs.totals.reshape(36).astype(np.int64)))
 
 
-def _sample_probs(
-    freqs: RelativeFrequencies,
-    factors: np.ndarray,
-    sample: int,
-    seed: int,
-    inflation: float,
-) -> np.ndarray:
+def _draw_probs(freqs, factors, samples, seed: int, inflation: float) -> np.ndarray:
+    """Projected frequency draws of the given samples, indexed [sample, outcome, a, b]."""
     m = freqs.probs.shape[0]
-    probs = np.empty_like(freqs.probs)
-    for i in range(6):
-        for j in range(6):
-            rng = _pair_rng(seed, i * 6 + j, sample)
-            raw = freqs.probs[:, i, j] + inflation * (factors[i, j] @ rng.standard_normal(m))
-            probs[:, i, j] = project_probabilities(raw, freqs.probs[:, i, j])
-    return probs
+    p = freqs.probs.reshape(m, 36).T
+    raw = _raw_draws(p, factors, range(36), samples, seed, inflation)
+    probs = project_probabilities(raw, p)
+    return np.ascontiguousarray(probs.transpose(0, 2, 1)).reshape(-1, m, 6, 6)
 
 
 def sample_frequencies(freqs: RelativeFrequencies, cfg: McConfig):
     """Yield cfg.sample_size perturbed frequency sets for the given measurement."""
     factors = _pair_factors(freqs)
     for sidx in range(cfg.sample_size):
-        probs = _sample_probs(freqs, factors, sidx, cfg.seed, cfg.inflation)
+        probs = _draw_probs(freqs, factors, [sidx], cfg.seed, cfg.inflation)[0]
         yield RelativeFrequencies(freqs.outcomes, probs, freqs.totals, freqs.basis_map)
+
+
+def _lorentz_pi(r: np.ndarray, cfg: FormConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form pi of stacked Pauli coefficient matrices r[..., 4, 4], and where it holds.
+
+    Local filters act on r as Lorentz transformations, so the eigenvalues of
+    r eta r^T eta, eta = diag(1, -1, -1, -1), are the squared Lorentz singular
+    values s0^2 >= s1^2 >= s2^2 >= s3^2, and det r = s0 s1 s2 s3 up to sign
+    (Verstraete, Dehaene, De Moor, PRA 64, 010101(R) (2001)).  The standard
+    form of an element with trace t is then
+    pi = (t/4) (1, s1/s0, s2/s0, sign(det r) s3/s0).  The mask is False, and
+    pi zero, where to_standard_form must decide: non-finite entries or a
+    nonpositive trace, eigenvalues that are not real, s3^2 at or below
+    cfg.eig_floor at unit trace, s0 ~ s1 (rank-deficient elements), strong
+    filters, which make the eigenproblem ill-conditioned, and a correlation
+    block that is already diagonal, where diagonalize_correlations keeps the
+    raw signs of the diagonal.
+    """
+    t = 4 * r[..., 0, 0]
+    ok = np.isfinite(r).all(axis=(-2, -1)) & (t > 0)
+    unit = np.where(ok[..., None, None], r, 0.0) / np.where(ok, t, 1.0)[..., None, None]
+    ev = np.linalg.eigvals(unit @ _ETA @ np.swapaxes(unit, -1, -2) @ _ETA)
+    sq = -np.sort(-ev.real, axis=-1)
+    block = unit[..., 1:, 1:]
+    off = np.abs(block - block * np.eye(3)).max(axis=(-2, -1))
+    ok &= np.abs(ev.imag).max(axis=-1) <= _REAL_TOL * sq[..., 0]
+    ok &= sq[..., 3] > cfg.eig_floor
+    ok &= sq[..., 0] - sq[..., 1] > _GAP_TOL * sq[..., 0]
+    ok &= off >= _DIAGONAL_TOL
+    ok &= (unit**2).sum(axis=(-2, -1)) <= _BOOST_TOL * sq.sum(axis=-1)
+    s = np.sqrt(np.where(ok[..., None], sq, 1.0))
+    ratios = s[..., 1:] / s[..., :1]
+    ratios[..., 2] *= np.sign(np.linalg.det(unit))
+    pi = np.concatenate([np.ones_like(t)[..., None], ratios], axis=-1) * (t / 4)[..., None]
+    return np.where(ok[..., None], pi, 0.0), ok
+
+
+def _quasi_batch(
+    probs: np.ndarray,
+    basis_map,
+    margin: float,
+    form_cfg: FormConfig,
+    strict: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """q[S, m], grids[S, m, 6, 6] and failure flags[S] of stacked frequencies probs[S, m, 6, 6].
+
+    Each sample goes through reconstruct_povm and physicality_correct's
+    arithmetic, stacked: one inversion, one batched eigvalsh for the repair,
+    then `_lorentz_pi`.  Elements the closed form leaves out go through
+    to_standard_form; where that raises, the sample is flagged failed and
+    its rows are zero, or with strict the exception propagates.
+    """
+    n, m = probs.shape[:2]
+    sa, sb = sampling_matrices(basis_map)
+    coeffs = sa @ probs @ sb.T / 4
+    mats = np.einsum("skwv,wvij->skij", coeffs, _PAULI_KRONS)
+    mats = (mats + np.swapaxes(mats, -1, -2).conj()) / 2
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    low = np.linalg.eigvalsh(np.where(finite[..., None, None], mats, 0.0))[..., 0]
+    worst = -low.min(axis=1)
+    fire = worst > INDEFINITE_TOL
+    p = np.zeros(n)
+    lam = worst[fire] + margin
+    p[fire] = lam / (lam + 1.0 / m)
+    keep = (1 - p)[:, None, None, None]
+    coeffs = keep * coeffs
+    coeffs[..., 0, 0] += p[:, None] / m
+
+    pi, closed = _lorentz_pi(coeffs, form_cfg)
+    q, grids = grids_from_pi(pi)
+    failed = np.zeros(n, dtype=bool)
+    if not closed.all():
+        mats = keep * mats + p[:, None, None, None] * (np.eye(4) / m)
+    for s, k in zip(*np.nonzero(~closed)):
+        if failed[s]:
+            continue
+        try:
+            qdist = optimal_quasidistribution(
+                to_standard_form(HermitianOperator(mats[s, k], (2, 2)), form_cfg)
+            )
+        except _SAMPLE_FAILURES:
+            if strict:
+                raise
+            failed[s] = True
+            continue
+        q[s, k], grids[s, k] = qdist.q, qdist.grid
+    q[failed] = 0.0
+    grids[failed] = 0.0
+    return q, grids, failed
+
+
+def _match_grids(ref_grids: np.ndarray, grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Align grids[..., m, 6, 6] to ref_grids[m, 6, 6] over the axis relabelings.
+
+    Each relabeling's score is the sum of reference * candidate over its 36
+    cells, as match_grid sums it, and the first strict maximum wins, the
+    identity first.  Returns the aligned grids and where a relabeling won.
+    """
+    cands = grids[..., _PERM_IDX[:, :, None], _PERM_IDX[:, None, :]]
+    prods = ref_grids[:, None] * cands
+    scores = prods.reshape(prods.shape[:-2] + (36,)).sum(axis=-1)
+    best = np.argmax(scores, axis=-1)
+    aligned = np.take_along_axis(cands, best[..., None, None, None], axis=-3)[..., 0, :, :]
+    return aligned, best > 0
 
 
 def match_grid(reference: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -146,57 +278,21 @@ def match_grid(reference: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, boo
     Returns the aligned grid and whether a non-identity relabeling won, which
     marks the sample as permuted in the diagnostics.
     """
-    best = grid
-    best_score = float(np.sum(reference * grid))
-    permuted = False
-    for idx in _PERM_IDX[1:]:
-        cand = grid[np.ix_(idx, idx)]
-        score = float(np.sum(reference * cand))
-        if score > best_score:
-            best, best_score, permuted = cand, score, True
-    return best, permuted
+    ref = np.asarray(reference, dtype=float)[None]
+    aligned, permuted = _match_grids(ref, np.asarray(grid, dtype=float)[None])
+    return aligned[0], bool(permuted[0])
 
 
-def _pipeline(
-    freqs: RelativeFrequencies, margin: float, form_cfg: FormConfig
-) -> list[tuple[str, float, np.ndarray]]:
-    povm = reconstruct_povm(freqs)
-    povm, _, _ = physicality_correct(povm, margin=margin)
-    out = []
-    for label, element in povm.items():
-        form = to_standard_form(element, form_cfg)
-        qdist = optimal_quasidistribution(form)
-        out.append((label, qdist.q, qdist.grid))
-    return out
-
-
-def _one_sample(
-    freqs: RelativeFrequencies,
-    factors: np.ndarray,
-    sample: int,
-    seed: int,
-    inflation: float,
-    margin: float,
-    form_cfg: FormConfig,
-    ref_grids: list[np.ndarray],
-) -> list[tuple[float, np.ndarray]] | None:
-    try:
-        probs = _sample_probs(freqs, factors, sample, seed, inflation)
-        sampled = RelativeFrequencies(freqs.outcomes, probs, freqs.totals, freqs.basis_map)
-        rows = _pipeline(sampled, margin, form_cfg)
-    except (ConvergenceError, ValidationError, np.linalg.LinAlgError):
-        return None
-    return [
-        (q,) + match_grid(ref_grids[k], grid) for k, (_, q, grid) in enumerate(rows)
-    ]
-
-
-def _run_chunk(payload):
-    freqs, factors, indices, seed, inflation, margin, form_cfg, ref_grids = payload
-    return [
-        (sidx, _one_sample(freqs, factors, sidx, seed, inflation, margin, form_cfg, ref_grids))
-        for sidx in indices
-    ]
+def _run_samples(payload):
+    """Samples lo..hi-1 in blocks: q, aligned grids, permuted and failed flags."""
+    freqs, factors, lo, hi, seed, inflation, margin, form_cfg, ref_grids = payload
+    parts = []
+    for start in range(lo, hi, _BLOCK):
+        probs = _draw_probs(freqs, factors, range(start, min(start + _BLOCK, hi)), seed, inflation)
+        q, grids, failed = _quasi_batch(probs, freqs.basis_map, margin, form_cfg)
+        aligned, permuted = _match_grids(ref_grids, grids)
+        parts.append((q, aligned, permuted, failed))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def _scalar(x: float) -> float | None:
@@ -284,26 +380,31 @@ class UncertaintyReport:
 
 
 def _aggregate(
-    refs: list[tuple[str, float, np.ndarray]],
-    results: list[list[tuple[float, np.ndarray]]],
+    labels: tuple[str, ...],
+    q_ref: np.ndarray,
+    grid_ref: np.ndarray,
+    qs: np.ndarray,
+    grids: np.ndarray,
+    permuted: np.ndarray,
     cfg: McConfig,
     excluded: int,
 ) -> UncertaintyReport:
+    """Per-element statistics of the retained samples' q[n, m] and grids[n, m, 6, 6]."""
+    n = len(qs)
     elements = []
-    for k, (label, q_ref, grid_ref) in enumerate(refs):
-        qs = np.array([r[k][0] for r in results])
-        grids = np.stack([r[k][1] for r in results])
-        permuted = sum(1 for r in results if r[k][2])
-        max_negs = np.minimum(grids.reshape(len(results), -1).min(axis=1), 0.0)
-        cums = np.where(grids < 0, grids, 0.0).reshape(len(results), -1).sum(axis=1)
-        grid_mean = grids.mean(axis=0)
-        grid_std = grids.std(axis=0, ddof=1)
+    for k, label in enumerate(labels):
+        q_k = np.ascontiguousarray(qs[:, k])
+        g = np.ascontiguousarray(grids[:, k])
+        max_negs = np.minimum(g.reshape(n, -1).min(axis=1), 0.0)
+        cums = np.where(g < 0, g, 0.0).reshape(n, -1).sum(axis=1)
+        grid_mean = g.mean(axis=0)
+        grid_std = g.std(axis=0, ddof=1)
         sig = np.full((6, 6), np.nan)
         neg = grid_mean < 0
         with np.errstate(divide="ignore"):
             sig[neg] = np.where(grid_std[neg] > 0, -grid_mean[neg] / grid_std[neg], np.inf)
-        q_mean = float(qs.mean())
-        q_std = float(qs.std(ddof=1))
+        q_mean = float(q_k.mean())
+        q_std = float(q_k.std(ddof=1))
         if q_mean < 0:
             q_sig = -q_mean / q_std if q_std > 0 else np.inf
         else:
@@ -316,7 +417,7 @@ def _aggregate(
         elements.append(
             ElementUncertainty(
                 label=label,
-                q_reference=float(q_ref),
+                q_reference=float(q_ref[k]),
                 q_mean=q_mean,
                 q_std=q_std,
                 q_significance=float(q_sig),
@@ -324,17 +425,15 @@ def _aggregate(
                 max_negativity_std=float(max_negs.std(ddof=1)),
                 cumulative_mean=float(cums.mean()),
                 cumulative_std=float(cums.std(ddof=1)),
-                grid_reference=grid_ref,
+                grid_reference=grid_ref[k],
                 grid_mean=grid_mean,
                 grid_std=grid_std,
                 significance=sig,
                 negativity_significance=float(neg_sig),
-                permuted=permuted,
+                permuted=int(permuted[:, k].sum()),
             )
         )
-    return UncertaintyReport(
-        elements=tuple(elements), config=cfg, retained=len(results), excluded=excluded
-    )
+    return UncertaintyReport(elements=tuple(elements), config=cfg, retained=n, excluded=excluded)
 
 
 def propagate(
@@ -345,46 +444,43 @@ def propagate(
 ) -> UncertaintyReport:
     """Run the full sampling study and return per-element uncertainty statistics.
 
-    The reference pipeline runs on the measured frequencies as-is; sample grids
-    are axis-matched against it before averaging.  Samples whose pipeline fails
-    are excluded, and more than 1% exclusions abort the run.
+    The reference pass runs on the measured frequencies as-is, and its
+    failures raise; sample grids are axis-matched against it before
+    averaging.  Samples whose pipeline fails are excluded, and more than 1%
+    exclusions abort the run.  cfg.workers processes each take one contiguous
+    share of the sample axis.
     """
     freqs = relative_frequencies(data) if isinstance(data, CoincidenceCounts) else data
-    refs = _pipeline(freqs, margin, form_cfg)
-    ref_grids = [grid for _, _, grid in refs]
+    if margin < 0:
+        raise ValidationError(f"margin must be nonnegative, got {margin}")
+    q_ref, grid_ref, _ = _quasi_batch(
+        freqs.probs[None], freqs.basis_map, margin, form_cfg, strict=True
+    )
     factors = _pair_factors(freqs)
 
     workers = cfg.workers or 1
-    pairs: list[tuple[int, list | None]] = []
+    bounds = [cfg.sample_size * w // workers for w in range(workers + 1)]
+    payloads = [
+        (freqs, factors, lo, hi, cfg.seed, cfg.inflation, margin, form_cfg, grid_ref[0])
+        for lo, hi in zip(bounds, bounds[1:])
+        if hi > lo
+    ]
     if workers == 1:
-        for sidx in range(cfg.sample_size):
-            pairs.append(
-                (
-                    sidx,
-                    _one_sample(
-                        freqs, factors, sidx, cfg.seed, cfg.inflation, margin, form_cfg, ref_grids
-                    ),
-                )
-            )
+        parts = [_run_samples(payloads[0])]
     else:
-        chunks = [list(range(w, cfg.sample_size, workers)) for w in range(workers)]
-        payloads = [
-            (freqs, factors, chunk, cfg.seed, cfg.inflation, margin, form_cfg, ref_grids)
-            for chunk in chunks
-            if chunk
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_run_chunk, payloads):
-                pairs.extend(part)
-    pairs.sort(key=lambda t: t[0])
+        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+            parts = list(pool.map(_run_samples, payloads))
+    qs, grids, permuted, failed = (np.concatenate(arrays) for arrays in zip(*parts))
 
-    results = [res for _, res in pairs if res is not None]
-    excluded = cfg.sample_size - len(results)
+    excluded = int(failed.sum())
     if excluded > 0.01 * cfg.sample_size:
         raise ConvergenceError(
             f"{excluded} of {cfg.sample_size} samples failed the pipeline; "
             "data too noisy for reliable error bars"
         )
-    if len(results) < 2:
+    kept = ~failed
+    if kept.sum() < 2:
         raise ConvergenceError("fewer than 2 usable samples")
-    return _aggregate(refs, results, cfg, excluded)
+    return _aggregate(
+        freqs.outcomes, q_ref[0], grid_ref[0], qs[kept], grids[kept], permuted[kept], cfg, excluded
+    )

@@ -22,7 +22,9 @@ from .standard_form import StandardForm
 LABELS = tuple(f"{axis}{'+' if sign > 0 else '-'}" for axis, sign in QUASI_AXES)
 
 _SIGNS = np.array([sign for _, sign in QUASI_AXES], dtype=float)
-_AXIS_OF = [0, 0, 1, 1, 2, 2]
+_AXIS_OF = np.array([0, 0, 1, 1, 2, 2])
+_SAME_AXIS = _AXIS_OF[:, None] == _AXIS_OF[None, :]
+_SIGN_PRODUCTS = np.outer(_SIGNS, _SIGNS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,10 +39,7 @@ class QuasiDistribution:
         g = np.asarray(self.grid, dtype=float)
         if g.shape != (6, 6):
             raise ValidationError(f"grid must have shape (6, 6), got {g.shape}")
-        cross = max(
-            (abs(g[i, j]) for i in range(6) for j in range(6) if _AXIS_OF[i] != _AXIS_OF[j]),
-            default=0.0,
-        )
+        cross = float(np.abs(g[~_SAME_AXIS]).max())
         if cross > 1e-12:
             raise ValidationError(f"cross-axis cells must vanish (largest {cross:.3e})")
         total = float(g.sum())
@@ -51,11 +50,6 @@ class QuasiDistribution:
         object.__setattr__(self, "grid", _frozen(g))
         object.__setattr__(self, "q", float(self.q))
         object.__setattr__(self, "source_trace", float(self.source_trace))
-
-    def structural_min(self) -> float:
-        """Smallest same-axis cell; the closed form makes this q/3."""
-        vals = [self.grid[i, j] for i in range(6) for j in range(6) if _AXIS_OF[i] == _AXIS_OF[j]]
-        return float(min(vals))
 
     def to_dict(self) -> dict:
         return {
@@ -75,22 +69,23 @@ class QuasiDistribution:
             raise ValidationError(f"malformed quasidistribution record: {exc}") from exc
 
 
+def grids_from_pi(pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """q and the optimal grid for stacked diagonal Pauli coefficients pi[..., 4]."""
+    q = pi[..., 0] - np.abs(pi[..., 1:]).sum(axis=-1)
+    w = pi[..., 1 + _AXIS_OF, None]
+    cells = q[..., None, None] / 3 + np.abs(w) + _SIGN_PRODUCTS * w
+    return q, np.where(_SAME_AXIS, cells, 0.0)
+
+
 def quasidistribution_from_pi(pi, source_trace: float | None = None) -> QuasiDistribution:
     """Closed-form optimal grid for diagonal Pauli coefficients pi."""
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (4,):
         raise ValidationError(f"pi must have shape (4,), got {pi.shape}")
-    q = float(pi[0] - np.sum(np.abs(pi[1:])))
-    grid = np.zeros((6, 6))
-    for i in range(6):
-        for j in range(6):
-            if _AXIS_OF[i] != _AXIS_OF[j]:
-                continue
-            w = pi[1 + _AXIS_OF[i]]
-            grid[i, j] = q / 3 + abs(w) + _SIGNS[i] * _SIGNS[j] * w
+    q, grid = grids_from_pi(pi)
     if source_trace is None:
         source_trace = 4 * float(pi[0])
-    return QuasiDistribution(grid, q, float(source_trace))
+    return QuasiDistribution(grid, float(q), float(source_trace))
 
 
 def optimal_quasidistribution(form: StandardForm) -> QuasiDistribution:

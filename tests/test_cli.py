@@ -232,6 +232,40 @@ class TestExitCodes:
         rc, _, err = run(["reconstruct", "--counts", str(bad)], capsys)
         assert rc == 2
 
+    @staticmethod
+    def assert_invalid_input(rc, err):
+        assert rc == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("body", ["5", "null"])
+    @pytest.mark.parametrize("command", ["errors", "reconstruct"])
+    def test_non_object_counts_json_is_two(self, tmp_path, capsys, command, body):
+        path = tmp_path / "counts.json"
+        path.write_text(body)
+        rc, _, err = run([command, "--counts", str(path)], capsys)
+        self.assert_invalid_input(rc, err)
+        assert "JSON object" in err
+
+    @pytest.mark.parametrize("body", ["5", "null"])
+    def test_non_object_povm_json_is_two(self, tmp_path, capsys, body):
+        path = tmp_path / "povm.json"
+        path.write_text(body)
+        rc, _, err = run(["quasidist", "--povm", str(path), "-o", str(tmp_path / "q")], capsys)
+        self.assert_invalid_input(rc, err)
+
+    @pytest.mark.parametrize("name", ["counts.csv", "counts.json"])
+    def test_non_utf8_counts_is_two(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_bytes(b"probe_a,probe_b,outcome,count\n\xff\xfe,H,AA,1\n")
+        rc, _, err = run(["reconstruct", "--counts", str(path)], capsys)
+        self.assert_invalid_input(rc, err)
+        assert "UTF-8" in err
+
+    def test_directory_as_counts_is_two(self, tmp_path, capsys):
+        rc, _, err = run(["errors", "--counts", str(tmp_path)], capsys)
+        self.assert_invalid_input(rc, err)
+
     def test_witness_non_finite_povm_is_two(self, tmp_path, capsys):
         povm_path = nan_bell_povm_file(tmp_path)
         rc, out, err = run(

@@ -1,26 +1,45 @@
-"""Counting covariance, simplex projection, and pipeline error propagation."""
+"""Counting covariance, simplex projection, and batched error propagation."""
 
 import json
 
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import povm_entangle.montecarlo as mc
 from povm_entangle import (
     ConvergenceError,
+    DetectorModel,
+    FormConfig,
+    HermitianOperator,
     McConfig,
+    PovmSet,
     ValidationError,
     bell_model,
     combine_outcomes,
     counting_covariance,
     covariance_factor,
     draw_counts,
+    expected_frequencies,
     gaussian_draws,
     match_grid,
+    negativity_report,
+    optimal_quasidistribution,
+    pauli_expand,
     project_probabilities,
     propagate,
+    quasidistribution_from_pi,
+    reconstruct_povm,
     relative_frequencies,
     sample_frequencies,
+    to_standard_form,
 )
+from povm_entangle.operators import PAULIS
+from povm_entangle.quasidist import grids_from_pi
+
+from conftest import random_pd_element
 
 
 @pytest.fixture(scope="module")
@@ -210,21 +229,213 @@ def test_propagate_rejects_sub_two_usable():
         propagate(counts, McConfig(sample_size=1))
 
 
-def test_propagate_aborts_on_mass_failures(bell_counts, monkeypatch):
-    import povm_entangle.montecarlo as mc
+def _no_closed_form(monkeypatch, elements=slice(None)):
+    """Send the given elements of every sample through to_standard_form."""
+    lorentz_pi = mc._lorentz_pi
 
-    def broken(freqs, margin, form_cfg):
-        raise ConvergenceError("boom")
+    def patched(r, cfg):
+        pi, closed = lorentz_pi(r, cfg)
+        closed[..., elements] = False
+        return pi, closed
 
-    ref = mc._pipeline
+    monkeypatch.setattr(mc, "_lorentz_pi", patched)
+
+
+def _failing_after(monkeypatch, good_calls, bad_calls=None):
+    """to_standard_form that raises after good_calls calls, for bad_calls calls."""
+    ref = mc.to_standard_form
     calls = {"n": 0}
 
-    def flaky(freqs, margin, form_cfg):
+    def flaky(op, cfg):
         calls["n"] += 1
-        if calls["n"] == 1:
-            return ref(freqs, margin, form_cfg)  # reference run stays intact
-        raise ConvergenceError("boom")
+        bad = calls["n"] > good_calls
+        if bad_calls is not None:
+            bad &= calls["n"] <= good_calls + bad_calls
+        if bad:
+            raise ConvergenceError("boom")
+        return ref(op, cfg)
 
-    monkeypatch.setattr(mc, "_pipeline", flaky)
+    monkeypatch.setattr(mc, "to_standard_form", flaky)
+
+
+def test_propagate_aborts_on_mass_failures(bell_counts, monkeypatch):
+    _no_closed_form(monkeypatch)
+    _failing_after(monkeypatch, 4)  # the reference pass's 4 elements stay intact
     with pytest.raises(ConvergenceError, match="samples failed"):
         propagate(bell_counts, McConfig(sample_size=10, seed=0))
+
+
+def test_failed_element_excludes_its_sample(bell_counts, monkeypatch):
+    clean = propagate(bell_counts, McConfig(sample_size=200, seed=3))
+    first = _sample_q(bell_counts, 3, 0)
+    _no_closed_form(monkeypatch, elements=0)
+    _failing_after(monkeypatch, 1, bad_calls=1)  # element 0 of sample 0 fails
+    report = propagate(bell_counts, McConfig(sample_size=200, seed=3))
+    assert (report.retained, report.excluded) == (199, 1)
+    assert clean.excluded == 0
+    # the other samples are untouched: their q sum is the clean sum less sample 0's
+    for e, c in zip(report.elements, clean.elements):
+        assert e.q_mean * 199 == pytest.approx(c.q_mean * 200 - first[c.label], abs=1e-12)
+
+
+def _sample_q(counts, seed, sample):
+    freqs = relative_frequencies(counts)
+    probs = mc._draw_probs(freqs, mc._pair_factors(freqs), [sample], seed, 1.05)
+    q, _, _ = mc._quasi_batch(probs, freqs.basis_map, 1e-5, FormConfig())
+    return dict(zip(freqs.outcomes, q[0]))
+
+
+def test_reference_failure_raises():
+    # an outcome that never fires: its reference element has zero trace, which
+    # to_standard_form rejects, and the reference pass raises instead of excluding
+    povm = PovmSet(("never", "always"), (HermitianOperator(np.zeros((4, 4))), HermitianOperator(np.eye(4))))
+    freqs = expected_frequencies(DetectorModel(povm=povm))
+    with pytest.raises(ValidationError, match="trace must be positive"):
+        propagate(freqs, McConfig(sample_size=2))
+
+
+def test_blocks_and_workers_give_identical_reports(bell_counts, monkeypatch):
+    cfg = McConfig(sample_size=12, seed=17, workers=1)
+    whole = json.dumps(propagate(bell_counts, cfg).to_dict(), sort_keys=True)
+    monkeypatch.setattr(mc, "_BLOCK", 3)
+    for workers in (1, 3):
+        report = propagate(bell_counts, McConfig(sample_size=12, seed=17, workers=workers))
+        assert json.dumps(report.to_dict(), sort_keys=True) == whole
+
+
+def _match_grid_loop(reference, grid):
+    """The per-sample rule: identity first, then the first strict maximum."""
+    best, best_score, permuted = grid, float(np.sum(reference * grid)), False
+    for idx in mc._PERM_IDX[1:]:
+        cand = grid[np.ix_(idx, idx)]
+        score = float(np.sum(reference * cand))
+        if score > best_score:
+            best, best_score, permuted = cand, score, True
+    return best, permuted
+
+
+def _block_grids(blocks):
+    """Grids with the given 2x2 same-axis blocks, blocks[..., 3, 2, 2]."""
+    grids = np.zeros(blocks.shape[:-3] + (6, 6))
+    for a in range(3):
+        grids[..., 2 * a : 2 * a + 2, 2 * a : 2 * a + 2] = blocks[..., a, :, :]
+    return grids
+
+
+def test_match_grids_follow_the_per_sample_rule(rng):
+    # small integer blocks make exact score ties between relabelings common
+    ref = _block_grids(rng.integers(-2, 3, size=(4, 3, 2, 2)).astype(float))
+    grids = _block_grids(rng.integers(-2, 3, size=(300, 4, 3, 2, 2)).astype(float))
+    grids[:100] += rng.normal(scale=0.3, size=(100, 4, 6, 6))
+    aligned, permuted = mc._match_grids(ref, grids)
+    for s in range(len(grids)):
+        for k in range(4):
+            want, want_permuted = _match_grid_loop(ref[k], grids[s, k])
+            np.testing.assert_array_equal(aligned[s, k], want)
+            assert permuted[s, k] == want_permuted
+    assert 0 < permuted.sum() < permuted.size
+
+
+@pytest.mark.parametrize("eps, counts, seed", [(0.0, 10000, 0), (0.1, 1000, 600658849)])
+def test_pair_factors_match_per_pair_factors(eps, counts, seed):
+    freqs = relative_frequencies(draw_counts(bell_model(eps, counts), seed))
+    factors = mc._pair_factors(freqs)
+    for i in range(6):
+        for j in range(6):
+            p = freqs.probs[:, i, j]
+            cov = (np.diag(p) - np.outer(p, p)) / (int(freqs.totals[i, j]) - 1)
+            w, v = np.linalg.eigh((cov + cov.T) / 2)
+            np.testing.assert_array_equal(factors[i * 6 + j], v @ np.diag(np.sqrt(np.clip(w, 0.0, None))))
+            np.testing.assert_array_equal(factors[i * 6 + j], covariance_factor(cov))
+
+
+def _local_filter(rng, strength):
+    """exp(h.sigma) U: an SL(2,C) boost of rapidity at most strength after a random SU(2)."""
+    h = rng.normal(size=3)
+    h *= strength * rng.uniform() / np.linalg.norm(h)
+    a = rng.normal(size=3)
+    n = np.linalg.norm(a)
+    u = np.cos(n) * np.eye(2) + 1j * np.sin(n) * np.einsum("i,ijk->jk", a / n, PAULIS[1:])
+    r = np.linalg.norm(h)
+    boost = np.cosh(r) * np.eye(2) + np.sinh(r) * np.einsum("i,ijk->jk", h / r, PAULIS[1:])
+    return boost @ u
+
+
+def _batched_pi(elements):
+    r = np.stack([pauli_expand(el).coeffs for el in elements])
+    return mc._lorentz_pi(r, FormConfig())
+
+
+def _pipeline_pi(elements):
+    """pi as the batched path takes it: closed form, else to_standard_form."""
+    pi, closed = _batched_pi(elements)
+    for k in np.flatnonzero(~closed):
+        pi[k] = to_standard_form(elements[k]).pi
+    return pi
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
+def test_lorentz_pi_matches_standard_form(seeds):
+    elements = [random_pd_element(np.random.default_rng(s), trace=0.5 + s % 3) for s in seeds]
+    pi, closed = _batched_pi(elements)
+    for k, el in enumerate(elements):
+        if closed[k]:
+            np.testing.assert_allclose(pi[k], to_standard_form(el).pi, rtol=0, atol=1e-12)
+        else:  # strong filters only: the closed form hands these over
+            r = pauli_expand(el).coeffs
+            assert (r**2).sum() > 10 * np.trace(r @ mc._ETA @ r.T @ mc._ETA)
+    assert closed.mean() > 0.5
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_lorentz_pi_is_invariant_under_local_filters(seed):
+    rng = np.random.default_rng(seed)
+    el = random_pd_element(rng)
+    k = np.kron(_local_filter(rng, 0.5), _local_filter(rng, 0.5))
+    moved = HermitianOperator(k @ el.matrix @ k.conj().T, (2, 2))
+    pi = _pipeline_pi([el, moved])
+    scale = moved.trace() / el.trace()
+    np.testing.assert_allclose(pi[1], scale * pi[0], rtol=0, atol=1e-12 * scale)
+    q, _ = grids_from_pi(pi)
+    assert q[1] == pytest.approx(scale * q[0], abs=1e-12 * scale)
+    verdicts = [negativity_report(quasidistribution_from_pi(p, 4 * p[0])).verdict for p in pi]
+    if abs(q[0]) > 1e-6:
+        assert verdicts[0] == verdicts[1]
+
+
+def test_strongly_filtered_element_takes_the_standard_form_path():
+    # boosts of rapidity 1.5 on both arms of a noisy Bell element: the closed
+    # form's eigenproblem would lose about 6e-11 here
+    def boost(n):
+        n = np.asarray(n, dtype=float) / np.linalg.norm(n)
+        return np.cosh(1.5) * np.eye(2) + np.sinh(1.5) * np.einsum("i,ijk->jk", n, PAULIS[1:])
+
+    phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    k = np.kron(boost([1, 0, 1]), boost([0, 1, 1]))
+    m = k @ (0.99 * np.outer(phi, phi) + 0.0025 * np.eye(4)) @ k.conj().T
+    el = HermitianOperator(m / np.trace(m).real, (2, 2))
+    _, closed = _batched_pi([el])
+    assert not closed[0]
+    np.testing.assert_allclose(_pipeline_pi([el])[0], [0.25, 0.2475, 0.2475, -0.2475], atol=1e-12)
+
+
+def test_diagonal_singlet_element_takes_the_standard_form_path():
+    # 0.9 singlet + 0.1 * 1/4 and its Bell-diagonal partners: correlation
+    # blocks already diagonal, where to_standard_form keeps the raw signs
+    freqs = expected_frequencies(bell_model(eps=1 / 37))
+    povm = reconstruct_povm(freqs)
+    _, closed = _batched_pi(povm.elements)
+    assert not closed.any()
+    q, grids, failed = mc._quasi_batch(freqs.probs[None], freqs.basis_map, 1e-5, FormConfig(), strict=True)
+    assert not failed.any()
+    for k, el in enumerate(povm.elements):
+        qdist = optimal_quasidistribution(to_standard_form(el))
+        assert q[0, k] == pytest.approx(qdist.q, abs=1e-12)
+        np.testing.assert_allclose(grids[0, k], qdist.grid, rtol=0, atol=1e-12)
+    singlet = to_standard_form(povm.element("AA")).pi
+    np.testing.assert_allclose(singlet, [0.25, -0.225, -0.225, -0.225], atol=1e-12)
+    # the closed form's signs would give a different grid for the same q
+    _, closed_grid = grids_from_pi(np.array([0.25, 0.225, 0.225, -0.225]))
+    assert np.abs(closed_grid - grids[0, 0]).max() > 0.1

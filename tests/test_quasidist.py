@@ -16,11 +16,17 @@ from povm_entangle import (
     quasidistribution_from_pi,
     to_standard_form,
 )
-from povm_entangle.quasidist import LABELS
+from povm_entangle.quasidist import LABELS, grids_from_pi
 
 from conftest import random_separable_element
 
 SINGLET_BLOCK = np.array([[-1 / 6, 1 / 3], [1 / 3, -1 / 6]])
+
+
+def same_axis_min(grid):
+    """Smallest same-axis cell; the closed form makes this q/3."""
+    axis = np.repeat(np.arange(3), 2)
+    return float(grid[axis[:, None] == axis[None, :]].min())
 
 
 def singlet_grid():
@@ -38,7 +44,7 @@ def test_singlet_grid_values():
     qd = quasidistribution_from_pi([0.25, -0.25, -0.25, -0.25])
     assert np.max(np.abs(qd.grid - singlet_grid())) < 1e-15
     assert qd.q == pytest.approx(-0.5, abs=1e-15)
-    assert qd.structural_min() == pytest.approx(-1 / 6, abs=1e-15)
+    assert same_axis_min(qd.grid) == pytest.approx(-1 / 6, abs=1e-15)
     assert qd.grid.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -68,12 +74,28 @@ def test_merged_projector_grid():
     assert float(qd.grid.min()) >= 0.0
 
 
+def test_stacked_grids_match_the_cell_formula(rng):
+    pi = np.concatenate([rng.uniform(0.1, 1.0, (5, 3, 1)), rng.uniform(-0.3, 0.3, (5, 3, 3))], axis=-1)
+    q, grids = grids_from_pi(pi)
+    axis = np.repeat(np.arange(3), 2)
+    signs = np.array([1.0, -1.0] * 3)
+    for idx in np.ndindex(5, 3):
+        p = pi[idx]
+        want_q = float(p[0] - np.sum(np.abs(p[1:])))
+        assert q[idx] == want_q
+        for i in range(6):
+            for j in range(6):
+                w = p[1 + axis[i]]
+                want = want_q / 3 + abs(w) + signs[i] * signs[j] * w if axis[i] == axis[j] else 0.0
+                assert grids[idx][i, j] == want
+
+
 def test_grid_total_is_four_pi0(rng):
     for _ in range(20):
         pi = np.concatenate([[rng.uniform(0.5, 1.0)], rng.uniform(-0.3, 0.3, 3)])
         qd = quasidistribution_from_pi(pi)
         assert qd.grid.sum() == pytest.approx(4 * pi[0], abs=1e-12)
-        assert qd.structural_min() == pytest.approx(qd.q / 3, abs=1e-12)
+        assert same_axis_min(qd.grid) == pytest.approx(qd.q / 3, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
