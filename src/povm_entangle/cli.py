@@ -113,16 +113,18 @@ def _read_basis_map(path: str | None) -> BasisMap | None:
 
 def _read_counts(path: str, basis_map: BasisMap | None = None) -> CoincidenceCounts:
     if path.endswith(".json"):
-        d = _load_json(path)
-        if "counts" not in d:
-            raise ValidationError(f"{path} has no 'counts' entry")
-        sub = {"counts": d["counts"]}
-        if "basis_map" in d:
-            sub["basis_map"] = d["basis_map"]
-        counts = CoincidenceCounts.from_json_dict(sub)
+        return CoincidenceCounts.from_json_dict(_load_json(path))
+    return CoincidenceCounts.from_csv(_read_text(path), basis_map=basis_map)
+
+
+def _write_counts(data: CoincidenceCounts, out: str | None, manifest: dict):
+    """Counts as JSON with the manifest when out ends in .json, else as CSV."""
+    if out is not None and out.endswith(".json"):
+        _emit({"manifest": manifest, **data.to_json_dict()}, out)
+    elif out is None:
+        click.echo(data.to_csv(), nl=False)
     else:
-        counts = CoincidenceCounts.from_csv(_read_text(path), basis_map=basis_map)
-    return counts
+        Path(out).write_text(data.to_csv())
 
 
 def _read_povm(path: str) -> PovmSet:
@@ -171,22 +173,14 @@ def simulate(model_path, povm_path, eps, counts, indefiniteness, seed, basis_map
                 basis_map=basis_map or BasisMap.default(),
                 indefiniteness=indefiniteness,
             )
-    data = draw_counts(model, used_seed)
-    if out is not None and out.endswith(".json"):
-        manifest = _manifest(
-            "simulate",
-            eps=model.eps,
-            counts_per_setting=model.counts_per_setting,
-            indefiniteness=model.indefiniteness,
-            seed=used_seed,
-        )
-        _emit({"manifest": manifest, **data.to_json_dict()}, out)
-    else:
-        text = data.to_csv()
-        if out is None:
-            click.echo(text, nl=False)
-        else:
-            Path(out).write_text(text)
+    manifest = _manifest(
+        "simulate",
+        eps=model.eps,
+        counts_per_setting=model.counts_per_setting,
+        indefiniteness=model.indefiniteness,
+        seed=used_seed,
+    )
+    _write_counts(draw_counts(model, used_seed), out, manifest)
 
 
 @cli.command()
@@ -204,8 +198,6 @@ def reconstruct(counts_path, basis_map_path, margin, out):
     corrs = reconstruct_correlations(freqs)
     total = sum(el.matrix for el in raw.elements)
     residual = float(np.max(np.abs(total - np.eye(4))))
-    if residual > 1e-6:
-        click.echo(f"warning: completeness residual {residual:.3e}", err=True)
     payload = {
         "manifest": _manifest("reconstruct", counts=counts_path, margin=margin),
         "raw_povm": raw.to_dict(),
@@ -455,16 +447,8 @@ def combine(counts_path, basis_map_path, groups, out):
     basis_map = _read_basis_map(basis_map_path)
     data = _read_counts(counts_path, basis_map)
     parsed = [[lbl.strip() for lbl in grp.split("+")] for grp in groups.split(",") if grp]
-    merged = combine_outcomes(data, parsed)
-    if out is not None and out.endswith(".json"):
-        manifest = _manifest("combine", counts=counts_path, groups=groups)
-        _emit({"manifest": manifest, **merged.to_json_dict()}, out)
-    else:
-        text = merged.to_csv()
-        if out is None:
-            click.echo(text, nl=False)
-        else:
-            Path(out).write_text(text)
+    manifest = _manifest("combine", counts=counts_path, groups=groups)
+    _write_counts(combine_outcomes(data, parsed), out, manifest)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -19,6 +19,7 @@ results are byte-identical for any worker count.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
@@ -26,16 +27,16 @@ from itertools import permutations
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .operators import _PAULI_KRONS, HermitianOperator
+from .operators import HermitianOperator
 from .quasidist import grids_from_pi, optimal_quasidistribution
 from .standard_form import FormConfig, to_standard_form
 from .streams import keyed_normals
 from .tomography import (
-    INDEFINITE_TOL,
     CoincidenceCounts,
     RelativeFrequencies,
+    invert_frequencies,
     relative_frequencies,
-    sampling_matrices,
+    repair_strength,
 )
 
 _MASK32 = (1 << 32) - 1
@@ -78,8 +79,8 @@ class McConfig:
     def __post_init__(self):
         if self.sample_size < 2:
             raise ValidationError(f"need at least 2 samples, got {self.sample_size}")
-        if self.inflation < 1.0:
-            raise ValidationError(f"inflation must be >= 1, got {self.inflation}")
+        if not (math.isfinite(self.inflation) and self.inflation >= 1.0):
+            raise ValidationError(f"inflation must be finite and >= 1, got {self.inflation}")
         if self.workers is not None and self.workers < 1:
             raise ValidationError(f"workers must be positive, got {self.workers}")
 
@@ -128,20 +129,6 @@ def _raw_draws(p, factors, pairs, samples, seed: int, inflation: float) -> np.nd
     keys = (pairs[None, :] << np.uint64(32)) | samples[:, None]
     z = keyed_normals(seed, keys.ravel(), p.shape[-1]).reshape(len(samples), len(pairs), -1)
     return p + inflation * np.einsum("pij,spj->spi", factors, z)
-
-
-def gaussian_draws(
-    p: np.ndarray,
-    total: int,
-    count: int,
-    seed: int = 0,
-    pair_index: int = 0,
-    inflation: float = 1.0,
-) -> np.ndarray:
-    """Pre-projection Gaussian draws for one setting pair, one row per sample."""
-    p = np.asarray(p, dtype=float)
-    factor = covariance_factor(counting_covariance(p, total))
-    return _raw_draws(p[None], factor[None], [pair_index], range(count), seed, inflation)[:, 0]
 
 
 def _pair_factors(freqs: RelativeFrequencies) -> np.ndarray:
@@ -212,24 +199,18 @@ def _quasi_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """q[S, m], grids[S, m, 6, 6] and failure flags[S] of stacked frequencies probs[S, m, 6, 6].
 
-    Each sample goes through reconstruct_povm and physicality_correct's
-    arithmetic, stacked: one inversion, one batched eigvalsh for the repair,
-    then `_lorentz_pi`.  Elements the closed form leaves out go through
-    to_standard_form; where that raises, the sample is flagged failed and
-    its rows are zero, or with strict the exception propagates.
+    Each sample goes through the inversion and repair of reconstruct_povm
+    and physicality_correct, stacked: `invert_frequencies`, one batched
+    eigvalsh for `repair_strength`, then `_lorentz_pi`.  Elements the
+    closed form leaves out go through to_standard_form; where that raises,
+    the sample is flagged failed and its rows are zero, or with strict the
+    exception propagates.
     """
     n, m = probs.shape[:2]
-    sa, sb = sampling_matrices(basis_map)
-    coeffs = sa @ probs @ sb.T / 4
-    mats = np.einsum("skwv,wvij->skij", coeffs, _PAULI_KRONS)
-    mats = (mats + np.swapaxes(mats, -1, -2).conj()) / 2
+    coeffs, mats = invert_frequencies(probs, basis_map)
     finite = np.isfinite(mats).all(axis=(-2, -1))
     low = np.linalg.eigvalsh(np.where(finite[..., None, None], mats, 0.0))[..., 0]
-    worst = -low.min(axis=1)
-    fire = worst > INDEFINITE_TOL
-    p = np.zeros(n)
-    lam = worst[fire] + margin
-    p[fire] = lam / (lam + 1.0 / m)
+    p, _ = repair_strength(low, margin)
     keep = (1 - p)[:, None, None, None]
     coeffs = keep * coeffs
     coeffs[..., 0, 0] += p[:, None] / m
@@ -451,8 +432,6 @@ def propagate(
     share of the sample axis.
     """
     freqs = relative_frequencies(data) if isinstance(data, CoincidenceCounts) else data
-    if margin < 0:
-        raise ValidationError(f"margin must be nonnegative, got {margin}")
     q_ref, grid_ref, _ = _quasi_batch(
         freqs.probs[None], freqs.basis_map, margin, form_cfg, strict=True
     )

@@ -63,7 +63,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
+    return (m + np.swapaxes(m, -1, -2).conj()) / 2
 
 
 def _hermiticity_deviation(m: np.ndarray) -> float:
@@ -258,14 +258,18 @@ def pauli_expand(op) -> PauliCorrelationMatrix:
     return PauliCorrelationMatrix(c.real)
 
 
+def pauli_matrices(c: np.ndarray) -> np.ndarray:
+    """Hermitian sum_wv c[..., w, v] sigma_w (x) sigma_v of stacked real coefficients."""
+    return _hermitize(np.einsum("...wv,wvij->...ij", c, _PAULI_KRONS))
+
+
 def pauli_compose(coeffs) -> HermitianOperator:
     """Two-qubit operator sum_wv c[w, v] sigma_w (x) sigma_v from real coefficients."""
     if isinstance(coeffs, PauliCorrelationMatrix):
         c = coeffs.coeffs
     else:
         c = PauliCorrelationMatrix(np.asarray(coeffs)).coeffs
-    m = np.einsum("wv,wvij->ij", c, _PAULI_KRONS)
-    return HermitianOperator(_hermitize(m), (2, 2))
+    return HermitianOperator(pauli_matrices(c), (2, 2))
 
 
 def ghz_state(n: int) -> np.ndarray:

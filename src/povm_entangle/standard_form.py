@@ -185,6 +185,8 @@ def _filtered(rho: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, float]:
     """Unit-trace k rho k^dagger and the trace it was divided by."""
     out = _hermitize(k @ rho @ k.conj().T)
     t = out.trace().real
+    if not (np.isfinite(t) and t > 0):
+        raise ConvergenceError(f"local filters collapsed the operator: filtered trace {t:.3e}")
     return out / t, t
 
 

@@ -5,13 +5,16 @@ map assigns each label a Pauli axis and sign per arm; the default map is the
 asymmetric assignment of the reference experiment (Alice H -> z+, Bob D -> z+,
 and so on).  Relative frequencies feed 4x6 sampling matrices that invert the
 Born rule exactly, and an optional white-noise admixture repairs indefinite
-reconstructions without breaking completeness.
+reconstructions without breaking completeness.  Both steps exist once, stacked
+over any leading axes: `invert_frequencies` and `repair_strength` serve the
+per-dataset functions here and every Monte Carlo sample block alike.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +25,8 @@ from .operators import (
     PauliCorrelationMatrix,
     PovmSet,
     bell_povm,
-    min_eigenvalue,
-    pauli_compose,
     pauli_eigenstate,
+    pauli_matrices,
 )
 
 PROBE_LABELS = ("H", "V", "D", "A", "R", "L")
@@ -301,20 +303,46 @@ def sampling_matrices(basis_map: BasisMap | None = None) -> tuple[np.ndarray, np
     return out[0], out[1]
 
 
+def invert_frequencies(probs: np.ndarray, basis_map: BasisMap) -> tuple[np.ndarray, np.ndarray]:
+    """Pauli coefficients C = S_A P S_B^T / 4 and their Hermitian matrices.
+
+    Stacks: probs[..., m, 6, 6] gives coefficients [..., m, 4, 4] and
+    matrices [..., m, 4, 4] from one product and one composition.
+    """
+    sa, sb = sampling_matrices(basis_map)
+    coeffs = sa @ probs @ sb.T / 4
+    return coeffs, pauli_matrices(coeffs)
+
+
+def repair_strength(
+    low: np.ndarray, margin: float, detect_tol: float = INDEFINITE_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mixing probability p and lam of the repair from smallest eigenvalues low[..., m].
+
+    lam is the worst negative eigenvalue magnitude plus the margin, or 0
+    where nothing is indefinite beyond detect_tol; p = lam / (lam + 1/m)
+    leaves the completeness sum untouched.  The margin must be finite and
+    nonnegative.
+    """
+    if not (math.isfinite(margin) and margin >= 0):
+        raise ValidationError(f"margin must be finite and nonnegative, got {margin}")
+    worst = -low.min(axis=-1)
+    lam = np.where(worst > detect_tol, worst + margin, 0.0)
+    return lam / (lam + 1.0 / low.shape[-1]), lam
+
+
 def reconstruct_correlations(
     freqs: RelativeFrequencies, basis_map: BasisMap | None = None
 ) -> list[PauliCorrelationMatrix]:
     """One Pauli coefficient matrix per outcome, C_k = S_A P_k S_B^T / 4."""
-    bm = basis_map or freqs.basis_map
-    sa, sb = sampling_matrices(bm)
-    return [PauliCorrelationMatrix(sa @ freqs.probs[k] @ sb.T / 4) for k in range(len(freqs.outcomes))]
+    coeffs, _ = invert_frequencies(freqs.probs, basis_map or freqs.basis_map)
+    return [PauliCorrelationMatrix(c) for c in coeffs]
 
 
 def reconstruct_povm(freqs: RelativeFrequencies, basis_map: BasisMap | None = None) -> PovmSet:
     """Linear-inversion POVM; completeness is exact by construction."""
-    mats = reconstruct_correlations(freqs, basis_map)
-    elements = tuple(pauli_compose(c) for c in mats)
-    return PovmSet(freqs.outcomes, elements)
+    _, mats = invert_frequencies(freqs.probs, basis_map or freqs.basis_map)
+    return PovmSet(freqs.outcomes, tuple(HermitianOperator(m, (2, 2)) for m in mats))
 
 
 def physicality_correct(
@@ -322,24 +350,17 @@ def physicality_correct(
 ) -> tuple[PovmSet, float, float]:
     """Mix every element toward identity/m until the worst eigenvalue clears zero.
 
-    Returns (corrected set, mixing probability p, lam).  lam is the worst
-    negative eigenvalue magnitude plus the safety margin, or 0 when nothing is
-    indefinite beyond detect_tol; p = lam / (lam + 1/m) for m outcomes, which
-    leaves the completeness sum untouched.
+    Returns (corrected set, mixing probability p, lam) with p and lam from
+    `repair_strength`; the set comes back unchanged when nothing is
+    indefinite beyond detect_tol.
     """
-    if margin < 0:
-        raise ValidationError(f"margin must be nonnegative, got {margin}")
-    worst = -min(min_eigenvalue(el) for el in povm.elements)
-    if worst <= detect_tol:
+    mats = np.stack([el.matrix for el in povm.elements])
+    p, lam = repair_strength(np.linalg.eigvalsh(mats)[:, 0], margin, detect_tol)
+    if lam == 0:
         return povm, 0.0, 0.0
-    m = len(povm)
-    lam = worst + margin
-    p = lam / (lam + 1.0 / m)
-    mix = np.eye(povm.elements[0].dim) / m
-    corrected = tuple(
-        HermitianOperator((1 - p) * el.matrix + p * mix, el.parties) for el in povm.elements
-    )
-    return PovmSet(povm.labels, corrected), p, lam
+    mats = (1 - p) * mats + p * (np.eye(povm.elements[0].dim) / len(povm))
+    corrected = tuple(HermitianOperator(m, povm.parties) for m in mats)
+    return PovmSet(povm.labels, corrected), float(p), float(lam)
 
 
 def combine_outcomes(counts: CoincidenceCounts, groups) -> CoincidenceCounts:

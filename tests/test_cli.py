@@ -262,6 +262,26 @@ class TestExitCodes:
         self.assert_invalid_input(rc, err)
         assert "UTF-8" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_inflation_is_two(self, capsys, bell_csv, value):
+        rc, _, err = run(["errors", "--counts", str(bell_csv), "--samples", "10", "--inflation", value], capsys)
+        self.assert_invalid_input(rc, err)
+        assert "inflation" in err
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["criterion8", "noisy"])
+    @pytest.mark.parametrize("command", ["reconstruct", "errors"])
+    def test_nan_margin_is_two(self, tmp_path, capsys, command, noisy):
+        # the repair fires on criterion 8's data and not on the noisy set;
+        # the margin is rejected either way
+        counts = tmp_path / "counts.csv"
+        sim = ["--eps", "0.1", "--counts", "1000", "--seed", "600658849"] if noisy else ["--seed", "0"]
+        assert main(["simulate", *sim, "-o", str(counts)]) == 0
+        extra = ["--samples", "10"] if command == "errors" else []
+        rc, out, err = run([command, "--counts", str(counts), *extra, "--margin", "nan"], capsys)
+        self.assert_invalid_input(rc, err)
+        assert out == ""
+        assert "margin" in err
+
     def test_directory_as_counts_is_two(self, tmp_path, capsys):
         rc, _, err = run(["errors", "--counts", str(tmp_path)], capsys)
         self.assert_invalid_input(rc, err)

@@ -23,7 +23,6 @@ from povm_entangle import (
     covariance_factor,
     draw_counts,
     expected_frequencies,
-    gaussian_draws,
     match_grid,
     negativity_report,
     optimal_quasidistribution,
@@ -53,6 +52,9 @@ def test_mc_config_validation():
         McConfig(sample_size=1)
     with pytest.raises(ValidationError):
         McConfig(inflation=0.99)
+    for inflation in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            McConfig(inflation=inflation)
     with pytest.raises(ValidationError):
         McConfig(workers=0)
 
@@ -101,11 +103,17 @@ def test_project_probabilities():
     assert fallback[0] == 0.25  # projection returns a copy
 
 
+def pair_draws(p, total, count, seed, inflation=1.0):
+    """Pre-projection draws of one setting pair (index 0), one row per sample."""
+    factor = covariance_factor(counting_covariance(p, total))
+    return mc._raw_draws(p[None], factor[None], [0], range(count), seed, inflation)[:, 0]
+
+
 def test_raw_draw_covariance_within_five_percent():
     p = np.array([0.4, 0.3, 0.2, 0.1])
     total = 1000
     count = 100000
-    draws = gaussian_draws(p, total, count, seed=2)
+    draws = pair_draws(p, total, count, seed=2)
     emp = np.cov(draws.T)
     cov = counting_covariance(p, total)
     scale = np.abs(cov[np.abs(cov) > 1e-12])
@@ -116,14 +124,14 @@ def test_raw_draw_covariance_within_five_percent():
 
 def test_inflation_scales_raw_draws_exactly():
     p = np.array([0.4, 0.3, 0.2, 0.1])
-    base = gaussian_draws(p, 500, 50, seed=3)
-    infl = gaussian_draws(p, 500, 50, seed=3, inflation=2.0)
+    base = pair_draws(p, 500, 50, seed=3)
+    infl = pair_draws(p, 500, 50, seed=3, inflation=2.0)
     assert np.max(np.abs((infl - p) - 2.0 * (base - p))) < 1e-12
 
 
 def test_huge_total_gives_point_mass():
     p = np.array([0.4, 0.3, 0.2, 0.1])
-    draws = gaussian_draws(p, 10**9, 100, seed=4)
+    draws = pair_draws(p, 10**9, 100, seed=4)
     assert np.max(np.abs(draws - p)) < 1e-3
 
 
@@ -292,6 +300,23 @@ def test_reference_failure_raises():
     freqs = expected_frequencies(DetectorModel(povm=povm))
     with pytest.raises(ValidationError, match="trace must be positive"):
         propagate(freqs, McConfig(sample_size=2))
+
+
+def test_product_projector_reference_raises_convergence_error():
+    # the reconstructed 0.5|00><00| element's Lorentz filters leave a
+    # nonpositive trace, which must not turn into a NaN filter
+    p00 = np.zeros((4, 4))
+    p00[0, 0] = 0.5
+    povm = PovmSet(("bad", "good"), (HermitianOperator(p00), HermitianOperator(np.eye(4) - p00)))
+    freqs = expected_frequencies(DetectorModel(povm=povm))
+    with pytest.raises(ConvergenceError, match="filtered trace"):
+        propagate(freqs, McConfig(sample_size=10), FormConfig(max_iter=300))
+
+
+@pytest.mark.parametrize("margin", [float("nan"), float("inf"), -1e-3])
+def test_propagate_rejects_bad_margin(bell_counts, margin):
+    with pytest.raises(ValidationError, match="margin"):
+        propagate(bell_counts, McConfig(sample_size=2), margin=margin)
 
 
 def test_blocks_and_workers_give_identical_reports(bell_counts, monkeypatch):

@@ -9,6 +9,7 @@ from povm_entangle import (
     BasisMap,
     CoincidenceCounts,
     HermitianOperator,
+    McConfig,
     PovmSet,
     RelativeFrequencies,
     ValidationError,
@@ -22,9 +23,11 @@ from povm_entangle import (
     reconstruct_correlations,
     reconstruct_povm,
     relative_frequencies,
+    sample_frequencies,
     sampling_matrices,
 )
 from povm_entangle.operators import SIGMA_X
+from povm_entangle.tomography import invert_frequencies, repair_strength
 
 from conftest import random_povm
 
@@ -192,6 +195,51 @@ def test_physicality_detection_threshold():
     assert corrected is povm
     with pytest.raises(ValidationError):
         physicality_correct(povm, margin=-1e-3)
+
+
+def indefinite_samples(count=12):
+    """An indefinite dataset and resamplings of it: the repair fires on every one."""
+    freqs = relative_frequencies(draw_counts(bell_model(0.0, 1000, 0.02), 7))
+    return [freqs] + list(sample_frequencies(freqs, McConfig(sample_size=count, seed=1)))
+
+
+def test_stacked_inversion_matches_per_sample_inversion():
+    samples = indefinite_samples()
+    coeffs, mats = invert_frequencies(np.stack([f.probs for f in samples]), samples[0].basis_map)
+    assert coeffs.shape == mats.shape == (len(samples), 4, 4, 4)
+    for s, f in enumerate(samples):
+        for k, c in enumerate(reconstruct_correlations(f)):
+            np.testing.assert_array_equal(coeffs[s, k], c.coeffs)
+        for k, el in enumerate(reconstruct_povm(f).elements):
+            np.testing.assert_array_equal(mats[s, k], el.matrix)
+
+
+def criterion_3_povm():
+    spoiled = [np.diag([-0.05, 0.25, 0.25, 0.25]).astype(complex)]
+    spoiled += [np.diag([1.05 / 3, 0.25, 0.25, 0.25]).astype(complex)] * 3
+    return PovmSet(("AA", "AD", "DA", "DD"), tuple(HermitianOperator(m, (2, 2)) for m in spoiled))
+
+
+def test_stacked_repair_matches_physicality_correct(ideal_bell):
+    povms = [criterion_3_povm(), ideal_bell] + [reconstruct_povm(f) for f in indefinite_samples()]
+    mats = np.stack([[el.matrix for el in povm.elements] for povm in povms])
+    p, lam = repair_strength(np.linalg.eigvalsh(mats)[..., 0], 1e-5)
+    fired = 0
+    for s, povm in enumerate(povms):
+        _, p_s, lam_s = physicality_correct(povm)
+        assert (p[s], lam[s]) == (p_s, lam_s)
+        fired += p_s > 0
+    assert lam[0] == pytest.approx(0.05001, abs=1e-15)
+    assert (p[1], lam[1]) == (0.0, 0.0)
+    assert fired == len(povms) - 1
+
+
+@pytest.mark.parametrize("margin", [float("nan"), float("inf"), -1e-3])
+@pytest.mark.parametrize("worst", [0.0, 0.05])
+def test_physicality_rejects_bad_margin(margin, worst):
+    # the margin is checked whether or not the repair fires
+    with pytest.raises(ValidationError, match="margin"):
+        physicality_correct(indefinite_povm(worst), margin=margin)
 
 
 def test_combine_pairwise_is_separable_projector():
