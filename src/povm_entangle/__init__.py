@@ -6,165 +6,68 @@ optimal product-state quasidistribution whose negativities certify an
 entangled measurement, propagates counting statistics by Monte Carlo
 resampling, and evaluates probe-state witnesses for multipartite and qudit
 detector outcomes.
+
+Apart from the two error classes and ``__version__``, every public name is
+resolved on first use (PEP 562), so importing the package, or one of its
+modules, loads only the modules actually used.
 """
 
+from importlib import import_module
+
 from .errors import ConvergenceError, ValidationError
-from .montecarlo import (
-    ElementUncertainty,
-    McConfig,
-    UncertaintyReport,
-    counting_covariance,
-    covariance_factor,
-    match_grid,
-    project_probabilities,
-    propagate,
-    sample_frequencies,
-)
-from .operators import (
-    HermitianOperator,
-    PauliCorrelationMatrix,
-    PovmSet,
-    bell_povm,
-    bell_state,
-    bloch_vector,
-    ghz_state,
-    lambda_operator,
-    me_state,
-    min_eigenvalue,
-    noisy_ghz_element,
-    noisy_me_element,
-    partial_transpose,
-    pauli_compose,
-    pauli_eigenstate,
-    pauli_expand,
-)
-from .quasidist import (
-    LABELS,
-    NegativityReport,
-    QuasiDistribution,
-    ideal_bell_reference,
-    negativity_report,
-    optimal_quasidistribution,
-    quasidistribution_from_pi,
-)
-from .simulate import (
-    DetectorModel,
-    bell_model,
-    draw_counts,
-    effective_elements,
-    expected_frequencies,
-    model_from_spec,
-    model_to_spec,
-)
-from .standard_form import (
-    FormConfig,
-    LocalTransform,
-    StandardForm,
-    TildeDecomposition,
-    back_transform,
-    diagonalize_correlations,
-    remove_local_terms,
-    so3_from_su2,
-    standard_operator,
-    su2_from_so3,
-    to_standard_form,
-)
-from .tomography import (
-    BasisMap,
-    CoincidenceCounts,
-    RelativeFrequencies,
-    closest_bell_labels,
-    combine_outcomes,
-    physicality_correct,
-    reconstruct_correlations,
-    reconstruct_povm,
-    relative_frequencies,
-    sampling_matrices,
-)
-from .witness import (
-    ProbeState,
-    SeparabilityResult,
-    WitnessResult,
-    ghz_probe,
-    lambda_gmax_analytic,
-    me_probe,
-    noise_threshold,
-    separability_eigenvalue_numeric,
-    witness_evaluate,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisMap",
-    "CoincidenceCounts",
-    "ConvergenceError",
-    "DetectorModel",
-    "ElementUncertainty",
-    "FormConfig",
-    "HermitianOperator",
-    "LABELS",
-    "LocalTransform",
-    "McConfig",
-    "NegativityReport",
-    "PauliCorrelationMatrix",
-    "PovmSet",
-    "ProbeState",
-    "QuasiDistribution",
-    "RelativeFrequencies",
-    "SeparabilityResult",
-    "StandardForm",
-    "TildeDecomposition",
-    "UncertaintyReport",
-    "ValidationError",
-    "WitnessResult",
-    "back_transform",
-    "bell_model",
-    "bell_povm",
-    "bell_state",
-    "bloch_vector",
-    "closest_bell_labels",
-    "combine_outcomes",
-    "counting_covariance",
-    "covariance_factor",
-    "diagonalize_correlations",
-    "draw_counts",
-    "effective_elements",
-    "expected_frequencies",
-    "ghz_probe",
-    "ghz_state",
-    "ideal_bell_reference",
-    "lambda_gmax_analytic",
-    "lambda_operator",
-    "match_grid",
-    "me_probe",
-    "me_state",
-    "min_eigenvalue",
-    "model_from_spec",
-    "model_to_spec",
-    "negativity_report",
-    "noise_threshold",
-    "noisy_ghz_element",
-    "noisy_me_element",
-    "optimal_quasidistribution",
-    "partial_transpose",
-    "pauli_compose",
-    "pauli_eigenstate",
-    "pauli_expand",
-    "physicality_correct",
-    "project_probabilities",
-    "propagate",
-    "quasidistribution_from_pi",
-    "reconstruct_correlations",
-    "reconstruct_povm",
-    "relative_frequencies",
-    "remove_local_terms",
-    "sample_frequencies",
-    "sampling_matrices",
-    "separability_eigenvalue_numeric",
-    "so3_from_su2",
-    "standard_operator",
-    "su2_from_so3",
-    "to_standard_form",
-    "witness_evaluate",
-]
+# home module -> the public names the package exports from it
+_EXPORTS = {
+    "montecarlo": (
+        "ElementUncertainty", "McConfig", "UncertaintyReport", "counting_covariance",
+        "covariance_factor", "match_grid", "project_probabilities", "propagate",
+        "sample_frequencies",
+    ),
+    "operators": (
+        "HermitianOperator", "PauliCorrelationMatrix", "PovmSet", "bell_povm", "bell_state",
+        "bloch_vector", "ghz_state", "lambda_operator", "me_state", "min_eigenvalue",
+        "noisy_ghz_element", "noisy_me_element", "partial_transpose", "pauli_compose",
+        "pauli_eigenstate", "pauli_expand",
+    ),
+    "quasidist": (
+        "LABELS", "NegativityReport", "QuasiDistribution", "ideal_bell_reference",
+        "negativity_report", "optimal_quasidistribution", "quasidistribution_from_pi",
+    ),
+    "simulate": (
+        "DetectorModel", "bell_model", "draw_counts", "effective_elements",
+        "expected_frequencies", "model_from_spec", "model_to_spec",
+    ),
+    "standard_form": (
+        "FormConfig", "LocalTransform", "StandardForm", "TildeDecomposition", "back_transform",
+        "diagonalize_correlations", "remove_local_terms", "so3_from_su2", "standard_operator",
+        "su2_from_so3", "to_standard_form",
+    ),
+    "tomography": (
+        "BasisMap", "CoincidenceCounts", "RelativeFrequencies", "closest_bell_labels",
+        "combine_outcomes", "physicality_correct", "reconstruct_correlations",
+        "reconstruct_povm", "relative_frequencies", "sampling_matrices",
+    ),
+    "witness": (
+        "ProbeState", "SeparabilityResult", "WitnessResult", "ghz_probe",
+        "lambda_gmax_analytic", "me_probe", "noise_threshold",
+        "separability_eigenvalue_numeric", "witness_evaluate",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(["ConvergenceError", "ValidationError", *_HOME])
+
+
+def __getattr__(name: str):
+    # Deliberately not cached in this module's globals: every lookup reads
+    # the home module's attribute, so a later rebinding there is seen here.
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -7,6 +7,12 @@ merge outcome groups.  All JSON output is canonical (sorted keys, two-space
 indent, trailing newline) and embeds a run manifest, so reruns with equal
 inputs are byte identical.
 
+Start-up: this module imports only what every command shares (the error
+classes, the counts and basis-map readers, and `PovmSet`); each command
+imports its own layers when it runs, so a process compiles and executes
+only the modules its command uses.  `reconstruct` never loads the Monte
+Carlo, witness or simulator modules, nor `numpy.random`.
+
 Exit codes: 0 success, 1 usage, 2 invalid data, 3 numeric failure.
 """
 
@@ -22,30 +28,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConvergenceError, ValidationError
-from .montecarlo import McConfig, propagate
-from .operators import PovmSet, bloch_vector, lambda_operator, noisy_ghz_element, noisy_me_element
-from .quasidist import LABELS, negativity_report, optimal_quasidistribution
-from .simulate import DetectorModel, bell_model, draw_counts, model_from_spec
-from .standard_form import FormConfig, back_transform, to_standard_form
-from .svg import quasidist_svg
-from .tomography import (
-    BasisMap,
-    CoincidenceCounts,
-    closest_bell_labels,
-    combine_outcomes,
-    physicality_correct,
-    reconstruct_correlations,
-    reconstruct_povm,
-    relative_frequencies,
-)
-from .witness import (
-    ghz_probe,
-    lambda_gmax_analytic,
-    me_probe,
-    noise_threshold,
-    separability_eigenvalue_numeric,
-    witness_evaluate,
-)
+from .operators import PovmSet
+from .tomography import BasisMap, CoincidenceCounts
 
 SEED_ENV = "POVM_ENTANGLE_SEED"
 
@@ -157,6 +141,8 @@ def cli():
 @click.option("--out", "-o", type=str, default=None, help="Output file (.csv or .json; default: CSV to stdout).")
 def simulate(model_path, povm_path, eps, counts, indefiniteness, seed, basis_map_path, out):
     """Draw synthetic coincidence counts from a detector model."""
+    from .simulate import DetectorModel, bell_model, draw_counts, model_from_spec
+
     basis_map = _read_basis_map(basis_map_path)
     if model_path is not None:
         model, model_seed = model_from_spec(_load_json(model_path))
@@ -190,6 +176,14 @@ def simulate(model_path, povm_path, eps, counts, indefiniteness, seed, basis_map
 @click.option("--out", "-o", type=str, default=None, help="Output JSON file (default: stdout).")
 def reconstruct(counts_path, basis_map_path, margin, out):
     """Linearly invert counts into a POVM and repair indefiniteness."""
+    from .tomography import (
+        closest_bell_labels,
+        physicality_correct,
+        reconstruct_correlations,
+        reconstruct_povm,
+        relative_frequencies,
+    )
+
     basis_map = _read_basis_map(basis_map_path)
     data = _read_counts(counts_path, basis_map)
     freqs = relative_frequencies(data)
@@ -219,6 +213,11 @@ def reconstruct(counts_path, basis_map_path, margin, out):
 @click.option("--max-iter", type=int, default=10000, show_default=True, help="Filter iteration cap.")
 def quasidist(povm_path, out_dir, max_iter):
     """Standard forms, optimal quasidistributions, and SVG charts per element."""
+    from .operators import bloch_vector
+    from .quasidist import LABELS, negativity_report, optimal_quasidistribution
+    from .standard_form import FormConfig, back_transform, to_standard_form
+    from .svg import quasidist_svg
+
     povm = _read_povm(povm_path)
     cfg = FormConfig(max_iter=max_iter)
     outp = Path(out_dir)
@@ -291,6 +290,10 @@ def quasidist(povm_path, out_dir, max_iter):
 @click.option("--out", "-o", "out_dir", type=str, default=None, help="Output directory (default: summary to stdout).")
 def errors(counts_path, basis_map_path, samples, inflation, seed, workers, margin, max_iter, out_dir):
     """Propagate counting statistics through the pipeline by resampling."""
+    from .montecarlo import McConfig, propagate
+    from .standard_form import FormConfig
+    from .svg import quasidist_svg
+
     basis_map = _read_basis_map(basis_map_path)
     data = _read_counts(counts_path, basis_map)
     used_seed = _resolve_seed(seed)
@@ -355,6 +358,16 @@ def errors(counts_path, basis_map_path, samples, inflation, seed, workers, margi
 @click.option("--out", "-o", type=str, default=None, help="Output JSON file (default: stdout).")
 def witness(family, n, d, eps, povm_path, element_label, lambda_mode, numeric, restarts, seed, out):
     """Evaluate probe-state witnesses or cross-check separability bounds."""
+    from .operators import lambda_operator, noisy_ghz_element, noisy_me_element
+    from .witness import (
+        ghz_probe,
+        lambda_gmax_analytic,
+        me_probe,
+        noise_threshold,
+        separability_eigenvalue_numeric,
+        witness_evaluate,
+    )
+
     used_seed = _resolve_seed(seed)
     if lambda_mode:
         if n is None or d is None:
@@ -444,6 +457,8 @@ def witness(family, n, d, eps, povm_path, element_label, lambda_mode, numeric, r
 @click.option("--out", "-o", type=str, default=None, help="Output file (.csv or .json; default: CSV to stdout).")
 def combine(counts_path, basis_map_path, groups, out):
     """Merge outcome groups by summing their counts."""
+    from .tomography import combine_outcomes
+
     basis_map = _read_basis_map(basis_map_path)
     data = _read_counts(counts_path, basis_map)
     parsed = [[lbl.strip() for lbl in grp.split("+")] for grp in groups.split(",") if grp]

@@ -20,7 +20,6 @@ results are byte-identical for any worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -447,6 +446,8 @@ def propagate(
     if workers == 1:
         parts = [_run_samples(payloads[0])]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             parts = list(pool.map(_run_samples, payloads))
     qs, grids, permuted, failed = (np.concatenate(arrays) for arrays in zip(*parts))

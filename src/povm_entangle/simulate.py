@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ValidationError
 from .operators import HermitianOperator, PovmSet, bell_povm
 from .streams import keyed_rng
-from .tomography import PROBE_LABELS, BasisMap, CoincidenceCounts, RelativeFrequencies
+from .tomography import COUNT_MAX, PROBE_LABELS, BasisMap, CoincidenceCounts, RelativeFrequencies
 
 # fixed stream key for the indefiniteness pattern: the distortion is part of
 # the model, not of the sampling, so it must not move with the user seed
@@ -45,9 +45,9 @@ class DetectorModel:
             raise ValidationError(f"simulator needs a two-qubit POVM, got parties {self.povm.parties}")
         if not 0.0 <= self.eps <= 1.0:
             raise ValidationError(f"eps must be in [0, 1], got {self.eps}")
-        if self.counts_per_setting < 1:
+        if not 1 <= self.counts_per_setting <= COUNT_MAX:
             raise ValidationError(
-                f"counts_per_setting must be positive, got {self.counts_per_setting}"
+                f"counts_per_setting must be in [1, {COUNT_MAX}], got {self.counts_per_setting}"
             )
         if not 0.0 <= self.indefiniteness < 1.0:
             raise ValidationError(

@@ -39,6 +39,9 @@ _AXIS_ROW = {"x": 1, "y": 2, "z": 3}
 # positivity slack allowed on corrected POVM elements.
 INDEFINITE_TOL = 1e-12
 
+# largest count the int64 count arrays hold
+COUNT_MAX = int(np.iinfo(np.int64).max)
+
 _DEFAULT_ALICE = {"H": ("z", 1), "V": ("z", -1), "D": ("x", 1), "A": ("x", -1), "L": ("y", 1), "R": ("y", -1)}
 _DEFAULT_BOB = {"D": ("z", 1), "A": ("z", -1), "H": ("x", 1), "V": ("x", -1), "R": ("y", 1), "L": ("y", -1)}
 
@@ -98,6 +101,11 @@ class BasisMap:
             return cls(dict(data["alice"]), dict(data["bob"]))
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed basis map: {exc}") from exc
+
+
+def _check_range(n: int, where: str):
+    if abs(n) > COUNT_MAX:
+        raise ValidationError(f"{where}: count {n} does not fit in 64 bits")
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,6 +178,7 @@ class CoincidenceCounts:
                 n = int(row[3])
             except ValueError:
                 raise ValidationError(f"line {lineno}: count {row[3]!r} is not an integer") from None
+            _check_range(n, f"line {lineno}")
             key = (a, b, out)
             if key in seen:
                 raise ValidationError(f"line {lineno}: duplicate entry for {key}, first seen on line {seen[key]}")
@@ -230,17 +239,16 @@ class CoincidenceCounts:
                     raise ValidationError(
                         f"missing probe pair ({PROBE_LABELS[ia]},{PROBE_LABELS[ib]}) in counts JSON"
                     )
+                where = f"key {PROBE_LABELS[ia]},{PROBE_LABELS[ib]}"
                 if set(cell) != set(outcomes):
-                    raise ValidationError(
-                        f"key {PROBE_LABELS[ia]},{PROBE_LABELS[ib]}: outcome labels differ from {outcomes}"
-                    )
+                    raise ValidationError(f"{where}: outcome labels differ from {outcomes}")
                 for k, out in enumerate(outcomes):
-                    try:
-                        counts[k, ia, ib] = int(cell[out])
-                    except (TypeError, ValueError):
-                        raise ValidationError(
-                            f"key {PROBE_LABELS[ia]},{PROBE_LABELS[ib]}: count {cell[out]!r} is not an integer"
-                        ) from None
+                    n = cell[out]
+                    # JSON integers only: 2.5, true and "23" are not counts
+                    if isinstance(n, bool) or not isinstance(n, int):
+                        raise ValidationError(f"{where}: count {n!r} is not an integer")
+                    _check_range(n, where)
+                    counts[k, ia, ib] = n
         return cls(tuple(outcomes), counts, basis_map)
 
 

@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from povm_entangle import HermitianOperator, PovmSet, bell_povm
+from povm_entangle import BasisMap, CoincidenceCounts, HermitianOperator, PovmSet, bell_povm
 from povm_entangle.cli import main
 
 
@@ -282,6 +284,12 @@ class TestExitCodes:
         assert out == ""
         assert "margin" in err
 
+    def test_simulate_counts_beyond_int64_is_two(self, capsys):
+        rc, out, err = run(["simulate", "--counts", str(10**20)], capsys)
+        self.assert_invalid_input(rc, err)
+        assert out == ""
+        assert "counts_per_setting" in err
+
     def test_directory_as_counts_is_two(self, tmp_path, capsys):
         rc, _, err = run(["errors", "--counts", str(tmp_path)], capsys)
         self.assert_invalid_input(rc, err)
@@ -324,3 +332,131 @@ class TestExitCodes:
         assert "q" in summary["elements"]["good"]
         assert (qdir / summary["elements"]["good"]["file"]).exists()
         assert not (qdir / "element_bad.json").exists()
+
+
+# A valid dataset (25 counts in every cell) and its malformed variants; each
+# must exit 2 with "error:" from both commands that read counts.
+VALID = CoincidenceCounts(("AA", "AD", "DA", "DD"), np.full((4, 6, 6), 25), BasisMap.default())
+CSV_LINES = VALID.to_csv().splitlines()  # header, then "H,H,AA,25", ...
+
+
+def csv_with(first_row: str) -> list[str]:
+    return [CSV_LINES[0], first_row, *CSV_LINES[2:]]
+
+
+def json_with(value) -> dict:
+    body = VALID.to_json_dict()
+    body["counts"]["H,V"]["AD"] = value
+    return body
+
+
+MALFORMED_CSV = {
+    "empty": [],
+    "bad-header": ["probe_a,probe_b,result,count", *CSV_LINES[1:]],
+    "header-only": CSV_LINES[:1],
+    "short-row": csv_with("H,H,AA"),
+    "extra-field": csv_with("H,H,AA,25,1"),
+    "duplicate-row": [*CSV_LINES, CSV_LINES[1]],
+    "missing-row": [CSV_LINES[0], *CSV_LINES[2:]],
+    "unknown-probe": csv_with("Q,H,AA,25"),
+    "negative": csv_with("H,H,AA,-1"),
+    "nan": csv_with("H,H,AA,nan"),
+    "fractional": csv_with("H,H,AA,2.5"),
+    "huge": csv_with(f"H,H,AA,{10**30}"),
+}
+# JSON values that are not counts; the error names the probe pair
+BAD_JSON_COUNTS = {
+    "nan": float("nan"),
+    "fractional": 2.5,
+    "whole-float": 25.0,
+    "bool": True,
+    "string": "23",
+    "null": None,
+    "huge": 10**30,
+}
+MALFORMED_JSON = {
+    "counts-list": {"counts": [25, 25]},
+    "counts-string": {"counts": "H,H"},
+    "cell-not-object": {"counts": {**VALID.to_json_dict()["counts"], "H,H": 25}},
+    "missing-pair": {"counts": {k: v for k, v in VALID.to_json_dict()["counts"].items() if k != "H,H"}},
+    "unknown-probe": {"counts": {**VALID.to_json_dict()["counts"], "Q,H": {"AA": 25}}},
+    "negative": json_with(-1),
+    **{name: json_with(value) for name, value in BAD_JSON_COUNTS.items()},
+}
+
+COUNTS_COMMANDS = [["reconstruct"], ["errors", "--samples", "20"]]
+
+
+def exits_two(argv, capsys) -> str:
+    rc, _, err = run(argv, capsys)
+    assert rc == 2, err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    return err
+
+
+def not_an_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+class TestMalformedCounts:
+    @pytest.mark.parametrize("command", COUNTS_COMMANDS, ids=["reconstruct", "errors"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CSV))
+    def test_csv(self, tmp_path, capsys, command, case):
+        path = tmp_path / "counts.csv"
+        path.write_text("".join(line + "\n" for line in MALFORMED_CSV[case]))
+        exits_two([command[0], "--counts", str(path), *command[1:]], capsys)
+
+    @pytest.mark.parametrize("command", COUNTS_COMMANDS, ids=["reconstruct", "errors"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
+    def test_json(self, tmp_path, capsys, command, case):
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(MALFORMED_JSON[case]))
+        err = exits_two([command[0], "--counts", str(path), *command[1:]], capsys)
+        if case in BAD_JSON_COUNTS:
+            assert "key H,V: count" in err
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        row=st.integers(1, len(CSV_LINES) - 1),
+        count=st.one_of(
+            st.integers(max_value=-1).map(str),
+            st.integers(min_value=2**63).map(str),
+            st.floats().map(repr),
+            # no quotes, commas or line breaks: the reader sees the text as is
+            st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters='",\r\n')).filter(not_an_int),
+        ),
+    )
+    def test_fuzzed_csv_count(self, tmp_path, capsys, row, count):
+        lines = list(CSV_LINES)
+        lines[row] = lines[row].rsplit(",", 1)[0] + "," + count
+        path = tmp_path / "counts.csv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        for command in COUNTS_COMMANDS:
+            exits_two([command[0], "--counts", str(path), *command[1:]], capsys)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        pair=st.sampled_from(sorted(VALID.to_json_dict()["counts"])),
+        outcome=st.sampled_from(VALID.outcomes),
+        count=st.one_of(
+            st.integers(max_value=-1),
+            st.integers(min_value=2**63),
+            st.floats(),
+            st.booleans(),
+            st.none(),
+            st.text(),
+            st.lists(st.integers(0, 9), max_size=2),
+        ),
+    )
+    def test_fuzzed_json_count(self, tmp_path, capsys, pair, outcome, count):
+        body = VALID.to_json_dict()
+        body["counts"][pair][outcome] = count
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(body))
+        for command in COUNTS_COMMANDS:
+            exits_two([command[0], "--counts", str(path), *command[1:]], capsys)

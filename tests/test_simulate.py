@@ -197,6 +197,11 @@ class TestModelValidation:
         with pytest.raises(ValidationError):
             bell_model(counts_per_setting=0)
 
+    def test_counts_fit_int64(self):
+        assert bell_model(counts_per_setting=2**63 - 1).counts_per_setting == 2**63 - 1
+        with pytest.raises(ValidationError, match="counts_per_setting"):
+            bell_model(counts_per_setting=2**63)
+
     def test_indefiniteness_range(self):
         with pytest.raises(ValidationError):
             bell_model(indefiniteness=-0.01)

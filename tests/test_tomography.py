@@ -1,5 +1,7 @@
 """Counts handling, linear inversion, physicality repair, and outcome merging."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from povm_entangle import (
     sampling_matrices,
 )
 from povm_entangle.operators import SIGMA_X
-from povm_entangle.tomography import invert_frequencies, repair_strength
+from povm_entangle.tomography import COUNT_MAX, invert_frequencies, repair_strength
 
 from conftest import random_povm
 
@@ -314,6 +316,8 @@ def test_csv_diagnostics():
         CoincidenceCounts.from_csv(header + "H,H,AA,5\nH,V,AA,x\n")
     with pytest.raises(ValidationError, match="duplicate"):
         CoincidenceCounts.from_csv(header + "H,H,AA,5\nH,H,AA,6\n")
+    with pytest.raises(ValidationError, match="line 2: count .* 64 bits"):
+        CoincidenceCounts.from_csv(header + f"H,H,AA,{10**30}\n")
     with pytest.raises(ValidationError, match="missing"):
         CoincidenceCounts.from_csv(header + "H,H,AA,5\n")
 
@@ -324,6 +328,26 @@ def test_json_round_trip():
     assert back.outcomes == counts.outcomes
     assert np.array_equal(back.counts, counts.counts)
     assert back.basis_map.to_dict() == counts.basis_map.to_dict()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_", min_size=1, max_size=6), min_size=1, max_size=5, unique=True)
+    .flatmap(lambda labels: st.tuples(
+        st.just(tuple(labels)),
+        # up to 5 outcomes of at most COUNT_MAX // 5 keep every total in int64
+        st.lists(st.integers(0, COUNT_MAX // 5), min_size=36 * len(labels), max_size=36 * len(labels)),
+    ))
+)
+def test_counts_survive_csv_then_json(case):
+    labels, flat = case
+    counts = np.array(flat, dtype=np.int64).reshape(len(labels), 6, 6)
+    counts[0] += counts.sum(axis=0) == 0  # every probe pair needs a positive total
+    data = CoincidenceCounts(labels, counts, BasisMap.default())
+    via_csv = CoincidenceCounts.from_csv(data.to_csv())
+    back = CoincidenceCounts.from_json_dict(json.loads(json.dumps(via_csv.to_json_dict())))
+    assert back.outcomes == labels
+    assert np.array_equal(back.counts, counts)
 
 
 def test_json_diagnostics():
