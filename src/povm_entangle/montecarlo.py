@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 from .operators import HermitianOperator
-from .quasidist import grids_from_pi, optimal_quasidistribution
+from .quasidist import _none_where, grids_from_pi, optimal_quasidistribution
 from .standard_form import FormConfig, to_standard_form
 from .streams import keyed_normals
 from .tomography import (
@@ -280,7 +280,7 @@ def _scalar(x: float) -> float | None:
 
 
 def _grid_list(grid: np.ndarray) -> list:
-    return [[_scalar(v) for v in row] for row in grid]
+    return _none_where(grid, ~np.isfinite(grid))
 
 
 @dataclass(frozen=True, eq=False)

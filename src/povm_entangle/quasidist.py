@@ -27,6 +27,16 @@ _SAME_AXIS = _AXIS_OF[:, None] == _AXIS_OF[None, :]
 _SIGN_PRODUCTS = np.outer(_SIGNS, _SIGNS)
 
 
+def _none_where(grid: np.ndarray, missing: np.ndarray) -> list:
+    """The grid as nested lists of Python floats, None where `missing` holds."""
+    g = np.asarray(grid, dtype=float)
+    if not missing.any():
+        return g.tolist()
+    out = g.astype(object)
+    out[missing] = None
+    return out.tolist()
+
+
 @dataclass(frozen=True, eq=False)
 class QuasiDistribution:
     """6x6 grid of quasiprobabilities over Pauli eigenstate pairs."""
@@ -117,7 +127,7 @@ class NegativityReport:
     def to_dict(self) -> dict:
         sig = None
         if self.significance is not None:
-            sig = [[None if np.isnan(v) else float(v) for v in row] for row in self.significance]
+            sig = _none_where(self.significance, np.isnan(self.significance))
         return {
             "max_negativity": self.max_negativity,
             "cumulative_negativity": self.cumulative_negativity,

@@ -3,9 +3,20 @@
 One mini bar per cell: positive weight points up, negative weight down from a
 per-cell baseline, with optional one-sigma whiskers.  Output is deterministic
 text with no external assets, so charts can be diffed byte for byte.
+
+Most of a chart never depends on the grid: the 12 axis labels, each cell's
+frame and baseline, and each cell's bar x and width, whisker x, tick ends and
+value-label positions.  `_skeleton` formats these once, on the first chart,
+into templates whose only open fields are the data-dependent numbers (bar y
+and height, whisker ends, the value text).  Those fields keep the formats the
+coordinates have always had (`%.2f` for coordinates, `%.6g` for values) and
+are filled from the same float arithmetic, so the text is the same, byte for
+byte, as formatting every coordinate on every call.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -23,6 +34,9 @@ _CELL_H = 88.0
 _LEFT = 92.0
 _TOP = 64.0
 _FOOTER_LINE = 16.0
+_WIDTH = _LEFT + 6 * _CELL_W + 24
+
+_NO_SIGMA = (0.0,) * 36
 
 
 def _escape(text: str) -> str:
@@ -30,12 +44,63 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _fmt(x: float) -> str:
-    return "%.6g" % float(x)
-
-
 def _coord(x: float) -> str:
     return "%.2f" % float(x)
+
+
+@cache
+def _skeleton() -> tuple[str, tuple]:
+    """The axis-label lines, and per cell in row-major order its templates.
+
+    A cell is (frame, base, bar, whiskers, text_up, text_down): its frame
+    and baseline lines, the baseline's y, a bar rect open in y, height and
+    fill, the whisker and its two ticks open in (top, bot, top, top, bot,
+    bot), and the value text open in the value, placed for a nonnegative
+    and for a negative value.
+    """
+    labels = [
+        '<text x="%s" y="%s" font-size="11" text-anchor="middle">%s</text>'
+        % (_coord(_LEFT + (j + 0.5) * _CELL_W), _coord(_TOP - 8), _escape(lbl))
+        for j, lbl in enumerate(LABELS)
+    ] + [
+        '<text x="%s" y="%s" font-size="11" text-anchor="end">%s</text>'
+        % (_coord(_LEFT - 10), _coord(_TOP + (i + 0.5) * _CELL_H + 4), _escape(lbl))
+        for i, lbl in enumerate(LABELS)
+    ]
+    cells = []
+    for i in range(6):
+        for j in range(6):
+            x0 = _LEFT + j * _CELL_W
+            y0 = _TOP + i * _CELL_H
+            base = y0 + 0.52 * _CELL_H
+            cx = _coord(x0 + 0.5 * _CELL_W)
+            frame = (
+                '<rect x="%s" y="%s" width="%s" height="%s" fill="none" stroke="%s"/>\n'
+                '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="0.7"/>'
+                % (
+                    _coord(x0), _coord(y0), _coord(_CELL_W), _coord(_CELL_H), _FRAME,
+                    _coord(x0 + 4), _coord(base), _coord(x0 + _CELL_W - 4), _coord(base), _BASE,
+                )
+            )
+            bar = '<rect x="%s" y="%%.2f" width="%s" height="%%.2f" fill="%%s"/>' % (
+                _coord(x0 + 0.25 * _CELL_W),
+                _coord(0.5 * _CELL_W),
+            )
+            line = '<line x1="%s" y1="%%.2f" x2="%s" y2="%%.2f" stroke="%s" stroke-width="1"/>'
+            tick = line % (_coord(x0 + 0.5 * _CELL_W - 4), _coord(x0 + 0.5 * _CELL_W + 4), _TEXT)
+            whiskers = "\n".join((line % (cx, cx, _TEXT), tick, tick))
+            text = '<text x="%s" y="%s" font-size="9" text-anchor="middle">%%.6g</text>'
+            cells.append(
+                (
+                    frame,
+                    base,
+                    bar,
+                    whiskers,
+                    text % (cx, _coord(y0 + _CELL_H - 5)),
+                    text % (cx, _coord(y0 + 11)),
+                )
+            )
+    return "\n".join(labels), tuple(cells)
 
 
 def quasidist_svg(
@@ -63,83 +128,38 @@ def quasidist_svg(
     amp = 0.46 * _CELL_H
     scale = amp / span
 
-    width = _LEFT + 6 * _CELL_W + 24
     height = _TOP + 6 * _CELL_H + 36 + _FOOTER_LINE * len(footer_lines)
-
+    labels, cells = _skeleton()
     out = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="%s" height="%s" '
-        'viewBox="0 0 %s %s">' % (_coord(width), _coord(height), _coord(width), _coord(height)),
-        '<rect width="%s" height="%s" fill="#ffffff"/>' % (_coord(width), _coord(height)),
+        '<svg xmlns="http://www.w3.org/2000/svg" width="%.2f" height="%.2f" '
+        'viewBox="0 0 %.2f %.2f">' % (_WIDTH, height, _WIDTH, height),
+        '<rect width="%.2f" height="%.2f" fill="#ffffff"/>' % (_WIDTH, height),
         '<g font-family="monospace" fill="%s">' % _TEXT,
         '<text x="%s" y="22" font-size="15">%s</text>' % (_coord(_LEFT), _escape(title)),
     ]
     if q is not None:
-        out.append(
-            '<text x="%s" y="40" font-size="11">q = %s</text>' % (_coord(_LEFT), _fmt(q))
-        )
-    for j, lbl in enumerate(LABELS):
-        x = _LEFT + (j + 0.5) * _CELL_W
-        out.append(
-            '<text x="%s" y="%s" font-size="11" text-anchor="middle">%s</text>'
-            % (_coord(x), _coord(_TOP - 8), _escape(lbl))
-        )
-    for i, lbl in enumerate(LABELS):
-        y = _TOP + (i + 0.5) * _CELL_H
-        out.append(
-            '<text x="%s" y="%s" font-size="11" text-anchor="end">%s</text>'
-            % (_coord(_LEFT - 10), _coord(y + 4), _escape(lbl))
-        )
+        out.append('<text x="%s" y="40" font-size="11">q = %.6g</text>' % (_coord(_LEFT), float(q)))
+    out.append(labels)
 
-    for i in range(6):
-        for j in range(6):
-            x0 = _LEFT + j * _CELL_W
-            y0 = _TOP + i * _CELL_H
-            base = y0 + 0.52 * _CELL_H
-            out.append(
-                '<rect x="%s" y="%s" width="%s" height="%s" fill="none" stroke="%s"/>'
-                % (_coord(x0), _coord(y0), _coord(_CELL_W), _coord(_CELL_H), _FRAME)
-            )
-            out.append(
-                '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="0.7"/>'
-                % (_coord(x0 + 4), _coord(base), _coord(x0 + _CELL_W - 4), _coord(base), _BASE)
-            )
-            v = g[i, j]
-            bw = 0.5 * _CELL_W
-            bx = x0 + 0.25 * _CELL_W
-            h = abs(v) * scale
-            if v >= 0:
-                by, fill = base - h, _POS
-            else:
-                by, fill = base, _NEG
-            if h > 0:
-                out.append(
-                    '<rect x="%s" y="%s" width="%s" height="%s" fill="%s"/>'
-                    % (_coord(bx), _coord(by), _coord(bw), _coord(h), fill)
-                )
-            if s is not None and s[i, j] > 0:
-                cx = x0 + 0.5 * _CELL_W
-                top = base - (v + s[i, j]) * scale
-                bot = base - (v - s[i, j]) * scale
-                out.append(
-                    '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="1"/>'
-                    % (_coord(cx), _coord(top), _coord(cx), _coord(bot), _TEXT)
-                )
-                for yy in (top, bot):
-                    out.append(
-                        '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="1"/>'
-                        % (_coord(cx - 4), _coord(yy), _coord(cx + 4), _coord(yy), _TEXT)
-                    )
-            ty = y0 + _CELL_H - 5 if v >= 0 else y0 + 11
-            out.append(
-                '<text x="%s" y="%s" font-size="9" text-anchor="middle">%s</text>'
-                % (_coord(x0 + 0.5 * _CELL_W), _coord(ty), _fmt(v))
-            )
+    sigmas = _NO_SIGMA if s is None else s.ravel().tolist()
+    for (frame, base, bar, whiskers, text_up, text_down), v, sv in zip(
+        cells, g.ravel().tolist(), sigmas
+    ):
+        out.append(frame)
+        h = abs(v) * scale
+        if h > 0:
+            out.append(bar % ((base - h, h, _POS) if v >= 0 else (base, h, _NEG)))
+        if sv > 0:
+            top = base - (v + sv) * scale
+            bot = base - (v - sv) * scale
+            out.append(whiskers % (top, bot, top, top, bot, bot))
+        out.append((text_up if v >= 0 else text_down) % v)
 
     fy = _TOP + 6 * _CELL_H + 24
     for k, line in enumerate(footer_lines):
         out.append(
-            '<text x="%s" y="%s" font-size="11">%s</text>'
-            % (_coord(_LEFT), _coord(fy + k * _FOOTER_LINE), _escape(str(line)))
+            '<text x="%s" y="%.2f" font-size="11">%s</text>'
+            % (_coord(_LEFT), fy + k * _FOOTER_LINE, _escape(str(line)))
         )
     out.append("</g>")
     out.append("</svg>")

@@ -231,6 +231,30 @@ def test_report_accessors_and_dict(bell_counts):
     assert len(cell["grid_std"]) == 6
 
 
+def test_element_dict_maps_non_finite_cells_to_none():
+    grid = np.arange(36, dtype=float).reshape(6, 6) / 36 - 0.5
+    grid[3, 3] = -0.0
+    holes = grid.copy()
+    holes[0, 1], holes[2, 2], holes[5, 0] = np.nan, np.inf, -np.inf
+    grids = {"grid_reference": holes, "grid_mean": grid, "grid_std": holes.T, "significance": -holes}
+    e = mc.ElementUncertainty(
+        "AA", 0.1, 0.1, 0.01, np.nan, -0.1, 0.01, -0.2, 0.02, *grids.values(), np.inf
+    )
+    d = e.to_dict()
+    for key, src in grids.items():
+        cells = d[key]
+        for i in range(6):
+            for j in range(6):
+                if np.isfinite(src[i, j]):
+                    assert type(cells[i][j]) is float
+                    assert repr(cells[i][j]) == repr(float(src[i, j]))
+                else:
+                    assert cells[i][j] is None
+    assert d["q"]["significance"] is None
+    assert d["negativity_significance"] is None
+    json.dumps(d, allow_nan=False)
+
+
 def test_propagate_rejects_sub_two_usable():
     counts = draw_counts(bell_model(0.0, 10000), 5)
     with pytest.raises(ValidationError):

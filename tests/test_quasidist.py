@@ -191,6 +191,18 @@ def test_negativity_report_significance():
         negativity_report(qd, sigma=np.full((3, 3), 0.01))
 
 
+def test_negativity_report_dict_maps_only_nan_to_none():
+    sig = np.full((6, 6), 2.5)
+    sig[0, 0], sig[1, 2], sig[4, 4] = np.nan, np.inf, 0.0
+    d = NegativityReport(-0.1, -0.2, -0.3, "entangled", sig).to_dict()["significance"]
+    flat = [v for row in d for v in row]
+    assert flat[0] is None
+    assert flat[8] == np.inf and type(flat[8]) is float
+    assert sum(v is None for v in flat) == 1
+    assert all(type(v) is float for v in flat[1:])
+    assert flat[28] == 0.0 and flat[1] == 2.5
+
+
 def test_negativity_report_validation():
     with pytest.raises(ValidationError):
         NegativityReport(0.1, 0.0, 0.0, "separable")

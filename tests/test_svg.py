@@ -1,5 +1,6 @@
 """SVG rendering of quasidistribution grids."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -7,9 +8,75 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import povm_entangle
 from povm_entangle.svg import quasidist_svg
+
+_BELL = np.where(np.add.outer(np.arange(6), np.arange(6)) % 2 == 0, 1 / 3, -1 / 6)
+_RAMP = (np.arange(36, dtype=float).reshape(6, 6) - 17.0) / 40.0
+_MIXED = _RAMP.copy()
+_MIXED[0, 0] = 0.0
+_MIXED[2, 3] = -0.0
+_MIXED[5, 5] = 0.0
+_SIGMA = np.abs(_RAMP[::-1]) / 10.0
+_SIGMA[1, 1] = 0.0
+_SIGMA[4, 2] = 0.0
+_NAN = _BELL.copy()
+_NAN[3, 4] = np.nan
+_FOOTER = tuple("A %d: (%.4f, 0.5000, -0.2500)" % (k, k / 7) for k in range(12))
+
+# SHA-256 of the chart text, pinned so that any change to the rendering,
+# down to one coordinate's last digit, shows up here
+_CHARTS = {
+    "zeros": (
+        dict(grid=np.zeros((6, 6))),
+        "e81af16b865f1b4a4f60d966f840fc19c3a8babfcab6a6952107836cec6143d9",
+    ),
+    "bell_q": (
+        dict(grid=_BELL, q=-1 / 3),
+        "86723e86533023050cbc2fd3550a40539ab1044a7f9b61f903e6e5e8a15bbb3c",
+    ),
+    "bell_sigma": (
+        dict(grid=_BELL, q=-1 / 3, sigma=np.full((6, 6), 0.0125)),
+        "5233342348376efbe03497c4bfea6593f00fb5a4a0bb348c5b620a4a2cc20d51",
+    ),
+    "mixed_sigma_footer": (
+        dict(grid=_MIXED, q=-0.125, sigma=_SIGMA, footer_lines=_FOOTER),
+        "9c0b3d944f26ea8b562af780e1ff876ed8d7fd1296d687553705207a1bfe70b2",
+    ),
+    "mixed_escaped": (
+        dict(grid=_MIXED, title='a & b < c > d "e"', q=0.0),
+        "853f27c386c6d073ca25483d25f19e52380ce3d4f449773f6731f3b5538926cf",
+    ),
+    "nan_cell": (
+        dict(grid=_NAN, q=None),
+        "531a9667e5c11b685dc1b1da772a65a076555bf654e9943b01987ed3209aba5a",
+    ),
+    "tiny_scale": (
+        dict(grid=_RAMP * 1e-3, sigma=_SIGMA * 1e-3, footer_lines=_FOOTER[:2]),
+        "b3b925299f1efebd6d7f4969290c72444e50716561b62c57eacc4de7ac46b3d8",
+    ),
+    "large_scale": (
+        dict(grid=_RAMP * 10.0, q=-2.5, sigma=_SIGMA * 10.0),
+        "2a0afa992ebff09aa7e4fe99175db74c12146a38369aefa7967eafd9af4c387d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHARTS))
+def test_chart_bytes_are_pinned(name):
+    kwargs, digest = _CHARTS[name]
+    assert hashlib.sha256(quasidist_svg(**kwargs).encode()).hexdigest() == digest
+
+
+def test_chart_ignores_input_dtype_and_layout():
+    # lists, integer arrays and transposed views render as their float values
+    ref = quasidist_svg(_RAMP.copy(), sigma=_SIGMA.copy())
+    assert quasidist_svg(_RAMP.tolist(), sigma=_SIGMA.tolist()) == ref
+    assert quasidist_svg(np.asfortranarray(_RAMP), sigma=_SIGMA.T.copy().T) == ref
+    ints = np.arange(36).reshape(6, 6) - 18
+    assert quasidist_svg(ints) == quasidist_svg(ints.astype(float))
 
 
 def test_title_is_escaped():
