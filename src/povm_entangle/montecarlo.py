@@ -162,7 +162,8 @@ def _lorentz_pi(r: np.ndarray, cfg: FormConfig) -> tuple[np.ndarray, np.ndarray]
     values s0^2 >= s1^2 >= s2^2 >= s3^2, and det r = s0 s1 s2 s3 up to sign
     (Verstraete, Dehaene, De Moor, PRA 64, 010101(R) (2001)).  The standard
     form of an element with trace t is then
-    pi = (t/4) (1, s1/s0, s2/s0, sign(det r) s3/s0).  The mask is False, and
+    pi = (t/4) (1, s1/s0, s2/s0, sign(det r) s3/s0), with s3 taken from
+    det r rather than from its small eigenvalue.  The mask is False, and
     pi zero, where to_standard_form must decide: non-finite entries or a
     nonpositive trace, eigenvalues that are not real, s3^2 at or below
     cfg.eig_floor at unit trace, s0 ~ s1 (rank-deficient elements), strong
@@ -182,9 +183,11 @@ def _lorentz_pi(r: np.ndarray, cfg: FormConfig) -> tuple[np.ndarray, np.ndarray]
     ok &= sq[..., 0] - sq[..., 1] > _GAP_TOL * sq[..., 0]
     ok &= off >= _DIAGONAL_TOL
     ok &= (unit**2).sum(axis=(-2, -1)) <= _BOOST_TOL * sq.sum(axis=-1)
-    s = np.sqrt(np.where(ok[..., None], sq, 1.0))
-    ratios = s[..., 1:] / s[..., :1]
-    ratios[..., 2] *= np.sign(np.linalg.det(unit))
+    s = np.sqrt(np.where(ok[..., None], sq[..., :3], 1.0))
+    # sign(det r) s3 = det r / (s0 s1 s2): the square root of the smallest
+    # eigenvalue would carry an absolute error of about eps / s3
+    s3 = np.linalg.det(unit) / s.prod(axis=-1)
+    ratios = np.concatenate([s[..., 1:], s3[..., None]], axis=-1) / s[..., :1]
     pi = np.concatenate([np.ones_like(t)[..., None], ratios], axis=-1) * (t / 4)[..., None]
     return np.where(ok[..., None], pi, 0.0), ok
 
