@@ -129,6 +129,16 @@ def draw_counts(model: DetectorModel, seed: int = 0) -> CoincidenceCounts:
     return CoincidenceCounts(freqs.outcomes, counts, model.basis_map)
 
 
+def _spec_value(spec: dict, key: str, default, kinds):
+    """spec[key] (or the default) if it is a JSON integer, or with kinds
+    (int, float) any JSON number; bool, strings, lists and null are refused."""
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if kinds is int else "a number"
+        raise ValidationError(f"model {key} must be {kind}, got {value!r}")
+    return value
+
+
 def model_from_spec(spec: dict) -> tuple[DetectorModel, int]:
     """Build a model (and sampling seed) from its JSON description."""
     if not isinstance(spec, dict):
@@ -137,10 +147,10 @@ def model_from_spec(spec: dict) -> tuple[DetectorModel, int]:
     basis_map = (
         BasisMap.from_dict(spec["basis_map"]) if "basis_map" in spec else BasisMap.default()
     )
-    eps = float(spec.get("eps", 0.0))
-    counts = int(spec.get("counts_per_setting", 10000))
-    indef = float(spec.get("indefiniteness", 0.0))
-    seed = int(spec.get("seed", 0))
+    eps = float(_spec_value(spec, "eps", 0.0, (int, float)))
+    counts = _spec_value(spec, "counts_per_setting", 10000, int)
+    indef = float(_spec_value(spec, "indefiniteness", 0.0, (int, float)))
+    seed = _spec_value(spec, "seed", 0, int)
     if povm_spec == "bell":
         model = bell_model(eps, counts, indef, basis_map)
     elif isinstance(povm_spec, dict):

@@ -290,6 +290,27 @@ class TestExitCodes:
         assert out == ""
         assert "counts_per_setting" in err
 
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            ('{"counts_per_setting": "abc"}', "counts_per_setting"),
+            ('{"eps": [1]}', "eps"),
+            ('{"seed": 1.5e400}', "seed"),
+            ('{"counts_per_setting": null}', "counts_per_setting"),
+            ('{"counts_per_setting": 2.5}', "counts_per_setting"),
+            ('{"seed": true}', "seed"),
+            ('{"eps": "0.1"}', "eps"),
+        ],
+    )
+    def test_malformed_model_spec_is_two(self, tmp_path, capsys, body, field):
+        spec = tmp_path / "model.json"
+        spec.write_text(body)
+        rc, out, err = run(["simulate", "--model", str(spec), "-o", str(tmp_path / "c.csv")], capsys)
+        self.assert_invalid_input(rc, err)
+        assert out == ""
+        assert field in err
+        assert not (tmp_path / "c.csv").exists()
+
     def test_directory_as_counts_is_two(self, tmp_path, capsys):
         rc, _, err = run(["errors", "--counts", str(tmp_path)], capsys)
         self.assert_invalid_input(rc, err)

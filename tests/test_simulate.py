@@ -177,6 +177,12 @@ class TestSpecRoundTrip:
                 model.povm.element(lbl).matrix, src.povm.element(lbl).matrix, atol=1e-14
             )
 
+    def test_integer_noise_fields_read_as_floats(self):
+        model, seed = model_from_spec({"eps": 0, "indefiniteness": 0, "seed": -3})
+        assert type(model.eps) is float and model.eps == 0.0
+        assert type(model.indefiniteness) is float
+        assert seed == -3
+
     def test_rejects_bad_povm_field(self):
         with pytest.raises(ValidationError):
             model_from_spec({"povm": "ideal"})

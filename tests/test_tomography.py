@@ -1,6 +1,7 @@
 """Counts handling, linear inversion, physicality repair, and outcome merging."""
 
 import json
+from functools import cache
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from povm_entangle import (
     combine_outcomes,
     draw_counts,
     expected_frequencies,
+    optimal_quasidistribution,
     pauli_expand,
     physicality_correct,
     reconstruct_correlations,
@@ -27,6 +29,7 @@ from povm_entangle import (
     relative_frequencies,
     sample_frequencies,
     sampling_matrices,
+    to_standard_form,
 )
 from povm_entangle.operators import SIGMA_X
 from povm_entangle.tomography import COUNT_MAX, invert_frequencies, repair_strength
@@ -394,3 +397,54 @@ def test_relative_frequencies_values():
     # (H,H) setting hits every Bell outcome with probability 1/4
     ih = 0
     assert np.allclose(freqs.probs[:, ih, ih], 0.25, atol=1e-15)
+
+
+# (eps, counts per setting, indefiniteness, simulate seed): noisy_chain's
+# data, where the repair is idle, criterion 8's, where it fires on
+# near-rank-deficient elements, and an indefinite set with a strong repair
+_RELABEL_DATASETS = {
+    "noisy": (0.1, 1000, 0.0, 600658849),
+    "criterion8": (0.0, 10000, 0.0, 0),
+    "indefinite": (0.0, 1000, 0.02, 7),
+}
+
+
+@cache
+def _relabel_reference(name):
+    eps, total, indef, seed = _RELABEL_DATASETS[name]
+    counts = draw_counts(bell_model(eps, total, indef), seed)
+    raw = reconstruct_povm(relative_frequencies(counts))
+    povm, p, _ = physicality_correct(raw)
+    forms = {}
+    for label in povm.labels:
+        form = to_standard_form(povm.element(label))
+        qdist = optimal_quasidistribution(form)
+        forms[label] = (form.pi, qdist.q, qdist.grid)
+    return counts, raw, povm, p, forms
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(_RELABEL_DATASETS)), st.permutations(range(4)))
+def test_relabeling_outcomes_commutes_with_the_pipeline(name, perm):
+    counts, raw, povm, p, forms = _relabel_reference(name)
+    assert (p > 0) == (name != "noisy")
+    moved = CoincidenceCounts(
+        tuple(counts.outcomes[k] for k in perm), counts.counts[list(perm)], counts.basis_map
+    )
+    raw_moved = reconstruct_povm(relative_frequencies(moved))
+    povm_moved, p_moved, _ = physicality_correct(raw_moved)
+    assert raw_moved.labels == povm_moved.labels == moved.outcomes
+    assert p_moved == pytest.approx(p, rel=0, abs=1e-12)
+    for label in counts.outcomes:
+        np.testing.assert_allclose(
+            raw_moved.element(label).matrix, raw.element(label).matrix, rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            povm_moved.element(label).matrix, povm.element(label).matrix, rtol=0, atol=1e-12
+        )
+        form = to_standard_form(povm_moved.element(label))
+        qdist = optimal_quasidistribution(form)
+        pi, q, grid = forms[label]
+        np.testing.assert_allclose(form.pi, pi, rtol=0, atol=1e-12)
+        assert qdist.q == pytest.approx(q, rel=0, abs=1e-12)
+        np.testing.assert_allclose(qdist.grid, grid, rtol=0, atol=1e-12)
