@@ -129,14 +129,14 @@ def draw_counts(model: DetectorModel, seed: int = 0) -> CoincidenceCounts:
     return CoincidenceCounts(freqs.outcomes, counts, model.basis_map)
 
 
-def _spec_value(spec: dict, key: str, default, kinds):
-    """spec[key] (or the default) if it is a JSON integer, or with kinds
-    (int, float) any JSON number; bool, strings, lists and null are refused."""
+def _spec_number(spec: dict, key: str, default, integer: bool = False):
+    """spec[key], or the default: a JSON integer, or unless `integer` any JSON
+    number, read as a float; bool, strings, lists and null are refused."""
     value = spec.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        kind = "an integer" if kinds is int else "a number"
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
         raise ValidationError(f"model {key} must be {kind}, got {value!r}")
-    return value
+    return value if integer else float(value)
 
 
 def model_from_spec(spec: dict) -> tuple[DetectorModel, int]:
@@ -147,10 +147,10 @@ def model_from_spec(spec: dict) -> tuple[DetectorModel, int]:
     basis_map = (
         BasisMap.from_dict(spec["basis_map"]) if "basis_map" in spec else BasisMap.default()
     )
-    eps = float(_spec_value(spec, "eps", 0.0, (int, float)))
-    counts = _spec_value(spec, "counts_per_setting", 10000, int)
-    indef = float(_spec_value(spec, "indefiniteness", 0.0, (int, float)))
-    seed = _spec_value(spec, "seed", 0, int)
+    eps = _spec_number(spec, "eps", 0.0)
+    counts = _spec_number(spec, "counts_per_setting", 10000, integer=True)
+    indef = _spec_number(spec, "indefiniteness", 0.0)
+    seed = _spec_number(spec, "seed", 0, integer=True)
     if povm_spec == "bell":
         model = bell_model(eps, counts, indef, basis_map)
     elif isinstance(povm_spec, dict):
