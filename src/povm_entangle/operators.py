@@ -1,7 +1,8 @@
 """Dense operator algebra for small multi-party quantum systems.
 
-Operators are plain complex numpy matrices tagged with the dimensions of
-their tensor factors.  Total dimension is capped at 4096, so every spectral
+Operators are plain numpy matrices tagged with the dimensions of their
+tensor factors: real input is stored as float64, anything else as
+complex128.  Total dimension is capped at 4096, so every spectral
 question is answered by a dense Hermitian eigensolve; there is no sparse or
 iterative machinery.  All containers are frozen and functions return new
 objects, which keeps concurrent use safe.
@@ -85,9 +86,12 @@ def _hermiticity_deviation(m: np.ndarray) -> float:
 class HermitianOperator:
     """Hermitian matrix on a tensor product of finite-dimensional parties.
 
-    The matrix is stored as complex.  Construction rejects a matrix whose
-    largest |m - m^dag| entry exceeds HERMITICITY_TOL, or that has a NaN or
-    infinite entry.  The check runs over blocks of _HERMITICITY_BLOCK rows
+    A boolean, integer or float matrix is stored as float64, anything else
+    (complex, object) as complex128, so real operators stay real and half
+    the size.  Input that already has the stored dtype and is contiguous is
+    stored without a copy (and made read-only).  Construction rejects a
+    matrix whose largest |m - m^dag| entry exceeds HERMITICITY_TOL, or that
+    has a NaN or infinite entry.  The check runs over blocks of _HERMITICITY_BLOCK rows
     against the matching columns, so it makes no full-size temporary.
     """
 
@@ -101,7 +105,8 @@ class HermitianOperator:
         dim = math.prod(parties)
         if dim > DIMENSION_GUARD:
             raise ValidationError(f"total dimension {dim} exceeds the {DIMENSION_GUARD} guard")
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix)
+        m = np.asarray(m, dtype=float if m.dtype.kind in "biuf" else complex)
         if m.shape != (dim, dim):
             raise ValidationError(f"matrix shape {m.shape} does not match parties {parties}")
         dev = _hermiticity_deviation(m)

@@ -13,9 +13,9 @@ PRL 111, 110503 (2013)) runs all its restarts together on stacked arrays:
 each half-step conditions the operator on the other parties' states of every
 active restart with one matrix product and solves the conditioned problems
 with one batched eigensolve.  Each restart drops out on its own convergence,
-so its sweeps are those it would take alone.  Operators with no imaginary
-part, as the lambda and probe operators are, run that product in real
-arithmetic on the frames viewed as real arrays.
+so its sweeps are those it would take alone.  Real-stored operators, as the
+lambda and probe operators are, run that product in real arithmetic on the
+frames viewed as real arrays.
 """
 
 from __future__ import annotations
@@ -203,13 +203,14 @@ def separability_eigenvalue_numeric(
     advance together as stacked (restarts, d_i) states: a half-step costs one
     matrix product of the operator with the frames of the active restarts,
     in chunks whose frames hold no more entries than the operator (or 2^16,
-    whichever is more), and one batched eigensolve.  An operator whose
-    imaginary part is all zero (lambda, GHZ and ME probes) takes that
-    product as a real one on the frames' real and imaginary parts, which
-    halves its arithmetic; complex operators keep the complex product.  A
-    restart leaves the active set after the first sweep that moves its value
-    by less than `tol`, or after `max_sweeps`; the best restart is the first
-    to reach the largest value.  The result is a certified lower bound on the
+    whichever is more), and one batched eigensolve.  The product follows
+    the operator's stored dtype: a real-stored operator (lambda, GHZ and ME
+    probes) takes it as a real one on the frames' real and imaginary parts,
+    which halves its arithmetic; a complex-stored operator keeps the complex
+    product, even when its imaginary part is zero.  A restart leaves the
+    active set after the first sweep that moves its value by less than `tol`,
+    or after `max_sweeps`; the best restart is the first to reach the
+    largest value.  The result is a certified lower bound on the
     separability eigenvalue.
     """
     if restarts < 1:
@@ -225,9 +226,6 @@ def separability_eigenvalue_numeric(
         for r in range(restarts)
     ]
     states = [np.array([s[i] for s in starts]) for i in range(len(dims))]
-    matrix = op.matrix
-    if not matrix.imag.any():
-        matrix = np.ascontiguousarray(matrix.real)
     chunk = max(op.dim**2, _FRAME_FLOOR) // (op.dim * max(dims))
     prev = np.full(restarts, -np.inf)
     val = np.full(restarts, -np.inf)
@@ -238,7 +236,7 @@ def separability_eigenvalue_numeric(
         for j in range(len(dims)):
             for lo in range(0, active.size, chunk):
                 rows = active[lo : lo + chunk]
-                val[rows], states[j][rows] = _half_step(matrix, [s[rows] for s in states], j)
+                val[rows], states[j][rows] = _half_step(op.matrix, [s[rows] for s in states], j)
         if track_history:
             for r in active:
                 history[r].append(float(val[r]))

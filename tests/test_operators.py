@@ -1,5 +1,6 @@
 """Pauli algebra, Bell projectors, probe elements, and the flip operator."""
 
+import json
 import warnings
 
 import numpy as np
@@ -21,6 +22,8 @@ from povm_entangle import (
     min_eigenvalue,
     noisy_ghz_element,
     noisy_me_element,
+    ghz_probe,
+    me_probe,
     partial_transpose,
     pauli_compose,
     pauli_eigenstate,
@@ -165,6 +168,55 @@ def test_blocked_hermiticity_deviation_is_exact(dim):
     near[dim - 1, 0] += 1e-13
     for m in (a, (a + a.conj().T) / 2, near):
         assert _hermiticity_deviation(m) == float(np.max(np.abs(m - m.conj().T)))
+
+
+@pytest.mark.parametrize(
+    "dtype, stored",
+    [
+        (bool, np.float64),
+        (np.int64, np.float64),
+        (np.uint8, np.float64),
+        (np.float32, np.float64),
+        (np.float64, np.float64),
+        (np.complex64, np.complex128),
+        (np.complex128, np.complex128),
+        (object, np.complex128),
+    ],
+)
+def test_operator_storage_dtype_rule(dtype, stored):
+    op = HermitianOperator(np.eye(4).astype(dtype), (2, 2))
+    assert op.matrix.dtype == stored
+    assert np.array_equal(op.matrix, np.eye(4))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_operator_stores_matching_input_uncopied(dtype):
+    m = lambda_operator(2, 3).matrix.astype(dtype)
+    op = HermitianOperator(m, (3, 3))
+    assert op.matrix is m
+    assert not op.matrix.flags.writeable
+
+
+def test_producers_store_real_operators_as_real():
+    assert lambda_operator(3, 3).matrix.dtype == np.float64
+    assert ghz_probe(3).operator.matrix.dtype == np.float64
+    assert me_probe(3).operator.matrix.dtype == np.float64
+    # their state vectors are complex, so the noisy elements stay complex
+    assert noisy_ghz_element(3, 0.1).matrix.dtype == np.complex128
+    assert noisy_me_element(3, 0.1).matrix.dtype == np.complex128
+    back = HermitianOperator.from_dict(lambda_operator(2, 2).to_dict())
+    assert back.matrix.dtype == np.complex128
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 3), (5, 2)])
+def test_real_stored_dict_matches_complex_stored(n, d):
+    lam = lambda_operator(n, d).matrix
+    a = np.random.default_rng(n * d).standard_normal(lam.shape)
+    # -lam carries negative zeros
+    for m in (lam, -lam, (a + a.T) / 2):
+        real = HermitianOperator(m, (d,) * n)
+        as_complex = HermitianOperator(m.astype(complex), (d,) * n)
+        assert json.dumps(real.to_dict()) == json.dumps(as_complex.to_dict())
 
 
 def test_operator_dict_round_trip(rng):

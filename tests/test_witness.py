@@ -266,13 +266,32 @@ def test_half_step_real_product_matches_complex(op):
     for d in op.parties:
         s = rng.standard_normal((7, d)) + 1j * rng.standard_normal((7, d))
         states.append(s / np.linalg.norm(s, axis=1, keepdims=True))
-    real = np.ascontiguousarray(op.matrix.real)
-    assert not op.matrix.imag.any()
+    assert op.matrix.dtype == np.float64
+    as_complex = op.matrix.astype(complex)
     for j in range(len(op.parties)):
-        val_r, vec_r = witness._half_step(real, states, j)
-        val_c, vec_c = witness._half_step(op.matrix, states, j)
+        val_r, vec_r = witness._half_step(op.matrix, states, j)
+        val_c, vec_c = witness._half_step(as_complex, states, j)
         assert np.max(np.abs(val_r - val_c)) < 1e-12
         assert np.max(np.abs(vec_r - vec_c)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "op",
+    [lambda_operator(3, 3), random_hermitian(np.random.default_rng(5), (2, 3))],
+    ids=["real", "complex"],
+)
+def test_solver_passes_the_stored_matrix(monkeypatch, op):
+    # the operator's stored dtype picks the product; the solver makes no copy
+    seen = []
+    half_step = witness._half_step
+
+    def spy(matrix, states, j):
+        seen.append(matrix is op.matrix)
+        return half_step(matrix, states, j)
+
+    monkeypatch.setattr(witness, "_half_step", spy)
+    separability_eigenvalue_numeric(op, restarts=3, seed=1)
+    assert seen and all(seen)
 
 
 def test_solver_mixed_party_dimensions():
