@@ -97,6 +97,10 @@ def _read_basis_map(path: str | None) -> BasisMap | None:
 
 def _read_counts(path: str, basis_map: BasisMap | None = None) -> CoincidenceCounts:
     if path.endswith(".json"):
+        if basis_map is not None:
+            raise ValidationError(
+                f"--basis-map applies only to CSV counts; JSON counts ({path}) take their basis map from the file"
+            )
         return CoincidenceCounts.from_json_dict(_load_json(path))
     return CoincidenceCounts.from_csv(_read_text(path), basis_map=basis_map)
 
@@ -284,7 +288,7 @@ def quasidist(povm_path, out_dir, max_iter):
 @click.option("--samples", type=int, default=10000, show_default=True, help="Monte Carlo sample count.")
 @click.option("--inflation", type=float, default=1.05, show_default=True, help="Covariance factor inflation.")
 @click.option("--seed", type=int, default=None, help=f"RNG seed (default: ${SEED_ENV} or 0).")
-@click.option("--workers", type=int, default=None, help="Parallel worker processes.")
+@click.option("--workers", type=int, default=None, help="Sample shares run in parallel, by at most one process per CPU.")
 @click.option("--margin", type=float, default=1e-5, show_default=True, help="Physicality margin.")
 @click.option("--max-iter", type=int, default=10000, show_default=True, help="Filter iteration cap.")
 @click.option("--out", "-o", "out_dir", type=str, default=None, help="Output directory (default: summary to stdout).")

@@ -20,6 +20,7 @@ results are byte-identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -430,8 +431,9 @@ def propagate(
     The reference pass runs on the measured frequencies as-is, and its
     failures raise; sample grids are axis-matched against it before
     averaging.  Samples whose pipeline fails are excluded, and more than 1%
-    exclusions abort the run.  cfg.workers processes each take one contiguous
-    share of the sample axis.
+    exclusions abort the run.  The sample axis is split into cfg.workers
+    contiguous shares, run by a process pool of at most os.cpu_count()
+    workers.
     """
     freqs = relative_frequencies(data) if isinstance(data, CoincidenceCounts) else data
     q_ref, grid_ref, _ = _quasi_batch(
@@ -451,7 +453,7 @@ def propagate(
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(payloads), os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_run_samples, payloads))
     qs, grids, permuted, failed = (np.concatenate(arrays) for arrays in zip(*parts))
 

@@ -63,6 +63,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_dimension(dim: int) -> None:
+    """Reject a total dimension above DIMENSION_GUARD before anything is allocated."""
+    if dim > DIMENSION_GUARD:
+        raise ValidationError(f"total dimension {dim} exceeds the {DIMENSION_GUARD} guard")
+
+
 def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + np.swapaxes(m, -1, -2).conj()) / 2
 
@@ -103,8 +109,7 @@ class HermitianOperator:
         if not parties or any(d < 2 for d in parties):
             raise ValidationError(f"party dimensions must all be >= 2, got {parties}")
         dim = math.prod(parties)
-        if dim > DIMENSION_GUARD:
-            raise ValidationError(f"total dimension {dim} exceeds the {DIMENSION_GUARD} guard")
+        _check_dimension(dim)
         m = np.asarray(self.matrix)
         m = np.asarray(m, dtype=float if m.dtype.kind in "biuf" else complex)
         if m.shape != (dim, dim):
@@ -281,6 +286,7 @@ def ghz_state(n: int) -> np.ndarray:
     """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
     if n < 2:
         raise ValidationError(f"need at least 2 qubits, got {n}")
+    _check_dimension(2**n)
     v = np.zeros(2**n, dtype=complex)
     v[0] = v[-1] = 1 / _SQ2
     return v
@@ -290,6 +296,7 @@ def me_state(d: int) -> np.ndarray:
     """Maximally entangled two-qudit vector sum_k |kk> / sqrt(d)."""
     if d < 2:
         raise ValidationError(f"need local dimension >= 2, got {d}")
+    _check_dimension(d * d)
     v = np.zeros(d * d, dtype=complex)
     v[:: d + 1] = 1 / math.sqrt(d)
     return v
@@ -320,8 +327,7 @@ def lambda_operator(n: int, d: int) -> HermitianOperator:
     """
     if n < 2 or d < 2:
         raise ValidationError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
-    if d**n > DIMENSION_GUARD:
-        raise ValidationError(f"dimension {d}^{n} exceeds the {DIMENSION_GUARD} guard")
+    _check_dimension(d**n)
     # |k...k> sits at index k * (d^n - 1) / (d - 1) in the computational basis.
     stride = (d**n - 1) // (d - 1)
     idx = np.arange(d) * stride

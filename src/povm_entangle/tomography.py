@@ -209,11 +209,10 @@ class CoincidenceCounts:
         return {"basis_map": self.basis_map.to_dict(), "counts": body}
 
     @classmethod
-    def from_json_dict(cls, data: dict, basis_map: BasisMap | None = None) -> "CoincidenceCounts":
+    def from_json_dict(cls, data: dict) -> "CoincidenceCounts":
         if "counts" not in data:
             raise ValidationError("counts JSON must contain a 'counts' object")
-        if basis_map is None:
-            basis_map = BasisMap.from_dict(data["basis_map"]) if data.get("basis_map") else BasisMap.default()
+        basis_map = BasisMap.from_dict(data["basis_map"]) if data.get("basis_map") else BasisMap.default()
         body = data["counts"]
         if not isinstance(body, dict) or not body:
             raise ValidationError("'counts' must be a non-empty object keyed by 'A,B' probe pairs")

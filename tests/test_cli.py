@@ -52,6 +52,16 @@ def nan_bell_povm_file(tmp_path):
     return path
 
 
+def swapped_basis_map_file(tmp_path):
+    # the default map with Bob's D and A swapped
+    record = BasisMap.default().to_dict()
+    bob = record["bob"]
+    bob["D"], bob["A"] = bob["A"], bob["D"]
+    path = tmp_path / "basis_map.json"
+    path.write_text(json.dumps(record))
+    return path
+
+
 class TestWorkflow:
     def test_simulate_reconstruct_quasidist_chain(self, tmp_path, capsys, bell_csv):
         rec = tmp_path / "rec.json"
@@ -310,6 +320,40 @@ class TestExitCodes:
         assert out == ""
         assert field in err
         assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["reconstruct"], ["errors", "--samples", "20"], ["combine", "--groups", "AA+AD,DA,DD"]],
+        ids=["reconstruct", "errors", "combine"],
+    )
+    def test_basis_map_with_json_counts_is_two(self, tmp_path, capsys, command):
+        counts = tmp_path / "counts.json"
+        assert run(["simulate", "--seed", "0", "-o", str(counts)], capsys)[0] == 0
+        bm = swapped_basis_map_file(tmp_path)
+        argv = [command[0], "--counts", str(counts), "--basis-map", str(bm), *command[1:]]
+        rc, out, err = run(argv, capsys)
+        self.assert_invalid_input(rc, err)
+        assert out == ""
+        assert "--basis-map applies only to CSV counts" in err
+
+    def test_basis_map_applies_to_csv_counts(self, tmp_path, capsys, bell_csv):
+        rc, plain, _ = run(["reconstruct", "--counts", str(bell_csv)], capsys)
+        assert rc == 0
+        bm = swapped_basis_map_file(tmp_path)
+        rc, mapped, _ = run(["reconstruct", "--counts", str(bell_csv), "--basis-map", str(bm)], capsys)
+        assert rc == 0
+        assert mapped != plain
+
+    @pytest.mark.parametrize(
+        "family",
+        [["ghz", "-n", "13"], ["ghz", "-n", "40"], ["me", "-d", "70"], ["me", "-d", "1000"]],
+        ids=["ghz13", "ghz40", "me70", "me1000"],
+    )
+    def test_witness_family_beyond_guard_is_two(self, capsys, family):
+        rc, out, err = run(["witness", "--family", *family, "--eps", "0.1"], capsys)
+        self.assert_invalid_input(rc, err)
+        assert out == ""
+        assert "exceeds the 4096 guard" in err
 
     def test_directory_as_counts_is_two(self, tmp_path, capsys):
         rc, _, err = run(["errors", "--counts", str(tmp_path)], capsys)

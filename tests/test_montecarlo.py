@@ -190,6 +190,35 @@ def test_propagate_determinism_across_workers(bell_counts):
     assert a.replace('"workers": 3', '"workers": 1') == b.replace('"workers": 3', '"workers": 1')
 
 
+def test_propagate_caps_the_pool_at_the_cpu_count(bell_counts, monkeypatch):
+    # an in-process stand-in records the pool size and maps serially
+    import concurrent.futures
+    import os
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    wide = propagate(bell_counts, McConfig(sample_size=12, seed=17, workers=10**6))
+    serial = propagate(bell_counts, McConfig(sample_size=12, seed=17, workers=1))
+    assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
+    a = json.dumps(serial.to_dict(), sort_keys=True)
+    b = json.dumps(wide.to_dict(), sort_keys=True).replace('"workers": 1000000', '"workers": 1')
+    assert a == b
+
+
 def test_propagate_repeatability(bell_counts):
     a = propagate(bell_counts, McConfig(sample_size=10, seed=23))
     b = propagate(bell_counts, McConfig(sample_size=10, seed=23))

@@ -1,6 +1,7 @@
 """Pauli algebra, Bell projectors, probe elements, and the flip operator."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -286,6 +287,26 @@ def test_lambda_spectrum_endpoints(n, d):
 def test_lambda_dimension_guard():
     with pytest.raises(ValidationError):
         lambda_operator(13, 2)  # 8192 > 4096
+
+
+@pytest.mark.parametrize("build, size", [(ghz_state, 40), (me_state, 1000)], ids=["ghz", "me"])
+def test_states_reject_dimension_beyond_guard(build, size):
+    with pytest.raises(ValidationError, match="exceeds the 4096 guard"):
+        build(size)
+
+
+@pytest.mark.parametrize(
+    "build, size", [(noisy_me_element, 70), (noisy_ghz_element, 13)], ids=["me", "ghz"]
+)
+def test_noisy_elements_check_the_guard_before_allocating(build, size):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="guard"):
+            build(size, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_min_eigenvalue(rng):
