@@ -99,7 +99,7 @@ def _read_counts(path: str, basis_map: BasisMap | None = None) -> CoincidenceCou
     if path.endswith(".json"):
         if basis_map is not None:
             raise ValidationError(
-                f"--basis-map applies only to CSV counts; JSON counts ({path}) take their basis map from the file"
+                f"--basis-map applies only to CSV counts; JSON counts ({path}) carry their own"
             )
         return CoincidenceCounts.from_json_dict(_load_json(path))
     return CoincidenceCounts.from_csv(_read_text(path), basis_map=basis_map)

@@ -64,7 +64,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _check_dimension(dim: int) -> None:
-    """Reject a total dimension above DIMENSION_GUARD before anything is allocated."""
+    """Raise ValidationError when a total dimension exceeds DIMENSION_GUARD."""
     if dim > DIMENSION_GUARD:
         raise ValidationError(f"total dimension {dim} exceeds the {DIMENSION_GUARD} guard")
 
@@ -97,8 +97,9 @@ class HermitianOperator:
     the size.  Input that already has the stored dtype and is contiguous is
     stored without a copy (and made read-only).  Construction rejects a
     matrix whose largest |m - m^dag| entry exceeds HERMITICITY_TOL, or that
-    has a NaN or infinite entry.  The check runs over blocks of _HERMITICITY_BLOCK rows
-    against the matching columns, so it makes no full-size temporary.
+    has a NaN or infinite entry.  The check runs over blocks of
+    _HERMITICITY_BLOCK rows against the matching columns, so it makes no
+    full-size temporary.
     """
 
     matrix: np.ndarray
