@@ -26,23 +26,21 @@ _EXPORTS = {
         "sample_frequencies",
     ),
     "operators": (
-        "HermitianOperator", "PauliCorrelationMatrix", "PovmSet", "bell_povm", "bell_state",
-        "bloch_vector", "ghz_state", "lambda_operator", "me_state", "min_eigenvalue",
-        "noisy_ghz_element", "noisy_me_element", "partial_transpose", "pauli_compose",
-        "pauli_eigenstate", "pauli_expand",
+        "HermitianOperator", "PauliCorrelationMatrix", "PovmSet", "bell_povm", "bloch_vector",
+        "ghz_state", "lambda_operator", "me_state", "min_eigenvalue", "noisy_ghz_element",
+        "noisy_me_element", "partial_transpose", "pauli_eigenstate", "pauli_expand",
     ),
     "quasidist": (
-        "LABELS", "NegativityReport", "QuasiDistribution", "ideal_bell_reference",
-        "negativity_report", "optimal_quasidistribution", "quasidistribution_from_pi",
+        "LABELS", "NegativityReport", "QuasiDistribution", "negativity_report",
+        "optimal_quasidistribution", "quasidistribution_from_pi",
     ),
     "simulate": (
         "DetectorModel", "bell_model", "draw_counts", "effective_elements",
-        "expected_frequencies", "model_from_spec", "model_to_spec",
+        "expected_frequencies", "model_from_spec",
     ),
     "standard_form": (
         "FormConfig", "LocalTransform", "StandardForm", "TildeDecomposition", "back_transform",
-        "diagonalize_correlations", "remove_local_terms", "so3_from_su2", "standard_operator",
-        "su2_from_so3", "to_standard_form",
+        "diagonalize_correlations", "remove_local_terms", "su2_from_so3", "to_standard_form",
     ),
     "tomography": (
         "BasisMap", "CoincidenceCounts", "RelativeFrequencies", "closest_bell_labels",

@@ -7,6 +7,17 @@ merge outcome groups.  All JSON output is canonical (sorted keys, two-space
 indent, trailing newline) and embeds a run manifest, so reruns with equal
 inputs are byte identical.
 
+Canonical JSON: `_canonical` is the one writer, and its bytes equal
+`json.dumps(obj, indent=2, sort_keys=True) + "\n"` for every input that call
+accepts; what it refuses, it refuses with the same error.  With `indent`,
+the stdlib runs its pure-Python encoder, so `_encode` walks dicts and lists
+itself and hands each scalar, each container of scalars and strings, and
+each grid (a list of scalar lists) to the stdlib's C encoder, then turns the
+C encoder's ", " separators into indented lines; a container where a string
+holds ", " is walked instead.  Anything else, and everything without the C
+encoder, goes to the stdlib encoder.  Input files are read as UTF-8 with an
+optional byte-order mark.
+
 Start-up: this module imports only what every command shares (the error
 classes, the counts and basis-map readers, and `PovmSet`); each command
 imports its own layers when it runs, so a process compiles and executes
@@ -21,6 +32,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 import click
@@ -55,8 +67,71 @@ def _manifest(command: str, **params) -> dict:
     }
 
 
-def _canonical(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+_SCALARS = frozenset({float, int, bool, type(None)})
+_LEAVES = _SCALARS | {str}
+_STR = frozenset({str})
+_SEQS = frozenset({list, tuple})
+# one indent level past this, a subtree goes to the stdlib encoder, which
+# also catches circular references
+_DEEPEST = 1 + 2 * 64
+_escape = json.encoder.encode_basestring_ascii
+_c_make = json.encoder.c_make_encoder
+# the stdlib's C encoder with json.dumps' defaults and no indent: it writes
+# each scalar, string and key as the pure-Python encoder does, with ", "
+# between items and ": " after keys
+_c_encode = _c_make and _c_make(
+    None, json.JSONEncoder().default, _escape, None, ": ", ", ", True, False, True
+)
+
+
+def _encode(o, pad: str) -> str:
+    """The text json.dumps(o, indent=2, sort_keys=True) gives o at indent pad.
+
+    pad is a newline and two spaces per enclosing level.  Dicts with str keys,
+    lists and tuples are walked here.  A container of scalars and strings
+    comes from one C-encoder call, re-indented at its ", " separators when
+    it holds exactly len - 1 of them, that is when no string holds one; a
+    list of non-empty scalar lists, a grid, likewise, its rows split at
+    "], [" (marked by a NUL, which no scalar's text holds).
+    Anything else goes to the stdlib encoder, whose newlines are then
+    re-indented.
+    """
+    t = type(o)
+    if t is str:
+        return _escape(o)
+    if t in _SCALARS:
+        return "".join(_c_encode(o, 0))
+    is_dict = t is dict and _STR.issuperset(map(type, o))
+    if len(pad) < _DEEPEST and (is_dict or t is list or t is tuple):
+        if not o:
+            return "{}" if is_dict else "[]"
+        inner = pad + "  "
+        if _LEAVES.issuperset(map(type, o.values() if is_dict else o)):
+            flat = "".join(_c_encode(o, 0))
+            if flat.count(", ") == len(o) - 1:
+                return flat[0] + inner + flat[1:-1].replace(", ", "," + inner) + pad + flat[-1]
+        elif (
+            not is_dict
+            and _SEQS.issuperset(map(type, o))
+            and all(o)
+            and _SCALARS.issuperset(map(type, chain.from_iterable(o)))
+        ):
+            row = inner + "  "
+            flat = "".join(_c_encode(o, 0))[2:-2].replace("], [", "\0")
+            body = flat.replace(", ", "," + row).replace("\0", inner + "]," + inner + "[" + row)
+            return "[" + inner + "[" + row + body + inner + "]" + pad + "]"
+        if is_dict:
+            items = [_escape(k) + ": " + _encode(o[k], inner) for k in sorted(o)]
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in o]) + pad + "]"
+    return json.dumps(o, indent=2, sort_keys=True).replace("\n", pad)
+
+
+def _canonical(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) plus a newline, byte for byte."""
+    if _c_encode is None:
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _encode(obj, "\n") + "\n"
 
 
 def _emit(obj: dict, out: str | None):
@@ -68,9 +143,10 @@ def _emit(obj: dict, out: str | None):
 
 
 def _read_text(path: str) -> str:
-    """UTF-8 text of an input file; any failure to read it is invalid data."""
+    """UTF-8 text of an input file, less any byte-order mark; any failure to
+    read it is invalid data."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except FileNotFoundError:
         raise ValidationError(f"no such file: {path}") from None
     except UnicodeDecodeError as e:

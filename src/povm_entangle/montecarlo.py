@@ -373,51 +373,57 @@ def _aggregate(
     cfg: McConfig,
     excluded: int,
 ) -> UncertaintyReport:
-    """Per-element statistics of the retained samples' q[n, m] and grids[n, m, 6, 6]."""
-    n = len(qs)
-    elements = []
-    for k, label in enumerate(labels):
-        q_k = np.ascontiguousarray(qs[:, k])
-        g = np.ascontiguousarray(grids[:, k])
-        max_negs = np.minimum(g.reshape(n, -1).min(axis=1), 0.0)
-        cums = np.where(g < 0, g, 0.0).reshape(n, -1).sum(axis=1)
-        grid_mean = g.mean(axis=0)
-        grid_std = g.std(axis=0, ddof=1)
-        sig = np.full((6, 6), np.nan)
-        neg = grid_mean < 0
-        with np.errstate(divide="ignore"):
-            sig[neg] = np.where(grid_std[neg] > 0, -grid_mean[neg] / grid_std[neg], np.inf)
-        q_mean = float(q_k.mean())
-        q_std = float(q_k.std(ddof=1))
-        if q_mean < 0:
-            q_sig = -q_mean / q_std if q_std > 0 else np.inf
-        else:
-            q_sig = np.nan
-        if neg.any():
-            i, j = np.unravel_index(np.argmin(grid_mean), grid_mean.shape)
-            neg_sig = sig[i, j]
-        else:
-            neg_sig = np.nan
-        elements.append(
-            ElementUncertainty(
-                label=label,
-                q_reference=float(q_ref[k]),
-                q_mean=q_mean,
-                q_std=q_std,
-                q_significance=float(q_sig),
-                max_negativity_mean=float(max_negs.mean()),
-                max_negativity_std=float(max_negs.std(ddof=1)),
-                cumulative_mean=float(cums.mean()),
-                cumulative_std=float(cums.std(ddof=1)),
-                grid_reference=grid_ref[k],
-                grid_mean=grid_mean,
-                grid_std=grid_std,
-                significance=sig,
-                negativity_significance=float(neg_sig),
-                permuted=int(permuted[:, k].sum()),
-            )
+    """Per-element statistics of the retained samples' q[n, m] and grids[n, m, 6, 6].
+
+    All elements at once: each element's q, most negative cell and
+    cumulative negativity form one contiguous row of n samples, so their
+    means and stds are the same pairwise sums as one element's 1-D arrays;
+    the grid statistics reduce the sample axis cell by cell.
+    """
+    n, m = qs.shape
+    cells = grids.reshape(n, m, 36)
+    # [q / most negative / cumulative, m, n], each row contiguous
+    series = np.stack(
+        [qs, np.minimum(cells.min(axis=-1), 0.0), np.where(cells < 0, cells, 0.0).sum(axis=-1)]
+    )
+    series = np.ascontiguousarray(series.transpose(0, 2, 1))
+    means = series.mean(axis=-1)
+    stds = series.std(axis=-1, ddof=1)
+    grid_mean = grids.mean(axis=0)
+    grid_std = grids.std(axis=0, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sig = np.where(
+            grid_mean < 0, np.where(grid_std > 0, -grid_mean / grid_std, np.inf), np.nan
         )
-    return UncertaintyReport(elements=tuple(elements), config=cfg, retained=n, excluded=excluded)
+        q_sig = np.where(
+            means[0] < 0, np.where(stds[0] > 0, -means[0] / stds[0], np.inf), np.nan
+        )
+    flat_mean = grid_mean.reshape(m, 36)
+    lowest = sig.reshape(m, 36)[np.arange(m), np.argmin(flat_mean, axis=-1)]
+    neg_sig = np.where((flat_mean < 0).any(axis=-1), lowest, np.nan)
+    counts = permuted.sum(axis=0).tolist()
+    (q_mean, neg_mean, cum_mean), (q_std, neg_std, cum_std) = means.tolist(), stds.tolist()
+    elements = tuple(
+        ElementUncertainty(
+            label=label,
+            q_reference=float(q_ref[k]),
+            q_mean=q_mean[k],
+            q_std=q_std[k],
+            q_significance=float(q_sig[k]),
+            max_negativity_mean=neg_mean[k],
+            max_negativity_std=neg_std[k],
+            cumulative_mean=cum_mean[k],
+            cumulative_std=cum_std[k],
+            grid_reference=grid_ref[k],
+            grid_mean=grid_mean[k],
+            grid_std=grid_std[k],
+            significance=sig[k],
+            negativity_significance=float(neg_sig[k]),
+            permuted=counts[k],
+        )
+        for k, label in enumerate(labels)
+    )
+    return UncertaintyReport(elements=elements, config=cfg, retained=n, excluded=excluded)
 
 
 def propagate(

@@ -237,13 +237,6 @@ def bloch_vector(state: np.ndarray) -> np.ndarray:
     return np.array([(v.conj() @ p @ v).real for p in PAULIS[1:]])
 
 
-def bell_state(label: str) -> np.ndarray:
-    try:
-        return _BELL_VECTORS[label].copy()
-    except KeyError:
-        raise ValidationError(f"unknown Bell label {label!r}") from None
-
-
 def bell_povm() -> PovmSet:
     """The four Bell projectors as a POVM, labels matching their Pauli pattern."""
     labels = tuple(_BELL_VECTORS)
@@ -272,15 +265,6 @@ def pauli_expand(op) -> PauliCorrelationMatrix:
 def pauli_matrices(c: np.ndarray) -> np.ndarray:
     """Hermitian sum_wv c[..., w, v] sigma_w (x) sigma_v of stacked real coefficients."""
     return _hermitize(np.einsum("...wv,wvij->...ij", c, _PAULI_KRONS))
-
-
-def pauli_compose(coeffs) -> HermitianOperator:
-    """Two-qubit operator sum_wv c[w, v] sigma_w (x) sigma_v from real coefficients."""
-    if isinstance(coeffs, PauliCorrelationMatrix):
-        c = coeffs.coeffs
-    else:
-        c = PauliCorrelationMatrix(np.asarray(coeffs)).coeffs
-    return HermitianOperator(pauli_matrices(c), (2, 2))
 
 
 def ghz_state(n: int) -> np.ndarray:

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .operators import QUASI_AXES, _frozen, pauli_expand
-from .operators import bell_povm as _bell_povm
+from .operators import QUASI_AXES, _frozen
 from .standard_form import StandardForm
 
 LABELS = tuple(f"{axis}{'+' if sign > 0 else '-'}" for axis, sign in QUASI_AXES)
@@ -163,17 +162,3 @@ def negativity_report(
         significance = np.full((6, 6), np.nan)
         significance[neg] = -g[neg] / s[neg]
     return NegativityReport(max_neg, cumulative, float(qdist.q), verdict, significance)
-
-
-def ideal_bell_reference() -> dict:
-    """Exact grids of the four ideal Bell projectors, keyed by Bell label.
-
-    Derived from the projectors themselves, which already carry diagonal
-    Pauli coefficients; each grid holds six cells at -1/6, six at +1/3.
-    """
-    out = {}
-    for label, el in _bell_povm().items():
-        c = pauli_expand(el).coeffs
-        pi = np.array([c[0, 0], c[1, 1], c[2, 2], c[3, 3]])
-        out[label] = quasidistribution_from_pi(pi, el.trace())
-    return out

@@ -158,14 +158,3 @@ def model_from_spec(spec: dict) -> tuple[DetectorModel, int]:
     else:
         raise ValidationError(f"model povm must be 'bell' or an inline POVM, got {povm_spec!r}")
     return model, seed
-
-
-def model_to_spec(model: DetectorModel, seed: int = 0) -> dict:
-    return {
-        "povm": model.povm.to_dict(),
-        "eps": model.eps,
-        "counts_per_setting": model.counts_per_setting,
-        "indefiniteness": model.indefiniteness,
-        "basis_map": model.basis_map.to_dict(),
-        "seed": seed,
-    }

@@ -278,17 +278,6 @@ def su2_from_so3(r: np.ndarray) -> np.ndarray:
     return np.cos(ang / 2) * _I2 - 1j * np.sin(ang / 2) * n_dot_sigma
 
 
-def so3_from_su2(u: np.ndarray) -> np.ndarray:
-    """Rotation matrix r[i, j] = tr(sigma_i U sigma_j U^dag) / 2."""
-    u = np.asarray(u, dtype=complex)
-    r = np.empty((3, 3))
-    for j in range(3):
-        conj = u @ PAULIS[j + 1] @ u.conj().T
-        for i in range(3):
-            r[i, j] = np.trace(PAULIS[i + 1] @ conj).real / 2
-    return r
-
-
 def diagonalize_correlations(
     op: HermitianOperator, cfg: FormConfig = FormConfig()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -331,17 +320,6 @@ def diagonalize_correlations(
     diag = diag[order]
     pi = np.array([c[0, 0], diag[0], diag[1], diag[2]])
     return pi, su2_from_so3(ra), su2_from_so3(rb)
-
-
-def standard_operator(pi) -> HermitianOperator:
-    """sum_w pi_w sigma_w (x) sigma_w for a 4-vector or StandardForm."""
-    if isinstance(pi, StandardForm):
-        pi = pi.pi
-    pi = np.asarray(pi, dtype=float)
-    if pi.shape != (4,):
-        raise ValidationError(f"pi must have shape (4,), got {pi.shape}")
-    m = sum(pi[w] * np.kron(PAULIS[w], PAULIS[w]) for w in range(4))
-    return HermitianOperator(m, (2, 2))
 
 
 def to_standard_form(op: HermitianOperator, cfg: FormConfig = FormConfig()) -> StandardForm:

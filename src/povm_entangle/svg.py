@@ -12,10 +12,16 @@ and height, whisker ends, the value text).  Those fields keep the formats the
 coordinates have always had (`%.2f` for coordinates, `%.6g` for values) and
 are filled from the same float arithmetic, so the text is the same, byte for
 byte, as formatting every coordinate on every call.
+
+Bars scale to the largest finite |value| (with its sigma).  A cell whose
+value is not finite is marked "n/a" and gets no bar or whisker, and a sigma
+that is not finite draws no whisker, so one bad cell leaves the others
+drawn.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
 import numpy as np
@@ -52,11 +58,11 @@ def _coord(x: float) -> str:
 def _skeleton() -> tuple[str, tuple]:
     """The axis-label lines, and per cell in row-major order its templates.
 
-    A cell is (frame, base, bar, whiskers, text_up, text_down): its frame
-    and baseline lines, the baseline's y, a bar rect open in y, height and
-    fill, the whisker and its two ticks open in (top, bot, top, top, bot,
-    bot), and the value text open in the value, placed for a nonnegative
-    and for a negative value.
+    A cell is (frame, base, bar, whiskers, text_up, text_down, mark): its
+    frame and baseline lines, the baseline's y, a bar rect open in y, height
+    and fill, the whisker and its two ticks open in (top, bot, top, top,
+    bot, bot), the value text open in the value, placed for a nonnegative
+    and for a negative value, and the "n/a" text of a non-finite value.
     """
     labels = [
         '<text x="%s" y="%s" font-size="11" text-anchor="middle">%s</text>'
@@ -98,6 +104,7 @@ def _skeleton() -> tuple[str, tuple]:
                     whiskers,
                     text % (cx, _coord(y0 + _CELL_H - 5)),
                     text % (cx, _coord(y0 + 11)),
+                    (text % (cx, _coord(y0 + _CELL_H - 5))).replace("%.6g", "n/a"),
                 )
             )
     return "\n".join(labels), tuple(cells)
@@ -120,9 +127,11 @@ def quasidist_svg(
         if s.shape != (6, 6):
             raise ValidationError(f"sigma must be 6x6, got {s.shape}")
 
-    span = float(np.max(np.abs(g)))
+    finite = np.isfinite(g)
+    span = float(np.max(np.abs(g), where=finite, initial=0.0))
     if s is not None:
-        span = max(span, float(np.max(np.abs(g) + np.abs(s))))
+        reach = np.abs(g) + np.abs(s)
+        span = max(span, float(np.max(reach, where=np.isfinite(reach), initial=0.0)))
     if span <= 0:
         span = 1.0
     amp = 0.46 * _CELL_H
@@ -142,14 +151,17 @@ def quasidist_svg(
     out.append(labels)
 
     sigmas = _NO_SIGMA if s is None else s.ravel().tolist()
-    for (frame, base, bar, whiskers, text_up, text_down), v, sv in zip(
+    for (frame, base, bar, whiskers, text_up, text_down, mark), v, sv in zip(
         cells, g.ravel().tolist(), sigmas
     ):
         out.append(frame)
+        if not math.isfinite(v):
+            out.append(mark)
+            continue
         h = abs(v) * scale
         if h > 0:
             out.append(bar % ((base - h, h, _POS) if v >= 0 else (base, h, _NEG)))
-        if sv > 0:
+        if 0 < sv < math.inf:
             top = base - (v + sv) * scale
             bot = base - (v - sv) * scale
             out.append(whiskers % (top, bot, top, top, bot, bot))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,36 @@ def _check_range(n: int, where: str):
         raise ValidationError(f"{where}: count {n} does not fit in 64 bits")
 
 
+_PROBE_INDEX = {label: i for i, label in enumerate(PROBE_LABELS)}
+# an ASCII decimal integer with an optional sign and ASCII whitespace around
+# it; int() alone would also take "2_479" and non-ASCII digits
+_INTEGER = re.compile(r"\s*[+-]?\d+\s*", re.ASCII).fullmatch
+
+
+def _parse_count(text: str) -> int | None:
+    """The integer a CSV count field spells, or None."""
+    if _INTEGER(text) is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        return None
+
+
+def _raise_row_error(row: list[str], lineno: int):
+    """Raise the first check a non-blank CSV data row fails."""
+    where = f"line {lineno}"
+    if len(row) != 4:
+        raise ValidationError(f"{where}: expected 4 fields, got {len(row)}")
+    for field in row[:2]:
+        if field.strip().upper() not in _PROBE_INDEX:
+            raise ValidationError(f"{where}: unknown probe label {field!r}")
+    n = _parse_count(row[3])
+    if n is None:
+        raise ValidationError(f"{where}: count {row[3]!r} is not an integer")
+    _check_range(n, where)
+
+
 @dataclass(frozen=True, eq=False)
 class CoincidenceCounts:
     """Raw coincidence counts, indexed [outcome, alice probe, bob probe]."""
@@ -155,51 +186,51 @@ class CoincidenceCounts:
 
     @classmethod
     def from_csv(cls, text: str, basis_map: BasisMap | None = None) -> "CoincidenceCounts":
+        """Counts from CSV text; the first malformed row is reported by its line.
+
+        A valid row costs dict lookups and one integer parse: messages are
+        formatted, and blank rows recognized, only where a check fails.
+        """
         rows = list(csv.reader(io.StringIO(text)))
         if not rows:
             raise ValidationError("empty counts file")
         header = [h.strip().lower() for h in rows[0]]
         if header != ["probe_a", "probe_b", "outcome", "count"]:
             raise ValidationError(f"line 1: expected header probe_a,probe_b,outcome,count, got {rows[0]}")
-        outcomes: list[str] = []
-        seen: dict[tuple[str, str, str], int] = {}
-        records = []
+        kidx: dict[str, int] = {}  # outcome label -> index, in order of first appearance
+        seen: dict[int, int] = {}  # flat index of (outcome, probe a, probe b) -> line
+        values: list[int] = []  # counts, in the order of seen
         for lineno, row in enumerate(rows[1:], start=2):
-            if not row or all(not f.strip() for f in row):
-                continue
-            if len(row) != 4:
-                raise ValidationError(f"line {lineno}: expected 4 fields, got {len(row)}")
-            a, b, out = row[0].strip().upper(), row[1].strip().upper(), row[2].strip().upper()
-            if a not in PROBE_LABELS:
-                raise ValidationError(f"line {lineno}: unknown probe label {row[0]!r}")
-            if b not in PROBE_LABELS:
-                raise ValidationError(f"line {lineno}: unknown probe label {row[1]!r}")
-            try:
-                n = int(row[3])
-            except ValueError:
-                raise ValidationError(f"line {lineno}: count {row[3]!r} is not an integer") from None
-            _check_range(n, f"line {lineno}")
-            key = (a, b, out)
+            ia = ib = n = None
+            if len(row) == 4:
+                ia = _PROBE_INDEX.get(row[0].strip().upper())
+                ib = _PROBE_INDEX.get(row[1].strip().upper())
+                n = _parse_count(row[3])
+            if ia is None or ib is None or n is None or not -COUNT_MAX <= n <= COUNT_MAX:
+                if all(not f.strip() for f in row):
+                    continue
+                _raise_row_error(row, lineno)
+            out = row[2].strip().upper()
+            k = kidx.setdefault(out, len(kidx))
+            key = 36 * k + 6 * ia + ib
             if key in seen:
-                raise ValidationError(f"line {lineno}: duplicate entry for {key}, first seen on line {seen[key]}")
+                dup = (PROBE_LABELS[ia], PROBE_LABELS[ib], out)
+                raise ValidationError(f"line {lineno}: duplicate entry for {dup}, first seen on line {seen[key]}")
             seen[key] = lineno
-            if out not in outcomes:
-                outcomes.append(out)
-            records.append((a, b, out, n))
-        if not records:
+            values.append(n)
+        if not values:
             raise ValidationError("counts file has a header but no data rows")
-        counts = np.full((len(outcomes), 6, 6), -1, dtype=np.int64)
-        kidx = {out: k for k, out in enumerate(outcomes)}
-        aidx = {l: i for i, l in enumerate(PROBE_LABELS)}
-        for a, b, out, n in records:
-            counts[kidx[out], aidx[a], aidx[b]] = n
+        outcomes = tuple(kidx)
+        counts = np.full(36 * len(outcomes), -1, dtype=np.int64)
+        counts[np.fromiter(seen, np.intp, len(seen))] = values
+        counts = counts.reshape(-1, 6, 6)
         missing = np.argwhere(counts < 0)
         if missing.size:
             k, ia, ib = missing[0]
             raise ValidationError(
                 f"missing entry for probe pair ({PROBE_LABELS[ia]},{PROBE_LABELS[ib]}) outcome {outcomes[k]}"
             )
-        return cls(tuple(outcomes), counts, basis_map or BasisMap.default())
+        return cls(outcomes, counts, basis_map or BasisMap.default())
 
     def to_json_dict(self) -> dict:
         body = {}

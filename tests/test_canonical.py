@@ -1,0 +1,155 @@
+"""The canonical JSON writer and the bytes the commands write with it."""
+
+import hashlib
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from povm_entangle import cli
+from povm_entangle.cli import _canonical, main
+
+
+def stdlib(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def outcome(write, obj):
+    """The text, or the type and message of what the writer raised."""
+    try:
+        return write(obj)
+    except (TypeError, ValueError) as e:
+        return type(e), str(e)
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, 1e300]),
+)
+TEXTS = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from([", ", "a, b", "[", "], [", '"', '", "', ": ", "{}", "\\", "Grüße, ±1 €", " "]),
+)
+OTHER_KEYS = st.one_of(st.integers(-5, 5), st.floats(allow_nan=False), st.booleans(), st.none())
+GRIDS = st.lists(st.lists(SCALARS, max_size=4), max_size=4)
+
+
+def containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(TEXTS, children, max_size=5),
+        # non-str keys: converted, or for mixed types refused, as the stdlib does
+        st.dictionaries(OTHER_KEYS, children, max_size=3),
+        st.dictionaries(st.one_of(st.integers(0, 3), st.text(max_size=2)), children, max_size=3),
+        GRIDS,
+    )
+
+
+TREES = st.recursive(st.one_of(SCALARS, TEXTS, GRIDS), containers, max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(TREES)
+def test_canonical_matches_stdlib(obj):
+    assert outcome(_canonical, obj) == outcome(stdlib, obj)
+
+
+def test_canonical_edge_cases():
+    shared = [1.5, None]
+    cases = [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": [[]], "d": [[], [1]], "e": [[1], []]},
+        [[1.0, 2.0], (3, True)],
+        [[math.nan, -math.inf], [math.inf, -0.0]],
+        {"k": ["x, y", 1.0], "m": {"p": "q, r", "s": 2}},
+        {"grid": [[1, "a"], [2, "b"]], "rows": [[1], [2], [3]]},
+        {"a": shared, "b": shared, "c": [shared, shared]},
+        {1: "one", 2.5: "two", None: 0, True: 1},
+        [np.float64(0.1), np.int64(3), np.bool_(True)],
+        {"sub": {"x": np.float64(-0.0)}},
+        10**40,
+        "plain",
+    ]
+    # nested past the walker's depth limit
+    deep = [1.0]
+    for k in range(120):
+        deep = [k, {"d": deep}] if k % 2 else [deep]
+    cases.append(deep)
+    for obj in cases:
+        assert outcome(_canonical, obj) == outcome(stdlib, obj)
+
+
+def test_canonical_refuses_what_stdlib_refuses():
+    loop: list = [1.0]
+    loop.append(loop)
+    looped: dict = {"a": 1}
+    looped["self"] = looped
+    for obj in ([object()], {"a": {1, 2}}, {"a": [1, "b", object()]}, {1: 1, "a": 2}, loop, looped):
+        with pytest.raises((TypeError, ValueError)):
+            stdlib(obj)
+        assert outcome(_canonical, obj) == outcome(stdlib, obj)
+
+
+def test_canonical_without_c_encoder(monkeypatch):
+    obj = {"b": [1.0, math.nan], "a": {"x": "y, z"}}
+    monkeypatch.setattr(cli, "_c_encode", None)
+    assert _canonical(obj) == stdlib(obj)
+
+
+def digests(path) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(path.iterdir())}
+
+
+# sha256 of every file the commands write, taken before the JSON writer, the
+# counts reader and the Monte Carlo aggregation were rewritten; any change to
+# an output byte shows up here.  Paths are relative, since manifests record them.
+ERRORS_C8 = {
+    "errors_AA.json": "51f71e646dd8b0d03e7848b8fe7f108175cb22255620e861b0cd41370f109b36",
+    "errors_AA.svg": "322d6490df2bf19f4b6d084d66010f1f17fa8fda4fe0603c98af0779db9d0795",
+    "errors_AD.json": "a43de6a0b7131c2b8fc5a090812545fa2bd13985f8c4627c893b4af7fc8280c2",
+    "errors_AD.svg": "e09c1203e4252d3e8e76885e3d87023b35b14cad63b30b68778cf92bdca6379f",
+    "errors_DA.json": "84558ffcaf32cfc2e24415e4c8a95adb06f2360900d2a7f100087168679ff21f",
+    "errors_DA.svg": "9b375b1196bad0b5991f54290629f2ad563da4de6c3819360b6ca6a5849c5c18",
+    "errors_DD.json": "845d8cdd382d9e4929c370d1c85e14b87e6632c81dc8f2b21eabf21b3ba4297c",
+    "errors_DD.svg": "98bcf134c6086c3e71d612d7193810b93c89934a5b10122ef445c96b5210114d",
+    "summary.json": "e3042d8fa1f1f68628da6e927f2bc7655b2a831c4263f0df16877956c17d5e85",
+}
+RECONSTRUCT_NOISY = "9663e3656d0ae8b787509068d913a1dd1bdda7ed45eab37106a3fb09801316cb"
+QUASIDIST_NOISY = {
+    "element_AA.json": "4dc9017133b174c1846a402c42e66658bcc8d1b0c26719c073be9487d66bb8b6",
+    "element_AA.svg": "76f04694b622d4cafeed04228b877807348c9c7887c36aa35b24769e9a4e5a7c",
+    "element_AD.json": "6f99286ef8601958a4647933305e4f1ac1a1bea5992ec962e295924d26ba4470",
+    "element_AD.svg": "487ae0e16315062abd46e19974cf908d63dbbf26bf776c4a507b35a86fafebc8",
+    "element_DA.json": "3f555255580173fa8bffecc6d800f2496c70e22b7e43fb11eb6793eff5d6f586",
+    "element_DA.svg": "c8109a96fcab3924dd0892b429930b1e7fc2962b35528c6d8bf6986867c96862",
+    "element_DD.json": "2feb6e1e2bcbfba5a9ede619b74a45cd1d2033aa393f82dbecd8e0b1b41d0bbd",
+    "element_DD.svg": "5f71d9d3209967aa2c61aec74ff555e35f65238de6eb5fc5f9e31204fab56eef",
+    "summary.json": "2762342fa1eb9b31c88e1549657c02bcdec419186a4bd69dee7e4b9765b08c23",
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_criterion_8_errors_bytes_are_pinned(tmp_path, monkeypatch, workers):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--seed", "0", "-o", "counts.csv"]) == 0
+    argv = ["errors", "--counts", "counts.csv", "--samples", "1000", "--seed", "0"]
+    assert main([*argv, "--workers", workers, "-o", "err"]) == 0
+    assert digests(tmp_path / "err") == ERRORS_C8
+
+
+def test_noisy_reconstruct_and_quasidist_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--eps", "0.1", "--counts", "1000", "--seed", "7", "-o", "noisy.csv"]) == 0
+    assert main(["reconstruct", "--counts", "noisy.csv", "-o", "rec.json"]) == 0
+    assert main(["quasidist", "--povm", "rec.json", "-o", "qd"]) == 0
+    assert hashlib.sha256((tmp_path / "rec.json").read_bytes()).hexdigest() == RECONSTRUCT_NOISY
+    assert digests(tmp_path / "qd") == QUASIDIST_NOISY

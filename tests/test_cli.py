@@ -460,6 +460,14 @@ def exits_two(argv, capsys) -> str:
     return err
 
 
+def reconstruct_of(counts: CoincidenceCounts, tmp_path, capsys) -> str:
+    path = tmp_path / "plain.csv"
+    path.write_text(counts.to_csv())
+    rc, out, _ = run(["reconstruct", "--counts", str(path)], capsys)
+    assert rc == 0
+    return out
+
+
 def not_an_int(text: str) -> bool:
     try:
         int(text)
@@ -484,6 +492,32 @@ class TestMalformedCounts:
         err = exits_two([command[0], "--counts", str(path), *command[1:]], capsys)
         if case in BAD_JSON_COUNTS:
             assert "key H,V: count" in err
+
+    # int() takes these, but they are not ASCII decimal integers
+    @pytest.mark.parametrize("count", ["2_5", "\u0662\u0665", "\uff12\uff15", "25\u00a0"])
+    def test_csv_count_is_an_ascii_decimal_integer(self, tmp_path, capsys, count):
+        path = tmp_path / "counts.csv"
+        path.write_text("".join(line + "\n" for line in csv_with(f"H,H,AA,{count}")), encoding="utf-8")
+        err = exits_two(["reconstruct", "--counts", str(path)], capsys)
+        assert f"line 2: count {count!r} is not an integer" in err
+
+    @pytest.mark.parametrize("count", ["25", " 25 ", "+25", "\t25", "0025"])
+    def test_csv_count_spellings(self, tmp_path, capsys, count):
+        # optional sign, leading zeros and ASCII whitespace read as the same count
+        path = tmp_path / "counts.csv"
+        path.write_text("".join(line + "\n" for line in csv_with(f"H,H,AA,{count}")))
+        rc, out, _ = run(["reconstruct", "--counts", str(path)], capsys)
+        assert rc == 0
+        assert json.loads(out)["raw_povm"] == json.loads(reconstruct_of(VALID, tmp_path, capsys))["raw_povm"]
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, suffix):
+        text = VALID.to_csv() if suffix == ".csv" else json.dumps(VALID.to_json_dict())
+        path = tmp_path / ("bom" + suffix)
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        rc, out, err = run(["reconstruct", "--counts", str(path)], capsys)
+        assert rc == 0, err
+        assert json.loads(out)["raw_povm"] == json.loads(reconstruct_of(VALID, tmp_path, capsys))["raw_povm"]
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(

@@ -518,3 +518,65 @@ def test_diagonal_singlet_element_takes_the_standard_form_path():
     # the closed form's signs would give a different grid for the same q
     _, closed_grid = grids_from_pi(np.array([0.25, 0.225, 0.225, -0.225]))
     assert np.abs(closed_grid - grids[0, 0]).max() > 0.1
+
+
+def _per_element_aggregate(qs, grids):
+    """Each element's statistics from its own 1-D and (n, 6, 6) arrays."""
+    n = len(qs)
+    out = []
+    for k in range(qs.shape[1]):
+        q_k = np.ascontiguousarray(qs[:, k])
+        g = np.ascontiguousarray(grids[:, k])
+        max_negs = np.minimum(g.reshape(n, -1).min(axis=1), 0.0)
+        cums = np.where(g < 0, g, 0.0).reshape(n, -1).sum(axis=1)
+        grid_mean = g.mean(axis=0)
+        grid_std = g.std(axis=0, ddof=1)
+        sig = np.full((6, 6), np.nan)
+        neg = grid_mean < 0
+        with np.errstate(divide="ignore"):
+            sig[neg] = np.where(grid_std[neg] > 0, -grid_mean[neg] / grid_std[neg], np.inf)
+        q_mean, q_std = float(q_k.mean()), float(q_k.std(ddof=1))
+        if q_mean < 0:
+            q_sig = -q_mean / q_std if q_std > 0 else np.inf
+        else:
+            q_sig = np.nan
+        if neg.any():
+            neg_sig = sig[np.unravel_index(np.argmin(grid_mean), grid_mean.shape)]
+        else:
+            neg_sig = np.nan
+        out.append(
+            dict(
+                q_mean=q_mean,
+                q_std=q_std,
+                q_significance=float(q_sig),
+                max_negativity_mean=float(max_negs.mean()),
+                max_negativity_std=float(max_negs.std(ddof=1)),
+                cumulative_mean=float(cums.mean()),
+                cumulative_std=float(cums.std(ddof=1)),
+                grid_mean=grid_mean,
+                grid_std=grid_std,
+                significance=sig,
+                negativity_significance=float(neg_sig),
+            )
+        )
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, 1025])
+def test_aggregate_matches_per_element_statistics_bitwise(n):
+    rng = np.random.default_rng(n)
+    labels = ("a", "b", "c", "d", "e")
+    qs = rng.normal(-0.3, 0.05, (n, 5))
+    grids = rng.normal(0.0, 0.2, (n, 5, 6, 6))
+    qs[:, 1] = 0.25  # no spread, q >= 0
+    grids[:, 2] = np.abs(grids[:, 2])  # no negative cell
+    grids[:, 3, 1, 4] = -0.125  # a negative cell with no spread
+    permuted = rng.random((n, 5)) < 0.2
+    report = mc._aggregate(labels, qs[0], grids[0], qs, grids, permuted, McConfig(sample_size=n), 0)
+    assert report.retained == n
+    for k, (e, want) in enumerate(zip(report.elements, _per_element_aggregate(qs, grids))):
+        assert e.label == labels[k]
+        assert e.permuted == int(permuted[:, k].sum())
+        for name, value in want.items():
+            got = getattr(e, name)
+            assert np.asarray(got).tobytes() == np.asarray(value).tobytes(), (k, name)

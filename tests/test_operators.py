@@ -15,7 +15,6 @@ from povm_entangle import (
     PovmSet,
     ValidationError,
     bell_povm,
-    bell_state,
     bloch_vector,
     ghz_state,
     lambda_operator,
@@ -26,11 +25,10 @@ from povm_entangle import (
     ghz_probe,
     me_probe,
     partial_transpose,
-    pauli_compose,
     pauli_eigenstate,
     pauli_expand,
 )
-from povm_entangle.operators import PAULIS, _hermiticity_deviation
+from povm_entangle.operators import _BELL_VECTORS, PAULIS, _hermiticity_deviation, pauli_matrices
 
 from conftest import random_pd_element
 
@@ -59,8 +57,8 @@ def test_pauli_eigenstates():
 
 
 def test_bell_states_orthonormal():
-    labels = ("0", "x", "y", "z")
-    vs = [bell_state(s) for s in labels]
+    assert tuple(_BELL_VECTORS) == ("0", "x", "y", "z")
+    vs = list(_BELL_VECTORS.values())
     gram = np.array([[np.vdot(a, b) for b in vs] for a in vs])
     assert np.max(np.abs(gram - np.eye(4))) < 1e-15
 
@@ -106,8 +104,8 @@ def test_expand_rejects_non_hermitian():
 def test_expand_compose_round_trip(seed):
     rng = np.random.default_rng(seed)
     el = random_pd_element(rng, trace=float(rng.uniform(0.1, 4.0)))
-    back = pauli_compose(pauli_expand(el))
-    assert np.max(np.abs(back.matrix - el.matrix)) < 1e-12
+    back = pauli_matrices(pauli_expand(el).coeffs)
+    assert np.max(np.abs(back - el.matrix)) < 1e-12
 
 
 def test_compose_validates_coefficients():

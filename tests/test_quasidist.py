@@ -10,9 +10,10 @@ from povm_entangle import (
     NegativityReport,
     QuasiDistribution,
     ValidationError,
-    ideal_bell_reference,
+    bell_povm,
     negativity_report,
     optimal_quasidistribution,
+    pauli_expand,
     quasidistribution_from_pi,
     to_standard_form,
 )
@@ -208,6 +209,19 @@ def test_negativity_report_validation():
         NegativityReport(0.1, 0.0, 0.0, "separable")
     with pytest.raises(ValidationError):
         NegativityReport(0.0, 0.0, 0.0, "maybe")
+
+
+def ideal_bell_reference() -> dict:
+    """Exact grids of the four ideal Bell projectors, keyed by Bell label.
+
+    The projectors already carry diagonal Pauli coefficients, so their pi
+    is read off without a standard form.
+    """
+    out = {}
+    for label, el in bell_povm().items():
+        c = pauli_expand(el).coeffs
+        out[label] = quasidistribution_from_pi(np.diag(c).copy(), el.trace())
+    return out
 
 
 def test_ideal_bell_reference():

@@ -14,7 +14,6 @@ from povm_entangle import (
     effective_elements,
     expected_frequencies,
     model_from_spec,
-    model_to_spec,
     physicality_correct,
     reconstruct_povm,
     relative_frequencies,
@@ -166,7 +165,14 @@ class TestSpecRoundTrip:
 
     def test_inline_povm_round_trip(self):
         src = bell_model(eps=0.05, counts_per_setting=500, indefiniteness=0.01)
-        spec = model_to_spec(src, seed=9)
+        spec = {
+            "povm": src.povm.to_dict(),
+            "eps": src.eps,
+            "counts_per_setting": src.counts_per_setting,
+            "indefiniteness": src.indefiniteness,
+            "basis_map": src.basis_map.to_dict(),
+            "seed": 9,
+        }
         model, seed = model_from_spec(spec)
         assert seed == 9
         assert model.eps == src.eps

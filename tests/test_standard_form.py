@@ -18,24 +18,39 @@ from povm_entangle import (
     min_eigenvalue,
     optimal_quasidistribution,
     partial_transpose,
-    pauli_compose,
     pauli_expand,
     physicality_correct,
     reconstruct_povm,
     relative_frequencies,
     remove_local_terms,
-    so3_from_su2,
-    standard_operator,
     su2_from_so3,
     to_standard_form,
 )
-from povm_entangle.operators import PAULIS, pauli_eigenstate
+from povm_entangle.operators import PAULIS, pauli_eigenstate, pauli_matrices
 
 from conftest import random_pd_element
 
 SINGLET_PI = np.array([0.25, -0.25, -0.25, -0.25])
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 FILTER_A = np.array([[1.3, 0.2j], [0.1, 0.6]])
+
+
+def standard_operator(pi) -> HermitianOperator:
+    """sum_w pi_w sigma_w (x) sigma_w for a 4-vector or StandardForm."""
+    if isinstance(pi, StandardForm):
+        pi = pi.pi
+    m = sum(pi[w] * np.kron(PAULIS[w], PAULIS[w]) for w in range(4))
+    return HermitianOperator(m, (2, 2))
+
+
+def so3_from_su2(u: np.ndarray) -> np.ndarray:
+    """Rotation matrix r[i, j] = tr(sigma_i U sigma_j U^dag) / 2."""
+    r = np.empty((3, 3))
+    for j in range(3):
+        conj = u @ PAULIS[j + 1] @ u.conj().T
+        for i in range(3):
+            r[i, j] = np.trace(PAULIS[i + 1] @ conj).real / 2
+    return r
 
 
 def assert_maps_onto_standard(el, form, tol=1e-9):
@@ -172,7 +187,7 @@ def test_construct_and_invert_rotations(rng):
     c = np.zeros((4, 4))
     c[0, 0] = 0.25
     c[1:, 1:] = block
-    el = pauli_compose(c)
+    el = HermitianOperator(pauli_matrices(c), (2, 2))
     form = to_standard_form(el)
     assert np.allclose(np.abs(form.pi[1:]), [0.2, 0.1, 0.05], atol=1e-9)
     assert np.prod(np.sign(form.pi[1:])) == pytest.approx(-1.0)

@@ -51,7 +51,7 @@ _CHARTS = {
     ),
     "nan_cell": (
         dict(grid=_NAN, q=None),
-        "531a9667e5c11b685dc1b1da772a65a076555bf654e9943b01987ed3209aba5a",
+        "1f0da3c7f28e828a781cecfc6dec1d3bfd9fe8ceecae62052813f314e728dd9e",
     ),
     "tiny_scale": (
         dict(grid=_RAMP * 1e-3, sigma=_SIGMA * 1e-3, footer_lines=_FOOTER[:2]),
@@ -68,6 +68,21 @@ _CHARTS = {
 def test_chart_bytes_are_pinned(name):
     kwargs, digest = _CHARTS[name]
     assert hashlib.sha256(quasidist_svg(**kwargs).encode()).hexdigest() == digest
+
+
+def test_non_finite_cell_leaves_the_others_drawn():
+    # the scale comes from the finite cells, so the 35 others keep their
+    # bars and whiskers, and the bad cell is marked instead of drawn
+    svg = quasidist_svg(_NAN, q=-1 / 3, sigma=np.full((6, 6), 0.01))
+    assert svg.count('fill="#2a9d8f"') + svg.count('fill="#e76f51"') == 35
+    assert svg.count('stroke-width="1"') == 3 * 35
+    assert svg.count(">n/a</text>") == 1
+    assert "nan" not in svg.lower()
+    sigma = np.full((6, 6), 0.01)
+    sigma[0, 0] = np.inf
+    svg = quasidist_svg(_BELL, sigma=sigma)
+    assert svg.count('stroke-width="1"') == 3 * 35
+    assert "inf" not in svg
 
 
 def test_chart_ignores_input_dtype_and_layout():
