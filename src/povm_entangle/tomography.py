@@ -137,6 +137,8 @@ def _raise_row_error(row: list[str], lineno: int):
     if n is None:
         raise ValidationError(f"{where}: count {row[3]!r} is not an integer")
     _check_range(n, where)
+    # the one check left: the reader's fast path takes only 0 <= n
+    raise ValidationError(f"{where}: count {n} is negative; counts must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +162,13 @@ class CoincidenceCounts:
             c = c.astype(np.int64)
         if np.any(c < 0):
             raise ValidationError("counts must be nonnegative")
+        if c.max() > COUNT_MAX // len(outcomes):
+            # an int64 sum could wrap: total each setting in Python integers
+            exact = c.astype(object).sum(axis=0)
+            if np.any(exact > COUNT_MAX):
+                ia, ib = np.argwhere(exact > COUNT_MAX)[0]
+                pair = (PROBE_LABELS[ia], PROBE_LABELS[ib])
+                raise ValidationError(f"total counts for probe pair {pair} exceed 2^63 - 1 = {COUNT_MAX}")
         totals = c.sum(axis=0)
         if np.any(totals <= 0):
             ia, ib = np.argwhere(totals <= 0)[0]
@@ -206,7 +215,7 @@ class CoincidenceCounts:
                 ia = _PROBE_INDEX.get(row[0].strip().upper())
                 ib = _PROBE_INDEX.get(row[1].strip().upper())
                 n = _parse_count(row[3])
-            if ia is None or ib is None or n is None or not -COUNT_MAX <= n <= COUNT_MAX:
+            if ia is None or ib is None or n is None or not 0 <= n <= COUNT_MAX:
                 if all(not f.strip() for f in row):
                     continue
                 _raise_row_error(row, lineno)

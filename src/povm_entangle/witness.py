@@ -11,15 +11,19 @@ explicit request.
 The solver (the separability-eigenvalue equations of Sperling and Vogel,
 PRL 111, 110503 (2013)) runs all its restarts together on stacked arrays:
 each half-step conditions the operator on the other parties' states of every
-active restart with one matrix product and solves the conditioned problems
-with one batched eigensolve.  Each restart drops out on its own convergence,
-so its sweeps are those it would take alone.  Real-stored operators, as the
-lambda and probe operators are, run that product in real arithmetic on the
-frames viewed as real arrays.
+active restart and solves the conditioned problems with one batched
+eigensolve.  Conditioning on the parties before and after party j contracts
+the operator with their product states directly, one matrix product over
+the larger of the two outer factors first, and never multiplies by the
+1_{d_j} factor.  Each restart drops out on its own convergence, so its
+sweeps are those it would take alone.  Real-stored operators, as the lambda
+and probe operators are, run the large product in real arithmetic on the
+product states' stacked real and imaginary parts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +33,10 @@ from .errors import ValidationError
 from .operators import HermitianOperator, lambda_operator, min_eigenvalue
 from .streams import keyed_rng
 
-# A chunk of restarts holds at most max(D^2, _FRAME_FLOOR) frame entries: no
-# more than the operator itself, whatever the restart count, while small
-# operators still advance thousands of restarts per matrix product.
+# A chunk of restarts conditioned on all parties but j leaves an intermediate
+# of at most max(D^2, _FRAME_FLOOR) complex entries: no more than the operator
+# itself, whatever the restart count, while small operators still advance
+# thousands of restarts per matrix product.
 _FRAME_FLOOR = 1 << 16
 
 
@@ -154,35 +159,75 @@ def _kron_rows(factors: list[np.ndarray], rows: int) -> np.ndarray:
     return out
 
 
+def _conditioned(matrix: np.ndarray, states: list[np.ndarray], j: int) -> np.ndarray:
+    """F_a^dag op F_a for every row a, as an (A, d_j, d_j) array.
+
+    `states` holds one (A, d_i) array per party, and
+    F_a = a_1 (x) ... (x) 1_{d_j} (x) ... (x) a_n.  The frames are never
+    formed.  With L and R the dimensions before and after party j, and
+    left[A, L], right[A, R] the rows' product states there:
+
+    1. one product of the operator with the larger of the two, where it is
+       an outer factor of the stored matrix (right on the columns' last
+       factor, or conj(left) on the rows' first): D^2 A multiply-adds,
+       leaving D^2 A / max(L, R) entries;
+    2. the intermediate's other outer factor (the rows' L, or the columns'
+       R), one product per row, leaving an (A, d_j, R, L, d_j) rest;
+    3. conj(right) (x) left on the rest's (R, L) axes, one batched product.
+
+    A real `matrix` takes step 1 in real arithmetic, on the product states'
+    real and imaginary rows stacked, and step 2 on a real weight block that
+    recombines them, so nothing complex touches the intermediate.
+    """
+    a, dj = states[j].shape
+    left = _kron_rows(states[:j], a)
+    right = _kron_rows(states[j + 1 :], a)
+    nl, nr = left.shape[1], right.shape[1]
+    n = matrix.shape[0] * dj  # entries of the (d_j, R, L, d_j) rest, per row
+    if nr >= nl:
+        # contract the column's R factor, then the row's L factor
+        lc = left.conj()
+        if np.isrealobj(matrix):
+            ri = np.stack([right.real, right.imag], axis=1).reshape(2 * a, nr)
+            t = (ri @ matrix.reshape(-1, nr).T).reshape(a, 2 * nl, n)
+            # lc (t_re + i t_im) = t_re (lc_re, lc_im) + t_im (-lc_im, lc_re)
+            w = np.stack([lc, 1j * lc], axis=1).view(float).reshape(a, 2 * nl, 2)
+            x = (t.transpose(0, 2, 1) @ w).view(complex)
+        else:
+            t = (right @ matrix.reshape(-1, nr).T).reshape(a, nl, n)
+            x = lc[:, None, :] @ t
+    else:
+        # contract the row's L factor, then the column's R factor
+        if np.isrealobj(matrix):
+            li = np.stack([left.real, left.imag], axis=1).reshape(2 * a, nl)
+            t = (li @ matrix.reshape(nl, -1)).reshape(a, 2, n, nr)
+            # (t_re - i t_im) right = t_re (r_re, r_im) + t_im (r_im, -r_re)
+            w = np.stack([right, -1j * right], axis=1).view(float).reshape(a, 2, nr, 2)
+            x = t[:, 0] @ w[:, 0]
+            x += t[:, 1] @ w[:, 1]
+            x = x.view(complex)
+        else:
+            t = (left.conj() @ matrix.reshape(nl, -1)).reshape(a, n, nr)
+            x = t @ right[:, :, None]
+    # what is left: sum over r and l' of conj(right[r]) left[l'] x[s, r, l', s']
+    w = (right.conj()[:, :, None] * left[:, None, :]).reshape(a, 1, 1, nr * nl)
+    return (w @ x.reshape(a, dj, nr * nl, dj)).reshape(a, dj, dj)
+
+
 def _half_step(
     matrix: np.ndarray, states: list[np.ndarray], j: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenpair of the operator conditioned on every party but j, per row.
 
-    `states` holds one (A, d_i) array per party.  The frames
-    F_r = a_1 (x) ... (x) 1_{d_j} (x) ... (x) a_n are laid out as one
-    D x (A d_j) matrix, so the conditioned operators F_r^dag op F_r of all A
-    rows cost a single matrix product with the operator.  A real `matrix`
-    takes that product in real arithmetic, half the work of a complex one.
+    `states` holds one (A, d_i) array per party.  The conditioned operators
+    F_r^dag op F_r of all A rows come from `_conditioned`, which contracts
+    the operator with the other parties' states and never multiplies by
+    the 1_{d_j} factor of the frames F_r; one batched eigensolve follows.
     """
-    a, dj = states[j].shape
-    left = _kron_rows(states[:j], a).T
-    right = _kron_rows(states[j + 1 :], a).T
-    eye = np.eye(dj)
-    frames = (
-        left[:, None, None, :, None] * eye[None, :, None, None, :] * right[None, None, :, :, None]
-    ).reshape(-1, a, dj)
-    flat = frames.reshape(-1, a * dj)
-    if np.isrealobj(matrix):
-        # a real operator maps real and imaginary parts alike: one real
-        # product on the frames viewed as a real D x (2 A d_j) matrix
-        x = (matrix @ flat.view(float)).view(complex).reshape(-1, a, dj)
-    else:
-        x = (matrix @ flat).reshape(-1, a, dj)
-    m = frames.conj().transpose(1, 2, 0) @ x.transpose(1, 0, 2)
+    m = _conditioned(matrix, states, j)
     w, vecs = np.linalg.eigh((m + m.conj().transpose(0, 2, 1)) / 2)
     v = vecs[:, :, -1]
-    lead = v[np.arange(a), np.argmax(np.abs(v), axis=1)]
+    lead = v[np.arange(v.shape[0]), np.argmax(np.abs(v), axis=1)]
     return w[:, -1], v * (np.abs(lead) / lead)[:, None]
 
 
@@ -200,14 +245,18 @@ def separability_eigenvalue_numeric(
     operator conditioned on the others, so the objective never decreases. The
     first starts sweep the uniform-support family, the rest are random from a
     deterministic Philox stream keyed by (seed, restart).  All restarts
-    advance together as stacked (restarts, d_i) states: a half-step costs one
-    matrix product of the operator with the frames of the active restarts,
-    in chunks whose frames hold no more entries than the operator (or 2^16,
-    whichever is more), and one batched eigensolve.  The product follows
-    the operator's stored dtype: a real-stored operator (lambda, GHZ and ME
-    probes) takes it as a real one on the frames' real and imaginary parts,
-    which halves its arithmetic; a complex-stored operator keeps the complex
-    product, even when its imaginary part is zero.  A restart leaves the
+    advance together as stacked (restarts, d_i) states.  A half-step on
+    party j costs one matrix product of the operator with the product states
+    of the parties on the larger side of j, D^2 multiply-adds per restart,
+    then small per-restart products and one batched eigensolve.  With L and
+    R the dimensions before and after j, a restart's intermediate holds
+    D^2 / max(L, R) entries, and the active restarts go in chunks per j
+    whose intermediate holds no more entries than the operator (or 2^16,
+    whichever is more).  The large product follows the operator's stored
+    dtype: a real-stored operator (lambda, GHZ and ME probes) takes it as a
+    real one on the states' real and imaginary parts, which halves its
+    arithmetic; a complex-stored operator keeps the complex product, even
+    when its imaginary part is zero.  A restart leaves the
     active set after the first sweep that moves its value by less than `tol`,
     or after `max_sweeps`; the best restart is the first to reach the
     largest value.  The result is a certified lower bound on the
@@ -226,7 +275,12 @@ def separability_eigenvalue_numeric(
         for r in range(restarts)
     ]
     states = [np.array([s[i] for s in starts]) for i in range(len(dims))]
-    chunk = max(op.dim**2, _FRAME_FLOOR) // (op.dim * max(dims))
+    # a row conditioned on all parties but j leaves D^2 / max(L, R) entries
+    cap = max(op.dim**2, _FRAME_FLOOR)
+    chunks = [
+        cap * max(math.prod(dims[:j]), math.prod(dims[j + 1 :])) // op.dim**2
+        for j in range(len(dims))
+    ]
     prev = np.full(restarts, -np.inf)
     val = np.full(restarts, -np.inf)
     converged = np.zeros(restarts, dtype=bool)
@@ -234,8 +288,8 @@ def separability_eigenvalue_numeric(
     active = np.arange(restarts)
     for _ in range(max_sweeps):
         for j in range(len(dims)):
-            for lo in range(0, active.size, chunk):
-                rows = active[lo : lo + chunk]
+            for lo in range(0, active.size, chunks[j]):
+                rows = active[lo : lo + chunks[j]]
                 val[rows], states[j][rows] = _half_step(op.matrix, [s[rows] for s in states], j)
         if track_history:
             for r in active:

@@ -501,6 +501,30 @@ class TestMalformedCounts:
         err = exits_two(["reconstruct", "--counts", str(path)], capsys)
         assert f"line 2: count {count!r} is not an integer" in err
 
+    @pytest.mark.parametrize("count", ["-1", "-5"])
+    def test_csv_negative_count_is_reported_on_its_line(self, tmp_path, capsys, count):
+        # -1 is also the reader's marker for a row not given; it must not read as missing
+        path = tmp_path / "counts.csv"
+        path.write_text("".join(line + "\n" for line in csv_with(f"H,H,AA,{count}")))
+        err = exits_two(["reconstruct", "--counts", str(path)], capsys)
+        assert "line 2:" in err and "nonnegative" in err
+        assert "missing" not in err
+
+    @pytest.mark.parametrize("command", COUNTS_COMMANDS, ids=["reconstruct", "errors"])
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_total_beyond_int64_is_named(self, tmp_path, capsys, command, suffix):
+        # 2^63 - 1 fits one cell, but the (H,H) total with 75 more does not
+        path = tmp_path / ("huge" + suffix)
+        if suffix == ".csv":
+            path.write_text("".join(line + "\n" for line in csv_with(f"H,H,AA,{2**63 - 1}")))
+        else:
+            body = VALID.to_json_dict()
+            body["counts"]["H,H"]["AA"] = 2**63 - 1
+            path.write_text(json.dumps(body))
+        err = exits_two([command[0], "--counts", str(path), *command[1:]], capsys)
+        assert "('H', 'H')" in err and "2^63 - 1" in err
+        assert "zero total" not in err
+
     @pytest.mark.parametrize("count", ["25", " 25 ", "+25", "\t25", "0025"])
     def test_csv_count_spellings(self, tmp_path, capsys, count):
         # optional sign, leading zeros and ASCII whitespace read as the same count

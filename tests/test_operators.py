@@ -169,6 +169,44 @@ def test_blocked_hermiticity_deviation_is_exact(dim):
         assert _hermiticity_deviation(m) == float(np.max(np.abs(m - m.conj().T)))
 
 
+def full_square_deviation(m):
+    with np.errstate(invalid="ignore"):
+        return float(np.abs(m - m.conj().T).max())
+
+
+def same_float(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+@pytest.mark.parametrize("dim", [4, 63, 64, 65, 129])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_staircase_hermiticity_deviation_matches_full_square(dim, dtype):
+    # the staircase sees each (r, c), (c, r) pair from one side only
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((dim, dim)).astype(dtype)
+    if dtype is complex:
+        a += 1j * rng.standard_normal((dim, dim))
+    h = (a + a.conj().T) / 2
+    cases = [a, h]
+    for r, c in [(dim - 1, 0), (dim - 1, dim - 2), (dim // 2 + 1, dim // 2 - 1)]:
+        for ij in [(r, c), (c, r)]:  # only in the lower triangle, only in the upper
+            m = h.copy()
+            m[ij] += 1e-9
+            cases.append(m)
+    for ij in [(dim - 1, 0), (0, dim - 1), (dim - 1, dim - 1)]:
+        for value in [np.nan, np.inf, -np.inf]:
+            m = h.copy()
+            m[ij] = value
+            cases.append(m)
+    both = h.copy()
+    both[dim - 1, 0] = both[0, dim - 1] = np.inf  # inf - inf
+    cases.append(both)
+    for m in cases:
+        dev = _hermiticity_deviation(m)
+        assert same_float(dev, full_square_deviation(m)), (dev, full_square_deviation(m))
+    assert _hermiticity_deviation(h) == 0.0
+
+
 @pytest.mark.parametrize(
     "dtype, stored",
     [

@@ -1,5 +1,8 @@
 """Probe-state witnesses, noise thresholds, and the separability solver."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +50,32 @@ def product_vector(states):
     for s in states[1:]:
         v = np.kron(v, s)
     return v
+
+
+def kron_rows(factors, rows):
+    # per row, the Kronecker product of the factors' rows (1 for no factors)
+    out = np.ones((rows, 1), dtype=complex)
+    for f in factors:
+        out = np.array([np.kron(o, v) for o, v in zip(out, f)])
+    return out
+
+
+def frames_conditioned(matrix, states, j):
+    """F_r^dag op F_r through the frames F_r = a_1 (x) ... (x) 1_{d_j} (x) ... (x) a_n.
+
+    The frames of all rows form one D x (A d_j) matrix, multiplied by the
+    operator in full: d_j times the work of the solver's contraction, kept as
+    its oracle.
+    """
+    a, dj = states[j].shape
+    left = kron_rows(states[:j], a).T
+    right = kron_rows(states[j + 1 :], a).T
+    eye = np.eye(dj)
+    frames = (
+        left[:, None, None, :, None] * eye[None, :, None, None, :] * right[None, None, :, :, None]
+    ).reshape(-1, a, dj)
+    x = (matrix @ frames.reshape(-1, a * dj)).reshape(-1, a, dj)
+    return frames.conj().transpose(1, 2, 0) @ x.transpose(1, 0, 2)
 
 
 def assert_same_paths(histories, reference):
@@ -327,3 +356,67 @@ def test_witness_soundness_on_separable_elements():
             assert res.lhs <= numeric_bounds[dims] + 1e-6
             trials += 1
     assert trials >= 500
+
+
+ORACLE_OPERATORS = {
+    **{
+        f"{kind}_{'_'.join(map(str, dims))}": make(np.random.default_rng(len(dims)), dims)
+        for dims in [(2, 3, 4), (4, 3, 2), (3, 2), (2, 5, 2, 3)]
+        for kind, make in [("real", random_real_symmetric), ("complex", random_hermitian)]
+    },
+    **{f"lambda_{n}_{d}": lambda_operator(n, d) for n, d in [(5, 4), (10, 2), (6, 3), (3, 3), (2, 2), (4, 4)]},
+}
+
+
+@pytest.mark.parametrize("rows", [1, 12, 37])
+@pytest.mark.parametrize("name", sorted(ORACLE_OPERATORS))
+def test_conditioned_matches_frames_product(name, rows):
+    op = ORACLE_OPERATORS[name]
+    rng = np.random.default_rng(rows)
+    states = []
+    for d in op.parties:
+        s = rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))
+        states.append(s / np.linalg.norm(s, axis=1, keepdims=True))
+    for j in range(len(op.parties)):
+        got = witness._conditioned(op.matrix, states, j)
+        expect = frames_conditioned(op.matrix, states, j)
+        assert got.shape == (rows, op.parties[j], op.parties[j])
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("floor", [1, witness._FRAME_FLOOR])
+@pytest.mark.parametrize(
+    "op",
+    [lambda_operator(5, 4), lambda_operator(3, 3), random_hermitian(np.random.default_rng(5), (2, 3, 4))],
+    ids=["lambda_5_4", "lambda_3_3", "random_2_3_4"],
+)
+def test_solver_chunks_bound_the_intermediate(monkeypatch, op, floor):
+    # conditioning A rows on all parties but j leaves A D^2 / max(L, R) entries
+    dims = op.parties
+    sizes = {j: [] for j in range(len(dims))}
+    half_step = witness._half_step
+
+    def spy(matrix, states, j):
+        outer = max(math.prod(dims[:j]), math.prod(dims[j + 1 :]))
+        sizes[j].append(states[j].shape[0] * op.dim**2 // outer)
+        return half_step(matrix, states, j)
+
+    monkeypatch.setattr(witness, "_FRAME_FLOOR", floor)
+    monkeypatch.setattr(witness, "_half_step", spy)
+    separability_eigenvalue_numeric(op, restarts=64, seed=2, max_sweeps=3)
+    for j, seen in sizes.items():
+        assert seen, j
+        assert max(seen) <= max(op.dim**2, floor)
+
+
+def test_solver_memory_is_bounded_by_the_chunk_rule():
+    # a 64-restart solve at D = 1024: the largest intermediate holds at most
+    # D^2 complex entries, and the (A, d_j, R, L, d_j) rest is no larger
+    op = lambda_operator(5, 4)
+    tracemalloc.start()
+    try:
+        separability_eigenvalue_numeric(op, restarts=64, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 16 * op.dim**2
