@@ -39,7 +39,7 @@ _EXPORTS = {
         "expected_frequencies", "model_from_spec",
     ),
     "standard_form": (
-        "FormConfig", "LocalTransform", "StandardForm", "TildeDecomposition", "back_transform",
+        "LocalTransform", "StandardForm", "TildeDecomposition", "back_transform",
         "diagonalize_correlations", "remove_local_terms", "su2_from_so3", "to_standard_form",
     ),
     "tomography": (

@@ -295,18 +295,19 @@ def quasidist(povm_path, out_dir, max_iter):
     """Standard forms, optimal quasidistributions, and SVG charts per element."""
     from .operators import bloch_vector
     from .quasidist import LABELS, negativity_report, optimal_quasidistribution
-    from .standard_form import FormConfig, back_transform, to_standard_form
+    from .standard_form import back_transform, to_standard_form
     from .svg import quasidist_svg
 
     povm = _read_povm(povm_path)
-    cfg = FormConfig(max_iter=max_iter)
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
     outp = Path(out_dir)
     outp.mkdir(parents=True, exist_ok=True)
     manifest = _manifest("quasidist", povm=povm_path, max_iter=max_iter)
     summary: dict = {"manifest": manifest, "elements": {}, "failed": []}
     for label, element in povm.items():
         try:
-            form = to_standard_form(element, cfg)
+            form = to_standard_form(element, max_iter)
         except ConvergenceError as e:
             summary["elements"][label] = {"error": str(e), "residual": e.residual}
             summary["failed"].append(label)
@@ -371,14 +372,13 @@ def quasidist(povm_path, out_dir, max_iter):
 def errors(counts_path, basis_map_path, samples, inflation, seed, workers, margin, max_iter, out_dir):
     """Propagate counting statistics through the pipeline by resampling."""
     from .montecarlo import McConfig, propagate
-    from .standard_form import FormConfig
     from .svg import quasidist_svg
 
     basis_map = _read_basis_map(basis_map_path)
     data = _read_counts(counts_path, basis_map)
     used_seed = _resolve_seed(seed)
     cfg = McConfig(sample_size=samples, inflation=inflation, seed=used_seed, workers=workers)
-    report = propagate(data, cfg, FormConfig(max_iter=max_iter), margin=margin)
+    report = propagate(data, cfg, margin=margin, max_iter=max_iter)
     manifest = _manifest(
         "errors",
         counts=counts_path,

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConvergenceError, ValidationError
 from .operators import HermitianOperator
 from .quasidist import _none_where, grids_from_pi, optimal_quasidistribution
-from .standard_form import FormConfig, to_standard_form
+from .standard_form import _lorentz_pi, to_standard_form
 from .streams import keyed_normals
 from .tomography import (
     CoincidenceCounts,
@@ -51,18 +51,6 @@ _PERM_IDX = np.array(
     [[2 * a + s for a in sigma for s in (0, 1)] for sigma in permutations(range(3))],
     dtype=np.intp,
 )
-
-_ETA = np.diag([1.0, -1.0, -1.0, -1.0])
-# closed-form pi is left to to_standard_form where the squared Lorentz
-# singular values are not real to this share of the largest, where the top
-# two are this close, where the correlation block is already this diagonal,
-# or where the filters are this strong: |r|^2 over the sum of the squared
-# singular values is 1 for a standard form and grows with the filters, and
-# the closed form's error with it (below 1e-14 up to 10, 1e-8 past 100)
-_REAL_TOL = 1e-12
-_GAP_TOL = 1e-6
-_DIAGONAL_TOL = 1e-9
-_BOOST_TOL = 10.0
 
 _SAMPLE_FAILURES = (ConvergenceError, ValidationError, np.linalg.LinAlgError)
 
@@ -155,49 +143,11 @@ def sample_frequencies(freqs: RelativeFrequencies, cfg: McConfig):
         yield RelativeFrequencies(freqs.outcomes, probs, freqs.totals, freqs.basis_map)
 
 
-def _lorentz_pi(r: np.ndarray, cfg: FormConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form pi of stacked Pauli coefficient matrices r[..., 4, 4], and where it holds.
-
-    Local filters act on r as Lorentz transformations, so the eigenvalues of
-    r eta r^T eta, eta = diag(1, -1, -1, -1), are the squared Lorentz singular
-    values s0^2 >= s1^2 >= s2^2 >= s3^2, and det r = s0 s1 s2 s3 up to sign
-    (Verstraete, Dehaene, De Moor, PRA 64, 010101(R) (2001)).  The standard
-    form of an element with trace t is then
-    pi = (t/4) (1, s1/s0, s2/s0, sign(det r) s3/s0), with s3 taken from
-    det r rather than from its small eigenvalue.  The mask is False, and
-    pi zero, where to_standard_form must decide: non-finite entries or a
-    nonpositive trace, eigenvalues that are not real, s3^2 at or below
-    cfg.eig_floor at unit trace, s0 ~ s1 (rank-deficient elements), strong
-    filters, which make the eigenproblem ill-conditioned, and a correlation
-    block that is already diagonal, where diagonalize_correlations keeps the
-    raw signs of the diagonal.
-    """
-    t = 4 * r[..., 0, 0]
-    ok = np.isfinite(r).all(axis=(-2, -1)) & (t > 0)
-    unit = np.where(ok[..., None, None], r, 0.0) / np.where(ok, t, 1.0)[..., None, None]
-    ev = np.linalg.eigvals(unit @ _ETA @ np.swapaxes(unit, -1, -2) @ _ETA)
-    sq = -np.sort(-ev.real, axis=-1)
-    block = unit[..., 1:, 1:]
-    off = np.abs(block - block * np.eye(3)).max(axis=(-2, -1))
-    ok &= np.abs(ev.imag).max(axis=-1) <= _REAL_TOL * sq[..., 0]
-    ok &= sq[..., 3] > cfg.eig_floor
-    ok &= sq[..., 0] - sq[..., 1] > _GAP_TOL * sq[..., 0]
-    ok &= off >= _DIAGONAL_TOL
-    ok &= (unit**2).sum(axis=(-2, -1)) <= _BOOST_TOL * sq.sum(axis=-1)
-    s = np.sqrt(np.where(ok[..., None], sq[..., :3], 1.0))
-    # sign(det r) s3 = det r / (s0 s1 s2): the square root of the smallest
-    # eigenvalue would carry an absolute error of about eps / s3
-    s3 = np.linalg.det(unit) / s.prod(axis=-1)
-    ratios = np.concatenate([s[..., 1:], s3[..., None]], axis=-1) / s[..., :1]
-    pi = np.concatenate([np.ones_like(t)[..., None], ratios], axis=-1) * (t / 4)[..., None]
-    return np.where(ok[..., None], pi, 0.0), ok
-
-
 def _quasi_batch(
     probs: np.ndarray,
     basis_map,
     margin: float,
-    form_cfg: FormConfig,
+    max_iter: int,
     strict: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """q[S, m], grids[S, m, 6, 6] and failure flags[S] of stacked frequencies probs[S, m, 6, 6].
@@ -218,7 +168,7 @@ def _quasi_batch(
     coeffs = keep * coeffs
     coeffs[..., 0, 0] += p[:, None] / m
 
-    pi, closed = _lorentz_pi(coeffs, form_cfg)
+    pi, closed = _lorentz_pi(coeffs)
     q, grids = grids_from_pi(pi)
     failed = np.zeros(n, dtype=bool)
     if not closed.all():
@@ -228,7 +178,7 @@ def _quasi_batch(
             continue
         try:
             qdist = optimal_quasidistribution(
-                to_standard_form(HermitianOperator(mats[s, k], (2, 2)), form_cfg)
+                to_standard_form(HermitianOperator(mats[s, k], (2, 2)), max_iter)
             )
         except _SAMPLE_FAILURES:
             if strict:
@@ -269,11 +219,11 @@ def match_grid(reference: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, boo
 
 def _run_samples(payload):
     """Samples lo..hi-1 in blocks: q, aligned grids, permuted and failed flags."""
-    freqs, factors, lo, hi, seed, inflation, margin, form_cfg, ref_grids = payload
+    freqs, factors, lo, hi, seed, inflation, margin, max_iter, ref_grids = payload
     parts = []
     for start in range(lo, hi, _BLOCK):
         probs = _draw_probs(freqs, factors, range(start, min(start + _BLOCK, hi)), seed, inflation)
-        q, grids, failed = _quasi_batch(probs, freqs.basis_map, margin, form_cfg)
+        q, grids, failed = _quasi_batch(probs, freqs.basis_map, margin, max_iter)
         aligned, permuted = _match_grids(ref_grids, grids)
         parts.append((q, aligned, permuted, failed))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
@@ -429,8 +379,8 @@ def _aggregate(
 def propagate(
     data: CoincidenceCounts | RelativeFrequencies,
     cfg: McConfig = McConfig(),
-    form_cfg: FormConfig = FormConfig(),
     margin: float = 1e-5,
+    max_iter: int = 10000,
 ) -> UncertaintyReport:
     """Run the full sampling study and return per-element uncertainty statistics.
 
@@ -439,18 +389,19 @@ def propagate(
     averaging.  Samples whose pipeline fails are excluded, and more than 1%
     exclusions abort the run.  The sample axis is split into cfg.workers
     contiguous shares, run by a process pool of at most os.cpu_count()
-    workers.
+    workers.  `max_iter` caps the filter sweeps of the elements that go
+    through to_standard_form, and must be at least 1 even when none does.
     """
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
     freqs = relative_frequencies(data) if isinstance(data, CoincidenceCounts) else data
-    q_ref, grid_ref, _ = _quasi_batch(
-        freqs.probs[None], freqs.basis_map, margin, form_cfg, strict=True
-    )
+    q_ref, grid_ref, _ = _quasi_batch(freqs.probs[None], freqs.basis_map, margin, max_iter, strict=True)
     factors = _pair_factors(freqs)
 
     workers = cfg.workers or 1
     bounds = [cfg.sample_size * w // workers for w in range(workers + 1)]
     payloads = [
-        (freqs, factors, lo, hi, cfg.seed, cfg.inflation, margin, form_cfg, grid_ref[0])
+        (freqs, factors, lo, hi, cfg.seed, cfg.inflation, margin, max_iter, grid_ref[0])
         for lo, hi in zip(bounds, bounds[1:])
         if hi > lo
     ]

@@ -24,6 +24,8 @@ _SIGNS = np.array([sign for _, sign in QUASI_AXES], dtype=float)
 _AXIS_OF = np.array([0, 0, 1, 1, 2, 2])
 _SAME_AXIS = _AXIS_OF[:, None] == _AXIS_OF[None, :]
 _SIGN_PRODUCTS = np.outer(_SIGNS, _SIGNS)
+# the verdict is entangled exactly when q < -_VERDICT_TOL
+_VERDICT_TOL = 1e-9
 
 
 def _none_where(grid: np.ndarray, missing: np.ndarray) -> list:
@@ -67,15 +69,6 @@ class QuasiDistribution:
             "q": self.q,
             "trace": self.source_trace,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QuasiDistribution":
-        try:
-            if tuple(data["labels"]) != LABELS:
-                raise ValidationError(f"labels must equal {LABELS}")
-            return cls(np.asarray(data["grid"], dtype=float), float(data["q"]), float(data["trace"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed quasidistribution record: {exc}") from exc
 
 
 def grids_from_pi(pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,21 +129,17 @@ class NegativityReport:
         }
 
 
-def negativity_report(
-    qdist: QuasiDistribution, sigma: np.ndarray | None = None, tol: float = 1e-9
-) -> NegativityReport:
-    """Summarize negativities; verdict is entangled exactly when q < -tol.
+def negativity_report(qdist: QuasiDistribution, sigma: np.ndarray | None = None) -> NegativityReport:
+    """Summarize negativities; verdict is entangled exactly when q < -1e-9.
 
     `sigma`, when given, holds one standard deviation per cell and must be
     positive wherever the grid is negative; significance is the number of
     standard deviations a negative cell sits below zero.
     """
-    if tol < 0:
-        raise ValidationError(f"tolerance must be nonnegative, got {tol}")
     g = qdist.grid
     max_neg = float(min(0.0, g.min()))
     cumulative = float(g[g < 0].sum()) if np.any(g < 0) else 0.0
-    verdict = "entangled" if qdist.q < -tol else "separable"
+    verdict = "entangled" if qdist.q < -_VERDICT_TOL else "separable"
     significance = None
     if sigma is not None:
         s = np.asarray(sigma, dtype=float)

@@ -39,22 +39,24 @@ _ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 # accumulated filters this large mean the iteration is running away, not
 # converging; bail out before float overflow starts emitting warnings
 _FILTER_CAP = 1e60
+# local terms count as removed below this Bloch residual; the final Pauli
+# coefficients may sit this far from diagonal; the filter sweeps floor the
+# reduced operators' eigenvalues here, and _lorentz_pi leaves elements whose
+# smallest squared Lorentz singular value is this small to the sweeps
+_BLOCH_TOL = 1e-12
+_RESIDUAL_TOL = 1e-9
+_EIG_FLOOR = 1e-12
 
-
-@dataclass(frozen=True)
-class FormConfig:
-    """Tolerances and caps for the standard-form iteration."""
-
-    bloch_tol: float = 1e-12
-    residual_tol: float = 1e-9
-    max_iter: int = 10000
-    eig_floor: float = 1e-12
-
-    def __post_init__(self):
-        if self.bloch_tol <= 0 or self.residual_tol <= 0 or self.eig_floor <= 0:
-            raise ValidationError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValidationError("max_iter must be at least 1")
+# closed-form pi is left to to_standard_form where the squared Lorentz
+# singular values are not real to this share of the largest, where the top
+# two are this close, where the correlation block is already this diagonal,
+# or where the filters are this strong: |r|^2 over the sum of the squared
+# singular values is 1 for a standard form and grows with the filters, and
+# the closed form's error with it (below 1e-14 up to 10, 1e-8 past 100)
+_REAL_TOL = 1e-12
+_GAP_TOL = 1e-6
+_DIAGONAL_TOL = 1e-9
+_BOOST_TOL = 10.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,16 +95,6 @@ class LocalTransform:
             "rotation_b": enc(self.rotation_b),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LocalTransform":
-        def dec(d):
-            return np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-
-        try:
-            return cls(*(dec(data[k]) for k in ("filter_a", "filter_b", "rotation_a", "rotation_b")))
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed transform record: {exc}") from exc
-
 
 @dataclass(frozen=True, eq=False)
 class StandardForm:
@@ -128,18 +120,6 @@ class StandardForm:
         d.update(self.transform.to_dict())
         return d
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "StandardForm":
-        try:
-            return cls(
-                np.asarray(data["pi"], dtype=float),
-                LocalTransform.from_dict(data),
-                float(data["source_trace"]),
-                float(data["residual"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed standard form record: {exc}") from exc
-
 
 def _ptrace_b(m: np.ndarray) -> np.ndarray:
     return m.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
@@ -155,9 +135,9 @@ def _bloch_residual(rho: np.ndarray) -> float:
     return max(vals)
 
 
-def _inv_sqrt(h: np.ndarray, floor: float) -> np.ndarray:
+def _inv_sqrt(h: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(h)
-    w = np.maximum(w, floor)
+    w = np.maximum(w, _EIG_FLOOR)
     return (v * (w**-0.5)) @ v.conj().T
 
 
@@ -181,6 +161,44 @@ def _lorentz_filter(r: np.ndarray) -> np.ndarray:
         return np.einsum("m,mij->ij", y, PAULIS) / np.sqrt(2 * y[0])
 
 
+def _lorentz_pi(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form pi of stacked Pauli coefficient matrices r[..., 4, 4], and where it holds.
+
+    Local filters act on r as Lorentz transformations, so the eigenvalues of
+    r eta r^T eta, eta = diag(1, -1, -1, -1), are the squared Lorentz singular
+    values s0^2 >= s1^2 >= s2^2 >= s3^2, and det r = s0 s1 s2 s3 up to sign
+    (Verstraete, Dehaene, De Moor, PRA 64, 010101(R) (2001)).  The standard
+    form of an element with trace t is then
+    pi = (t/4) (1, s1/s0, s2/s0, sign(det r) s3/s0), with s3 taken from
+    det r rather than from its small eigenvalue.  The mask is False, and
+    pi zero, where to_standard_form must decide: non-finite entries or a
+    nonpositive trace, eigenvalues that are not real, s3^2 at or below
+    _EIG_FLOOR at unit trace, s0 ~ s1 (rank-deficient elements), strong
+    filters, which make the eigenproblem ill-conditioned, and a correlation
+    block that is already diagonal, where diagonalize_correlations keeps the
+    raw signs of the diagonal.
+    """
+    t = 4 * r[..., 0, 0]
+    ok = np.isfinite(r).all(axis=(-2, -1)) & (t > 0)
+    unit = np.where(ok[..., None, None], r, 0.0) / np.where(ok, t, 1.0)[..., None, None]
+    ev = np.linalg.eigvals(unit @ _ETA @ np.swapaxes(unit, -1, -2) @ _ETA)
+    sq = -np.sort(-ev.real, axis=-1)
+    block = unit[..., 1:, 1:]
+    off = np.abs(block - block * np.eye(3)).max(axis=(-2, -1))
+    ok &= np.abs(ev.imag).max(axis=-1) <= _REAL_TOL * sq[..., 0]
+    ok &= sq[..., 3] > _EIG_FLOOR
+    ok &= sq[..., 0] - sq[..., 1] > _GAP_TOL * sq[..., 0]
+    ok &= off >= _DIAGONAL_TOL
+    ok &= (unit**2).sum(axis=(-2, -1)) <= _BOOST_TOL * sq.sum(axis=-1)
+    s = np.sqrt(np.where(ok[..., None], sq[..., :3], 1.0))
+    # sign(det r) s3 = det r / (s0 s1 s2): the square root of the smallest
+    # eigenvalue would carry an absolute error of about eps / s3
+    s3 = np.linalg.det(unit) / s.prod(axis=-1)
+    ratios = np.concatenate([s[..., 1:], s3[..., None]], axis=-1) / s[..., :1]
+    pi = np.concatenate([np.ones_like(t)[..., None], ratios], axis=-1) * (t / 4)[..., None]
+    return np.where(ok[..., None], pi, 0.0), ok
+
+
 def _filtered(rho: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, float]:
     """Unit-trace k rho k^dagger and the trace it was divided by."""
     out = _hermitize(k @ rho @ k.conj().T)
@@ -191,21 +209,23 @@ def _filtered(rho: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def remove_local_terms(
-    op: HermitianOperator, cfg: FormConfig = FormConfig()
+    op: HermitianOperator, max_iter: int = 10000
 ) -> tuple[HermitianOperator, np.ndarray, np.ndarray]:
     """Local filters that make both single-arm Bloch vectors vanish.
 
     Unless the input is already free of local terms, the filters start from
     the closed-form Lorentz pair of `_lorentz_filter`, which removes the local
     terms of a full-rank operator outright.  Alternating sweeps
-    X = (reduced operator)^(-1/2), at most cfg.max_iter of them, then run
-    until the Bloch residual is below cfg.bloch_tol; rank-deficient inputs
+    X = (reduced operator)^(-1/2), at most max_iter of them, then run
+    until the Bloch residual is below _BLOCH_TOL; rank-deficient inputs
     need them.  Returns (filtered operator, filter_a, filter_b) with
     filtered = (filter_a (x) filter_b) op (...)^dagger and the filters scaled
     so the output trace equals the input trace.  Requires a positive operator;
     rank-deficient inputs whose local terms cannot be filtered away, such as
     product projectors, raise ConvergenceError with the residual reached.
     """
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
     if op.parties != (2, 2):
         raise ValidationError(f"standard form needs a two-qubit operator, got parties {op.parties}")
     t_in = op.trace()
@@ -215,7 +235,7 @@ def remove_local_terms(
     ma = _I2.copy()
     mb = _I2.copy()
     res = _bloch_residual(rho)
-    if res >= cfg.bloch_tol:
+    if res >= _BLOCH_TOL:
         r = pauli_expand(rho).coeffs
         seed_a, seed_b = _lorentz_filter(r), _lorentz_filter(r.T)
         if np.all(np.isfinite(seed_a)) and np.all(np.isfinite(seed_b)):
@@ -223,20 +243,20 @@ def remove_local_terms(
             ma = seed_a / t**0.25
             mb = seed_b / t**0.25
             res = _bloch_residual(rho)
-    converged = res < cfg.bloch_tol
-    for _ in range(cfg.max_iter):
+    converged = res < _BLOCH_TOL
+    for _ in range(max_iter):
         if converged:
             break
         # fold each renormalization into the filter so the accumulated
         # product stays O(1) instead of growing exponentially
-        xa = _inv_sqrt(_ptrace_b(rho), cfg.eig_floor)
+        xa = _inv_sqrt(_ptrace_b(rho))
         rho, t = _filtered(rho, np.kron(xa, _I2))
         ma = (xa / t**0.5) @ ma
-        xb = _inv_sqrt(_ptrace_a(rho), cfg.eig_floor)
+        xb = _inv_sqrt(_ptrace_a(rho))
         rho, t = _filtered(rho, np.kron(_I2, xb))
         mb = (xb / t**0.5) @ mb
         res = _bloch_residual(rho)
-        converged = res < cfg.bloch_tol
+        converged = res < _BLOCH_TOL
         if max(np.max(np.abs(ma)), np.max(np.abs(mb))) > _FILTER_CAP:
             raise ConvergenceError(
                 f"local filters diverged at Bloch residual {res:.3e}; "
@@ -246,7 +266,7 @@ def remove_local_terms(
     if not converged:
         raise ConvergenceError(
             f"local-term removal stalled at Bloch residual {res:.3e} "
-            f"after {cfg.max_iter} iterations",
+            f"after {max_iter} iterations",
             residual=res,
         )
     k = np.kron(ma, mb)
@@ -278,9 +298,7 @@ def su2_from_so3(r: np.ndarray) -> np.ndarray:
     return np.cos(ang / 2) * _I2 - 1j * np.sin(ang / 2) * n_dot_sigma
 
 
-def diagonalize_correlations(
-    op: HermitianOperator, cfg: FormConfig = FormConfig()
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def diagonalize_correlations(op: HermitianOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonal Pauli coefficients and the SU(2) pair that realizes them.
 
     Expects vanishing local terms.  The diagonal is ordered by decreasing
@@ -290,7 +308,7 @@ def diagonalize_correlations(
     """
     c = pauli_expand(op).coeffs
     local = max(float(np.max(np.abs(c[0, 1:]))), float(np.max(np.abs(c[1:, 0]))))
-    if local > cfg.residual_tol:
+    if local > _RESIDUAL_TOL:
         raise ValidationError(f"local Pauli terms not removed (largest {local:.3e})")
     block = c[1:, 1:]
     off = float(np.max(np.abs(block - np.diag(np.diag(block)))))
@@ -322,18 +340,21 @@ def diagonalize_correlations(
     return pi, su2_from_so3(ra), su2_from_so3(rb)
 
 
-def to_standard_form(op: HermitianOperator, cfg: FormConfig = FormConfig()) -> StandardForm:
-    """Filter, rotate, and report the diagonal form of a positive two-qubit operator."""
-    filtered, ma, mb = remove_local_terms(op, cfg)
-    pi, ua, ub = diagonalize_correlations(filtered, cfg)
+def to_standard_form(op: HermitianOperator, max_iter: int = 10000) -> StandardForm:
+    """Filter, rotate, and report the diagonal form of a positive two-qubit operator.
+
+    `max_iter` caps the filter sweeps of `remove_local_terms`.
+    """
+    filtered, ma, mb = remove_local_terms(op, max_iter)
+    pi, ua, ub = diagonalize_correlations(filtered)
     k = np.kron(ua, ub)
     rotated = _hermitize(k @ filtered.matrix @ k.conj().T)
     target = np.zeros((4, 4))
     target[np.arange(4), np.arange(4)] = pi
     residual = float(np.max(np.abs(pauli_expand(rotated).coeffs - target)))
-    if residual > cfg.residual_tol:
+    if residual > _RESIDUAL_TOL:
         raise ConvergenceError(
-            f"standard form residual {residual:.3e} exceeds {cfg.residual_tol:.1e}",
+            f"standard form residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}",
             residual=residual,
         )
     transform = LocalTransform(ma, mb, ua, ub)

@@ -257,19 +257,28 @@ class CoincidenceCounts:
         if not isinstance(body, dict) or not body:
             raise ValidationError("'counts' must be a non-empty object keyed by 'A,B' probe pairs")
         outcomes: list[str] = []
-        aidx = {l: i for i, l in enumerate(PROBE_LABELS)}
         entries = {}
+        written = {}  # (alice index, bob index) -> the key as written
         for key, cell in body.items():
             parts = [p.strip().upper() for p in str(key).split(",")]
-            if len(parts) != 2 or parts[0] not in PROBE_LABELS or parts[1] not in PROBE_LABELS:
+            if len(parts) != 2 or parts[0] not in _PROBE_INDEX or parts[1] not in _PROBE_INDEX:
                 raise ValidationError(f"bad probe pair key {key!r}, expected e.g. 'H,V'")
             if not isinstance(cell, dict):
                 raise ValidationError(f"key {key!r}: expected an object of outcome counts")
-            cell = {str(k).upper(): v for k, v in cell.items()}
-            for out in cell:
+            pair = (_PROBE_INDEX[parts[0]], _PROBE_INDEX[parts[1]])
+            if pair in written:
+                raise ValidationError(f"probe pair keys {written[pair]!r} and {key!r} name the same pair")
+            written[pair] = key
+            folded = {}
+            for label, n in cell.items():
+                out = str(label).upper()
+                if out in folded:
+                    first = next(l for l in cell if str(l).upper() == out)
+                    raise ValidationError(f"key {key!r}: outcome labels {first!r} and {label!r} name the same outcome")
+                folded[out] = n
                 if out not in outcomes:
                     outcomes.append(out)
-            entries[(aidx[parts[0]], aidx[parts[1]])] = cell
+            entries[pair] = folded
         counts = np.zeros((len(outcomes), 6, 6), dtype=np.int64)
         for ia in range(6):
             for ib in range(6):
@@ -287,6 +296,8 @@ class CoincidenceCounts:
                     if isinstance(n, bool) or not isinstance(n, int):
                         raise ValidationError(f"{where}: count {n!r} is not an integer")
                     _check_range(n, where)
+                    if n < 0:
+                        raise ValidationError(f"{where}: count {n} is negative; counts must be nonnegative")
                     counts[k, ia, ib] = n
         return cls(tuple(outcomes), counts, basis_map)
 
@@ -361,48 +372,42 @@ def invert_frequencies(probs: np.ndarray, basis_map: BasisMap) -> tuple[np.ndarr
     return coeffs, pauli_matrices(coeffs)
 
 
-def repair_strength(
-    low: np.ndarray, margin: float, detect_tol: float = INDEFINITE_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def repair_strength(low: np.ndarray, margin: float) -> tuple[np.ndarray, np.ndarray]:
     """Mixing probability p and lam of the repair from smallest eigenvalues low[..., m].
 
     lam is the worst negative eigenvalue magnitude plus the margin, or 0
-    where nothing is indefinite beyond detect_tol; p = lam / (lam + 1/m)
+    where nothing is indefinite beyond INDEFINITE_TOL; p = lam / (lam + 1/m)
     leaves the completeness sum untouched.  The margin must be finite and
     nonnegative.
     """
     if not (math.isfinite(margin) and margin >= 0):
         raise ValidationError(f"margin must be finite and nonnegative, got {margin}")
     worst = -low.min(axis=-1)
-    lam = np.where(worst > detect_tol, worst + margin, 0.0)
+    lam = np.where(worst > INDEFINITE_TOL, worst + margin, 0.0)
     return lam / (lam + 1.0 / low.shape[-1]), lam
 
 
-def reconstruct_correlations(
-    freqs: RelativeFrequencies, basis_map: BasisMap | None = None
-) -> list[PauliCorrelationMatrix]:
+def reconstruct_correlations(freqs: RelativeFrequencies) -> list[PauliCorrelationMatrix]:
     """One Pauli coefficient matrix per outcome, C_k = S_A P_k S_B^T / 4."""
-    coeffs, _ = invert_frequencies(freqs.probs, basis_map or freqs.basis_map)
+    coeffs, _ = invert_frequencies(freqs.probs, freqs.basis_map)
     return [PauliCorrelationMatrix(c) for c in coeffs]
 
 
-def reconstruct_povm(freqs: RelativeFrequencies, basis_map: BasisMap | None = None) -> PovmSet:
+def reconstruct_povm(freqs: RelativeFrequencies) -> PovmSet:
     """Linear-inversion POVM; completeness is exact by construction."""
-    _, mats = invert_frequencies(freqs.probs, basis_map or freqs.basis_map)
+    _, mats = invert_frequencies(freqs.probs, freqs.basis_map)
     return PovmSet(freqs.outcomes, tuple(HermitianOperator(m, (2, 2)) for m in mats))
 
 
-def physicality_correct(
-    povm: PovmSet, margin: float = 1e-5, detect_tol: float = INDEFINITE_TOL
-) -> tuple[PovmSet, float, float]:
+def physicality_correct(povm: PovmSet, margin: float = 1e-5) -> tuple[PovmSet, float, float]:
     """Mix every element toward identity/m until the worst eigenvalue clears zero.
 
     Returns (corrected set, mixing probability p, lam) with p and lam from
     `repair_strength`; the set comes back unchanged when nothing is
-    indefinite beyond detect_tol.
+    indefinite beyond INDEFINITE_TOL.
     """
     mats = np.stack([el.matrix for el in povm.elements])
-    p, lam = repair_strength(np.linalg.eigvalsh(mats)[:, 0], margin, detect_tol)
+    p, lam = repair_strength(np.linalg.eigvalsh(mats)[:, 0], margin)
     if lam == 0:
         return povm, 0.0, 0.0
     mats = (1 - p) * mats + p * (np.eye(povm.elements[0].dim) / len(povm))

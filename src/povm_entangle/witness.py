@@ -38,6 +38,8 @@ from .streams import keyed_rng
 # itself, whatever the restart count, while small operators still advance
 # thousands of restarts per matrix product.
 _FRAME_FLOOR = 1 << 16
+# a restart has converged once a sweep moves its value by less than this
+_SOLVER_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +236,6 @@ def _half_step(
 def separability_eigenvalue_numeric(
     op: HermitianOperator,
     restarts: int = 64,
-    tol: float = 1e-10,
     max_sweeps: int = 10000,
     seed: int = 0,
     track_history: bool = False,
@@ -257,15 +258,13 @@ def separability_eigenvalue_numeric(
     real one on the states' real and imaginary parts, which halves its
     arithmetic; a complex-stored operator keeps the complex product, even
     when its imaginary part is zero.  A restart leaves the
-    active set after the first sweep that moves its value by less than `tol`,
-    or after `max_sweeps`; the best restart is the first to reach the
+    active set after the first sweep that moves its value by less than
+    _SOLVER_TOL, or after `max_sweeps`; the best restart is the first to reach the
     largest value.  The result is a certified lower bound on the
     separability eigenvalue.
     """
     if restarts < 1:
         raise ValidationError(f"need at least 1 restart, got {restarts}")
-    if tol <= 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
     if max_sweeps < 1:
         raise ValidationError(f"need at least 1 sweep, got {max_sweeps}")
     dims = op.parties
@@ -294,7 +293,7 @@ def separability_eigenvalue_numeric(
         if track_history:
             for r in active:
                 history[r].append(float(val[r]))
-        done = np.abs(val[active] - prev[active]) < tol
+        done = np.abs(val[active] - prev[active]) < _SOLVER_TOL
         converged[active[done]] = True
         prev[active] = val[active]
         active = active[~done]
@@ -313,17 +312,15 @@ def witness_evaluate(
     element: HermitianOperator,
     probe: ProbeState,
     numeric: bool = False,
-    tol: float = 0.0,
     restarts: int = 64,
-    solver_tol: float = 1e-10,
     seed: int = 0,
 ) -> WitnessResult:
     """Compare tr(element probe) / tr(element) against the probe's g_max.
 
     The analytic bound decides the verdict unless `numeric` asks for the
     solver's certified lower bound instead; a probe without an analytic bound
-    requires `numeric`.  Verdicts are 'entangled' when the margin exceeds
-    `tol`, else 'inconclusive'.
+    requires `numeric`.  Verdicts are 'entangled' when the margin is
+    positive, else 'inconclusive'.
     """
     if element.parties != probe.operator.parties:
         raise ValidationError(
@@ -334,9 +331,7 @@ def witness_evaluate(
         raise ValidationError(f"element trace must be positive, got {t}")
     lhs = float(np.real(np.trace(element.matrix @ probe.operator.matrix))) / t
     if numeric:
-        res = separability_eigenvalue_numeric(
-            probe.operator, restarts=restarts, tol=solver_tol, seed=seed
-        )
+        res = separability_eigenvalue_numeric(probe.operator, restarts=restarts, seed=seed)
         # best value found is still a valid lower bound; just flag it
         bound = res.gmax
         source = "numeric-lower-bound" if res.converged else "numeric-lower-bound-unconverged"
@@ -346,5 +341,5 @@ def witness_evaluate(
         bound = probe.gmax
         source = "analytic"
     margin = lhs - bound
-    verdict = "entangled" if margin > tol else "inconclusive"
+    verdict = "entangled" if margin > 0 else "inconclusive"
     return WitnessResult(lhs, bound, margin, verdict, source)

@@ -375,6 +375,22 @@ class TestExitCodes:
         assert rc == 2
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("command", ["quasidist", "errors"])
+    def test_max_iter_below_one_is_two(self, tmp_path, capsys, bell_csv, command):
+        # refused before any output, even where no element needs a sweep
+        if command == "quasidist":
+            povm = tmp_path / "povm.json"
+            assert main(["reconstruct", "--counts", str(bell_csv), "-o", str(povm)]) == 0
+            argv = ["quasidist", "--povm", str(povm)]
+        else:
+            argv = ["errors", "--counts", str(bell_csv), "--samples", "10"]
+        out_dir = tmp_path / "out"
+        rc, out, err = run([*argv, "--max-iter", "0", "-o", str(out_dir)], capsys)
+        self.assert_invalid_input(rc, err)
+        assert "max_iter" in err
+        assert out == ""
+        assert not out_dir.exists()
+
     def test_overlapping_groups_is_two(self, tmp_path, capsys, bell_csv):
         rc, _, err = run(
             ["combine", "--counts", str(bell_csv), "--groups", "AA+AD,AD+DA"], capsys
@@ -415,6 +431,12 @@ def json_with(value) -> dict:
     return body
 
 
+def json_with_key(key: str, cell: dict) -> dict:
+    body = VALID.to_json_dict()
+    body["counts"][key] = cell
+    return body
+
+
 MALFORMED_CSV = {
     "empty": [],
     "bad-header": ["probe_a,probe_b,result,count", *CSV_LINES[1:]],
@@ -447,7 +469,12 @@ MALFORMED_JSON = {
     "unknown-probe": {"counts": {**VALID.to_json_dict()["counts"], "Q,H": {"AA": 25}}},
     "negative": json_with(-1),
     **{name: json_with(value) for name, value in BAD_JSON_COUNTS.items()},
+    # keys that differ only in case name the same pair or outcome
+    "duplicate-pair": json_with_key("h,v", VALID.to_json_dict()["counts"]["H,V"]),
+    "duplicate-outcome": json_with_key("H,V", {**VALID.to_json_dict()["counts"]["H,V"], "aa": 7}),
 }
+# the keys each duplicate case's message names
+DUPLICATE_KEYS = {"duplicate-pair": ("'H,V'", "'h,v'"), "duplicate-outcome": ("'AA'", "'aa'")}
 
 COUNTS_COMMANDS = [["reconstruct"], ["errors", "--samples", "20"]]
 
@@ -490,8 +517,10 @@ class TestMalformedCounts:
         path = tmp_path / "counts.json"
         path.write_text(json.dumps(MALFORMED_JSON[case]))
         err = exits_two([command[0], "--counts", str(path), *command[1:]], capsys)
-        if case in BAD_JSON_COUNTS:
+        if case in BAD_JSON_COUNTS or case == "negative":
             assert "key H,V: count" in err
+        for key in DUPLICATE_KEYS.get(case, ()):
+            assert key in err
 
     # int() takes these, but they are not ASCII decimal integers
     @pytest.mark.parametrize("count", ["2_5", "\u0662\u0665", "\uff12\uff15", "25\u00a0"])

@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import povm_entangle.montecarlo as mc
+import povm_entangle.standard_form as sf
 from povm_entangle import (
     ConvergenceError,
     DetectorModel,
-    FormConfig,
     HermitianOperator,
     McConfig,
     PovmSet,
@@ -294,8 +294,8 @@ def _no_closed_form(monkeypatch, elements=slice(None)):
     """Send the given elements of every sample through to_standard_form."""
     lorentz_pi = mc._lorentz_pi
 
-    def patched(r, cfg):
-        pi, closed = lorentz_pi(r, cfg)
+    def patched(r):
+        pi, closed = lorentz_pi(r)
         closed[..., elements] = False
         return pi, closed
 
@@ -307,14 +307,14 @@ def _failing_after(monkeypatch, good_calls, bad_calls=None):
     ref = mc.to_standard_form
     calls = {"n": 0}
 
-    def flaky(op, cfg):
+    def flaky(op, max_iter):
         calls["n"] += 1
         bad = calls["n"] > good_calls
         if bad_calls is not None:
             bad &= calls["n"] <= good_calls + bad_calls
         if bad:
             raise ConvergenceError("boom")
-        return ref(op, cfg)
+        return ref(op, max_iter)
 
     monkeypatch.setattr(mc, "to_standard_form", flaky)
 
@@ -342,7 +342,7 @@ def test_failed_element_excludes_its_sample(bell_counts, monkeypatch):
 def _sample_q(counts, seed, sample):
     freqs = relative_frequencies(counts)
     probs = mc._draw_probs(freqs, mc._pair_factors(freqs), [sample], seed, 1.05)
-    q, _, _ = mc._quasi_batch(probs, freqs.basis_map, 1e-5, FormConfig())
+    q, _, _ = mc._quasi_batch(probs, freqs.basis_map, 1e-5, 10000)
     return dict(zip(freqs.outcomes, q[0]))
 
 
@@ -363,7 +363,7 @@ def test_product_projector_reference_raises_convergence_error():
     povm = PovmSet(("bad", "good"), (HermitianOperator(p00), HermitianOperator(np.eye(4) - p00)))
     freqs = expected_frequencies(DetectorModel(povm=povm))
     with pytest.raises(ConvergenceError, match="filtered trace"):
-        propagate(freqs, McConfig(sample_size=10), FormConfig(max_iter=300))
+        propagate(freqs, McConfig(sample_size=10), max_iter=300)
 
 
 @pytest.mark.parametrize("margin", [float("nan"), float("inf"), -1e-3])
@@ -441,7 +441,7 @@ def _local_filter(rng, strength):
 
 def _batched_pi(elements):
     r = np.stack([pauli_expand(el).coeffs for el in elements])
-    return mc._lorentz_pi(r, FormConfig())
+    return sf._lorentz_pi(r)
 
 
 def _pipeline_pi(elements):
@@ -507,7 +507,7 @@ def test_diagonal_singlet_element_takes_the_standard_form_path():
     povm = reconstruct_povm(freqs)
     _, closed = _batched_pi(povm.elements)
     assert not closed.any()
-    q, grids, failed = mc._quasi_batch(freqs.probs[None], freqs.basis_map, 1e-5, FormConfig(), strict=True)
+    q, grids, failed = mc._quasi_batch(freqs.probs[None], freqs.basis_map, 1e-5, 10000, strict=True)
     assert not failed.any()
     for k, el in enumerate(povm.elements):
         qdist = optimal_quasidistribution(to_standard_form(el))

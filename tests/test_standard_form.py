@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from povm_entangle import (
     ConvergenceError,
-    FormConfig,
     HermitianOperator,
     LocalTransform,
     StandardForm,
@@ -132,13 +131,13 @@ def test_rank_deficient_raises_with_residual():
     proj[0, 0] = 1.0
     el = HermitianOperator(proj, (2, 2))
     with pytest.raises(ConvergenceError) as err:
-        to_standard_form(el, FormConfig(max_iter=50))
+        to_standard_form(el, max_iter=50)
     assert err.value.residual > 0
 
 
 def test_near_pure_full_rank_element():
     # full rank, but so close to a filtered pure state that alternating
-    # filters alone stall above bloch_tol
+    # filters alone stall above the Bloch tolerance
     el = HermitianOperator(0.99996 * filtered_phi_plus_projector() + 1e-5 * np.eye(4), (2, 2))
     form = to_standard_form(el)
     assert form.residual < 1e-9
@@ -150,7 +149,7 @@ def test_resampled_bell_elements_need_no_sweeps():
     povm, _, _ = physicality_correct(reconstruct_povm(relative_frequencies(counts)))
     # one sweep at most: the closed-form filters must do the work on their own
     for el in povm.elements:
-        form = to_standard_form(el, FormConfig(max_iter=1))
+        form = to_standard_form(el, max_iter=1)
         assert_maps_onto_standard(el, form)
 
 
@@ -171,11 +170,9 @@ def test_rank_deficient_elements_still_converge(ideal_bell):
     assert_maps_onto_standard(el, form)
 
 
-def test_form_config_validation():
-    with pytest.raises(ValidationError):
-        FormConfig(bloch_tol=0.0)
-    with pytest.raises(ValidationError):
-        FormConfig(max_iter=0)
+def test_standard_form_validation(ideal_bell):
+    with pytest.raises(ValidationError, match="max_iter"):
+        to_standard_form(ideal_bell.element("0"), max_iter=0)
     with pytest.raises(ValidationError):
         to_standard_form(HermitianOperator(np.zeros((4, 4)), (2, 2)))
 
@@ -276,17 +273,6 @@ def test_transform_validation():
         LocalTransform(eye, eye, 2 * eye, eye)
     with pytest.raises(ValidationError):
         StandardForm(np.array([-0.1, 0, 0, 0]), LocalTransform(eye, eye, eye, eye), 1.0, 0.0)
-
-
-def test_form_serialization_round_trip(rng):
-    form = to_standard_form(random_pd_element(rng))
-    d = form.to_dict()
-    assert set(d) >= {"pi", "filter_a", "filter_b", "rotation_a", "rotation_b", "residual"}
-    back = StandardForm.from_dict(d)
-    assert np.max(np.abs(back.pi - form.pi)) < 1e-15
-    assert np.max(np.abs(back.transform.filter_a - form.transform.filter_a)) < 1e-15
-    with pytest.raises(ValidationError):
-        StandardForm.from_dict({"pi": [1, 0, 0, 0]})
 
 
 def test_back_transform_identity(ideal_bell):

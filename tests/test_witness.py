@@ -237,8 +237,6 @@ def test_solver_determinism_and_flags():
     assert not short.converged
     with pytest.raises(ValidationError):
         separability_eigenvalue_numeric(op, restarts=0)
-    with pytest.raises(ValidationError):
-        separability_eigenvalue_numeric(op, tol=0.0)
     with pytest.raises(ValidationError, match="sweep"):
         separability_eigenvalue_numeric(op, max_sweeps=0)
 
