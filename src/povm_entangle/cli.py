@@ -200,8 +200,15 @@ def _read_povm(path: str) -> PovmSet:
     return PovmSet.from_dict(d)
 
 
-def _safe(label: str) -> str:
-    return label.replace("/", "_").replace("\\", "_")
+def _file_stems(labels) -> dict[str, str]:
+    """Each element label's part of its output file names; labels that would
+    share one are refused before any file is written."""
+    owner: dict[str, str] = {}
+    for label in labels:
+        stem = label.replace("/", "_").replace("\\", "_")
+        if owner.setdefault(stem, label) != label:
+            raise ValidationError(f"labels {owner[stem]!r} and {label!r} would share the file name {stem!r}")
+    return {label: stem for stem, label in owner.items()}
 
 
 @click.group()
@@ -301,6 +308,7 @@ def quasidist(povm_path, out_dir, max_iter):
     povm = _read_povm(povm_path)
     if max_iter < 1:
         raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
+    stems = _file_stems(povm.labels)
     outp = Path(out_dir)
     outp.mkdir(parents=True, exist_ok=True)
     manifest = _manifest("quasidist", povm=povm_path, max_iter=max_iter)
@@ -317,7 +325,7 @@ def quasidist(povm_path, out_dir, max_iter):
         tilde = back_transform(form, qdist)
         bloch_a = [bloch_vector(s) for s in tilde.states_a]
         bloch_b = [bloch_vector(s) for s in tilde.states_b]
-        fname = f"element_{_safe(label)}.json"
+        fname = f"element_{stems[label]}.json"
         payload = {
             "manifest": manifest,
             "label": label,
@@ -344,7 +352,7 @@ def quasidist(povm_path, out_dir, max_iter):
             q=qdist.q,
             footer_lines=footer,
         )
-        Path(outp / f"element_{_safe(label)}.svg").write_text(svg)
+        Path(outp / f"element_{stems[label]}.svg").write_text(svg)
         summary["elements"][label] = {
             "q": qdist.q,
             "max_negativity": report.max_negativity,
@@ -376,6 +384,7 @@ def errors(counts_path, basis_map_path, samples, inflation, seed, workers, margi
 
     basis_map = _read_basis_map(basis_map_path)
     data = _read_counts(counts_path, basis_map)
+    stems = _file_stems(data.outcomes) if out_dir is not None else None
     used_seed = _resolve_seed(seed)
     cfg = McConfig(sample_size=samples, inflation=inflation, seed=used_seed, workers=workers)
     report = propagate(data, cfg, margin=margin, max_iter=max_iter)
@@ -402,7 +411,7 @@ def errors(counts_path, basis_map_path, samples, inflation, seed, workers, margi
         "elements": {},
     }
     for e in report.elements:
-        fname = f"errors_{_safe(e.label)}.json"
+        fname = f"errors_{stems[e.label]}.json"
         Path(outp / fname).write_text(_canonical({"manifest": manifest, **e.to_dict()}))
         svg = quasidist_svg(
             e.grid_reference,
@@ -410,7 +419,7 @@ def errors(counts_path, basis_map_path, samples, inflation, seed, workers, margi
             q=e.q_reference,
             sigma=e.grid_std,
         )
-        Path(outp / f"errors_{_safe(e.label)}.svg").write_text(svg)
+        Path(outp / f"errors_{stems[e.label]}.svg").write_text(svg)
         summary["elements"][e.label] = {
             "q_mean": e.q_mean,
             "q_std": e.q_std,

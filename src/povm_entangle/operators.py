@@ -28,7 +28,6 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = np.stack([SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z])
-PAULI_AXES = ("0", "x", "y", "z")
 
 # Column order of the single-qubit outcome grid used throughout: one pair of
 # projectors per Pauli axis, plus sign before minus sign.

@@ -7,7 +7,10 @@ and so on).  Relative frequencies feed 4x6 sampling matrices that invert the
 Born rule exactly, and an optional white-noise admixture repairs indefinite
 reconstructions without breaking completeness.  Both steps exist once, stacked
 over any leading axes: `invert_frequencies` and `repair_strength` serve the
-per-dataset functions here and every Monte Carlo sample block alike.
+per-dataset functions here and every Monte Carlo sample block alike.  The
+CSV and JSON count readers share one core: both index each entry by
+(outcome, probe pair), so one label rule, one count check, one duplicate
+check and one gap check serve the two formats.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .operators import (
 )
 
 PROBE_LABELS = ("H", "V", "D", "A", "R", "L")
-DEFAULT_OUTCOMES = ("AA", "AD", "DA", "DD")
 
 _AXES = ("x", "y", "z")
 _AXIS_ROW = {"x": 1, "y": 2, "z": 3}
@@ -43,19 +45,14 @@ INDEFINITE_TOL = 1e-12
 # largest count the int64 count arrays hold
 COUNT_MAX = int(np.iinfo(np.int64).max)
 
-_DEFAULT_ALICE = {"H": ("z", 1), "V": ("z", -1), "D": ("x", 1), "A": ("x", -1), "L": ("y", 1), "R": ("y", -1)}
-_DEFAULT_BOB = {"D": ("z", 1), "A": ("z", -1), "H": ("x", 1), "V": ("x", -1), "R": ("y", 1), "L": ("y", -1)}
+_DEFAULT_ALICE = {"H": "z+", "V": "z-", "D": "x+", "A": "x-", "L": "y+", "R": "y-"}
+_DEFAULT_BOB = {"D": "z+", "A": "z-", "H": "x+", "V": "x-", "R": "y+", "L": "y-"}
 
 
 def _parse_assignment(value) -> tuple[str, int]:
-    if isinstance(value, str):
-        if len(value) == 2 and value[0] in _AXES and value[1] in "+-":
-            return value[0], 1 if value[1] == "+" else -1
-        raise ValidationError(f"bad axis assignment {value!r}, expected e.g. 'z+'")
-    axis, sign = value
-    if axis not in _AXES or int(sign) not in (1, -1):
-        raise ValidationError(f"bad axis assignment {value!r}")
-    return axis, int(sign)
+    if isinstance(value, str) and len(value) == 2 and value[0] in _AXES and value[1] in "+-":
+        return value[0], 1 if value[1] == "+" else -1
+    raise ValidationError(f"bad axis assignment {value!r}, expected e.g. 'z+'")
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,7 @@ class BasisMap:
 
     @classmethod
     def default(cls) -> "BasisMap":
-        return cls(dict(_DEFAULT_ALICE), dict(_DEFAULT_BOB))
+        return cls(_DEFAULT_ALICE, _DEFAULT_BOB)
 
     def assignment(self, side: str, label: str) -> tuple[str, int]:
         mapping = {"alice": self.alice, "bob": self.bob}.get(side)
@@ -90,23 +87,18 @@ class BasisMap:
         return pauli_eigenstate(axis, sign)
 
     def to_dict(self) -> dict:
-        fmt = lambda a: {l: f"{axis}{'+' if s > 0 else '-'}" for l, (axis, s) in a.items()}
         return {
-            "alice": {l: fmt(self.alice)[l] for l in PROBE_LABELS},
-            "bob": {l: fmt(self.bob)[l] for l in PROBE_LABELS},
+            side: {label: f"{axis}{'+' if sign > 0 else '-'}" for label, (axis, sign) in mapping.items()}
+            for side, mapping in (("alice", self.alice), ("bob", self.bob))
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "BasisMap":
         try:
-            return cls(dict(data["alice"]), dict(data["bob"]))
-        except (KeyError, TypeError) as exc:
+            alice, bob = dict(data["alice"]), dict(data["bob"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed basis map: {exc}") from exc
-
-
-def _check_range(n: int, where: str):
-    if abs(n) > COUNT_MAX:
-        raise ValidationError(f"{where}: count {n} does not fit in 64 bits")
+        return cls(alice, bob)
 
 
 _PROBE_INDEX = {label: i for i, label in enumerate(PROBE_LABELS)}
@@ -125,20 +117,27 @@ def _parse_count(text: str) -> int | None:
         return None
 
 
-def _raise_row_error(row: list[str], lineno: int):
-    """Raise the first check a non-blank CSV data row fails."""
-    where = f"line {lineno}"
-    if len(row) != 4:
-        raise ValidationError(f"{where}: expected 4 fields, got {len(row)}")
-    for field in row[:2]:
-        if field.strip().upper() not in _PROBE_INDEX:
-            raise ValidationError(f"{where}: unknown probe label {field!r}")
-    n = _parse_count(row[3])
-    if n is None:
-        raise ValidationError(f"{where}: count {row[3]!r} is not an integer")
-    _check_range(n, where)
-    # the one check left: the reader's fast path takes only 0 <= n
-    raise ValidationError(f"{where}: count {n} is negative; counts must be nonnegative")
+def _count_error(value, where: str) -> ValidationError | None:
+    """Why value is not a count, an int from 0 to COUNT_MAX; None if it is one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        return ValidationError(f"{where}: count {value!r} is not an integer")
+    if abs(value) > COUNT_MAX:
+        return ValidationError(f"{where}: count {value} does not fit in 64 bits")
+    if value < 0:
+        return ValidationError(f"{where}: count {value} is negative; counts must be nonnegative")
+    return None
+
+
+def _outcome_labels(labels) -> tuple[str, ...]:
+    outcomes = tuple(str(s) for s in labels)
+    if not outcomes or len(set(outcomes)) != len(outcomes) or not all(s.strip() for s in outcomes):
+        raise ValidationError(f"outcome labels must be non-empty and unique, got {outcomes}")
+    return outcomes
+
+
+def _duplicate_error(ia: int, ib: int, out: str, where: str, first: str) -> ValidationError:
+    dup = (PROBE_LABELS[ia], PROBE_LABELS[ib], out)
+    return ValidationError(f"{where}: duplicate entry for {dup}, first seen on {first}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +149,7 @@ class CoincidenceCounts:
     basis_map: BasisMap
 
     def __post_init__(self):
-        outcomes = tuple(str(s) for s in self.outcomes)
-        if not outcomes or len(set(outcomes)) != len(outcomes):
-            raise ValidationError(f"outcome labels must be non-empty and unique, got {outcomes}")
+        outcomes = _outcome_labels(self.outcomes)
         c = np.asarray(self.counts)
         if c.shape != (len(outcomes), 6, 6):
             raise ValidationError(f"counts shape must be ({len(outcomes)}, 6, 6), got {c.shape}")
@@ -210,26 +207,35 @@ class CoincidenceCounts:
         seen: dict[int, int] = {}  # flat index of (outcome, probe a, probe b) -> line
         values: list[int] = []  # counts, in the order of seen
         for lineno, row in enumerate(rows[1:], start=2):
-            ia = ib = n = None
+            ia = ib = None
             if len(row) == 4:
                 ia = _PROBE_INDEX.get(row[0].strip().upper())
                 ib = _PROBE_INDEX.get(row[1].strip().upper())
-                n = _parse_count(row[3])
-            if ia is None or ib is None or n is None or not 0 <= n <= COUNT_MAX:
+            if ia is None or ib is None:
                 if all(not f.strip() for f in row):
                     continue
-                _raise_row_error(row, lineno)
+                if len(row) != 4:
+                    raise ValidationError(f"line {lineno}: expected 4 fields, got {len(row)}")
+                label = row[0] if ia is None else row[1]
+                raise ValidationError(f"line {lineno}: unknown probe label {label!r}")
+            n = _parse_count(row[3])
+            if n is None or not 0 <= n <= COUNT_MAX:
+                raise _count_error(row[3] if n is None else n, f"line {lineno}")
             out = row[2].strip().upper()
             k = kidx.setdefault(out, len(kidx))
             key = 36 * k + 6 * ia + ib
-            if key in seen:
-                dup = (PROBE_LABELS[ia], PROBE_LABELS[ib], out)
-                raise ValidationError(f"line {lineno}: duplicate entry for {dup}, first seen on line {seen[key]}")
-            seen[key] = lineno
+            if seen.setdefault(key, lineno) != lineno:
+                raise _duplicate_error(ia, ib, out, f"line {lineno}", f"line {seen[key]}")
             values.append(n)
         if not values:
             raise ValidationError("counts file has a header but no data rows")
-        outcomes = tuple(kidx)
+        return cls._assemble(kidx, seen, values, basis_map)
+
+    @classmethod
+    def _assemble(cls, kidx: dict, seen: dict, values: list, basis_map: BasisMap | None) -> "CoincidenceCounts":
+        """Counts from values read at the flat indices 36 k + 6 a + b of seen,
+        k from kidx; the first (probe pair, outcome) no entry gave is reported."""
+        outcomes = _outcome_labels(kidx)
         counts = np.full(36 * len(outcomes), -1, dtype=np.int64)
         counts[np.fromiter(seen, np.intp, len(seen))] = values
         counts = counts.reshape(-1, 6, 6)
@@ -250,56 +256,35 @@ class CoincidenceCounts:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoincidenceCounts":
+        """Counts from the JSON form, checked as CSV rows are: one entry per
+        (probe pair, outcome), each a JSON integer from 0 to 2^63 - 1."""
         if "counts" not in data:
             raise ValidationError("counts JSON must contain a 'counts' object")
-        basis_map = BasisMap.from_dict(data["basis_map"]) if data.get("basis_map") else BasisMap.default()
+        basis_map = None if data.get("basis_map") is None else BasisMap.from_dict(data["basis_map"])
         body = data["counts"]
         if not isinstance(body, dict) or not body:
             raise ValidationError("'counts' must be a non-empty object keyed by 'A,B' probe pairs")
-        outcomes: list[str] = []
-        entries = {}
-        written = {}  # (alice index, bob index) -> the key as written
+        kidx: dict[str, int] = {}
+        seen: dict[int, tuple] = {}  # flat index -> (pair key, outcome label) as written
+        values: list[int] = []
         for key, cell in body.items():
             parts = [p.strip().upper() for p in str(key).split(",")]
             if len(parts) != 2 or parts[0] not in _PROBE_INDEX or parts[1] not in _PROBE_INDEX:
                 raise ValidationError(f"bad probe pair key {key!r}, expected e.g. 'H,V'")
             if not isinstance(cell, dict):
                 raise ValidationError(f"key {key!r}: expected an object of outcome counts")
-            pair = (_PROBE_INDEX[parts[0]], _PROBE_INDEX[parts[1]])
-            if pair in written:
-                raise ValidationError(f"probe pair keys {written[pair]!r} and {key!r} name the same pair")
-            written[pair] = key
-            folded = {}
+            ia, ib = _PROBE_INDEX[parts[0]], _PROBE_INDEX[parts[1]]
+            where = f"key {parts[0]},{parts[1]}"
             for label, n in cell.items():
-                out = str(label).upper()
-                if out in folded:
-                    first = next(l for l in cell if str(l).upper() == out)
-                    raise ValidationError(f"key {key!r}: outcome labels {first!r} and {label!r} name the same outcome")
-                folded[out] = n
-                if out not in outcomes:
-                    outcomes.append(out)
-            entries[pair] = folded
-        counts = np.zeros((len(outcomes), 6, 6), dtype=np.int64)
-        for ia in range(6):
-            for ib in range(6):
-                cell = entries.get((ia, ib))
-                if cell is None:
-                    raise ValidationError(
-                        f"missing probe pair ({PROBE_LABELS[ia]},{PROBE_LABELS[ib]}) in counts JSON"
-                    )
-                where = f"key {PROBE_LABELS[ia]},{PROBE_LABELS[ib]}"
-                if set(cell) != set(outcomes):
-                    raise ValidationError(f"{where}: outcome labels differ from {outcomes}")
-                for k, out in enumerate(outcomes):
-                    n = cell[out]
-                    # JSON integers only: 2.5, true and "23" are not counts
-                    if isinstance(n, bool) or not isinstance(n, int):
-                        raise ValidationError(f"{where}: count {n!r} is not an integer")
-                    _check_range(n, where)
-                    if n < 0:
-                        raise ValidationError(f"{where}: count {n} is negative; counts must be nonnegative")
-                    counts[k, ia, ib] = n
-        return cls(tuple(outcomes), counts, basis_map)
+                if (error := _count_error(n, where)) is not None:
+                    raise error
+                out = str(label).strip().upper()
+                flat = 36 * kidx.setdefault(out, len(kidx)) + 6 * ia + ib
+                if seen.setdefault(flat, (key, label)) != (key, label):
+                    first = "key {!r} outcome {!r}".format(*seen[flat])
+                    raise _duplicate_error(ia, ib, out, f"key {key!r} outcome {label!r}", first)
+                values.append(n)
+        return cls._assemble(kidx, seen, values, basis_map)
 
 
 @dataclass(frozen=True, eq=False)

@@ -344,6 +344,36 @@ class TestExitCodes:
         assert rc == 0
         assert mapped != plain
 
+    @pytest.mark.parametrize("assignment", [["z", "x"], ["z", 1, 2], ["z", 1.5], ["z", True]])
+    def test_basis_map_assignment_must_be_a_string(self, tmp_path, capsys, bell_csv, assignment):
+        record = BasisMap.default().to_dict()
+        record["alice"]["H"] = assignment
+        bm = tmp_path / "basis_map.json"
+        bm.write_text(json.dumps(record))
+        rc, out, err = run(["reconstruct", "--counts", str(bell_csv), "--basis-map", str(bm)], capsys)
+        self.assert_invalid_input(rc, err)
+        assert out == ""
+        assert "'z+'" in err
+
+    @pytest.mark.parametrize("command", ["quasidist", "errors"])
+    def test_labels_sharing_a_file_name_are_two(self, tmp_path, capsys, command):
+        # "/" is written "_", so "A/B" would overwrite the files of "A_B"
+        labels = ("A/B", "A_B", "C", "D")
+        if command == "quasidist":
+            path = tmp_path / "povm.json"
+            path.write_text(json.dumps(PovmSet(labels, bell_povm().elements).to_dict()))
+            argv = ["quasidist", "--povm", str(path)]
+        else:
+            path = tmp_path / "counts.json"
+            path.write_text(json.dumps(CoincidenceCounts(labels, VALID.counts, VALID.basis_map).to_json_dict()))
+            argv = ["errors", "--counts", str(path), "--samples", "10"]
+        out_dir = tmp_path / "out"
+        rc, out, err = run([*argv, "-o", str(out_dir)], capsys)
+        self.assert_invalid_input(rc, err)
+        assert "'A/B'" in err and "'A_B'" in err
+        assert out == ""
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "family",
         [["ghz", "-n", "13"], ["ghz", "-n", "40"], ["me", "-d", "70"], ["me", "-d", "1000"]],
@@ -450,6 +480,7 @@ MALFORMED_CSV = {
     "nan": csv_with("H,H,AA,nan"),
     "fractional": csv_with("H,H,AA,2.5"),
     "huge": csv_with(f"H,H,AA,{10**30}"),
+    "empty-outcome": [line.replace(",AA,", ", ,") for line in CSV_LINES],
 }
 # JSON values that are not counts; the error names the probe pair
 BAD_JSON_COUNTS = {
@@ -472,6 +503,13 @@ MALFORMED_JSON = {
     # keys that differ only in case name the same pair or outcome
     "duplicate-pair": json_with_key("h,v", VALID.to_json_dict()["counts"]["H,V"]),
     "duplicate-outcome": json_with_key("H,V", {**VALID.to_json_dict()["counts"]["H,V"], "aa": 7}),
+    "empty-outcome": {
+        "counts": {key: {(" " if out == "AA" else out): n for out, n in cell.items()}
+                   for key, cell in VALID.to_json_dict()["counts"].items()}
+    },
+    # only an absent or null basis map means the default one
+    **{f"basis-map-{name}": {**VALID.to_json_dict(), "basis_map": value}
+       for name, value in [("list", []), ("string", ""), ("zero", 0), ("object", {}), ("false", False)]},
 }
 # the keys each duplicate case's message names
 DUPLICATE_KEYS = {"duplicate-pair": ("'H,V'", "'h,v'"), "duplicate-outcome": ("'AA'", "'aa'")}

@@ -367,6 +367,19 @@ def test_json_diagnostics():
         CoincidenceCounts.from_json_dict(broken)
 
 
+def test_json_labels_follow_the_csv_rule():
+    # surrounding whitespace is ignored and case folded in both formats
+    counts = exact_bell_counts()
+    body = counts.to_json_dict()
+    body["counts"] = {
+        f" {key.lower()} ": {f" {out.lower()} ": n for out, n in cell.items()}
+        for key, cell in body["counts"].items()
+    }
+    back = CoincidenceCounts.from_json_dict(body)
+    assert back.outcomes == counts.outcomes
+    assert np.array_equal(back.counts, counts.counts)
+
+
 def test_counts_validation():
     good = exact_bell_counts()
     with pytest.raises(ValidationError, match="nonnegative"):
@@ -377,6 +390,8 @@ def test_counts_validation():
     zeroed[:, 2, 3] = 0
     with pytest.raises(ValidationError, match="zero total"):
         CoincidenceCounts(good.outcomes, zeroed, good.basis_map)
+    with pytest.raises(ValidationError, match="non-empty"):
+        CoincidenceCounts((" ", *good.outcomes[1:]), good.counts, good.basis_map)
 
 
 def test_frequencies_validation():
