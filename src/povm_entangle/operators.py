@@ -322,10 +322,8 @@ def lambda_operator(n: int, d: int) -> HermitianOperator:
     # |k...k> sits at index k * (d^n - 1) / (d - 1) in the computational basis.
     stride = (d**n - 1) // (d - 1)
     idx = np.arange(d) * stride
-    s = np.zeros(d**n)
-    s[idx] = 1.0
-    m = np.outer(s, s)
-    m[idx, idx] -= 1.0
+    m = np.zeros((d**n, d**n))
+    m[np.ix_(idx, idx)] = 1.0 - np.eye(d)
     return HermitianOperator(m, (d,) * n)
 
 

@@ -313,6 +313,19 @@ def test_lambda_operator_structure():
     assert abs(np.trace(lam.matrix)) < 1e-15
 
 
+@pytest.mark.parametrize("n,d", [(2, 2), (2, 5), (3, 3), (5, 4), (10, 2), (6, 3)])
+def test_lambda_operator_matches_outer_product(n, d):
+    # the outer product of the |k...k> indicator, minus its diagonal
+    idx = np.arange(d) * ((d**n - 1) // (d - 1))
+    s = np.zeros(d**n)
+    s[idx] = 1.0
+    expect = np.outer(s, s)
+    expect[idx, idx] -= 1.0
+    got = lambda_operator(n, d).matrix
+    assert got.dtype == expect.dtype
+    assert got.tobytes() == expect.tobytes()
+
+
 @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)])
 def test_lambda_spectrum_endpoints(n, d):
     w = np.linalg.eigvalsh(lambda_operator(n, d).matrix)

@@ -45,6 +45,23 @@ def random_real_symmetric(rng, dims):
     return HermitianOperator((a + a.T) / 2, dims)
 
 
+def random_sparse_hermitian(rng, dims):
+    # about one complex nonzero per row, mirrored, so at most 2 D in all
+    dim = int(np.prod(dims))
+    a = np.zeros((dim, dim), dtype=complex)
+    r, c = rng.integers(dim, size=(2, dim))
+    a[r, c] = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return HermitianOperator((a + a.conj().T) / 2, dims)
+
+
+def random_rows(rng, dims, rows):
+    states = []
+    for d in dims:
+        s = rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))
+        states.append(s / np.linalg.norm(s, axis=1, keepdims=True))
+    return states
+
+
 def product_vector(states):
     v = states[0]
     for s in states[1:]:
@@ -139,6 +156,17 @@ def test_closed_form_rate(n, eps):
     res = witness_evaluate(noisy_ghz_element(n, eps), ghz_probe(n))
     assert res.lhs == pytest.approx(closed_form_lhs(n, eps), abs=1e-12)
     assert res.margin == pytest.approx(res.lhs - res.bound, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "element,probe",
+    [(noisy_ghz_element(n, 0.1), ghz_probe(n)) for n in (2, 3, 5, 7)]
+    + [(noisy_me_element(d, 0.2), me_probe(d)) for d in (2, 3, 5)],
+)
+def test_lhs_matches_the_trace_of_the_product(element, probe):
+    expect = float(np.real(np.trace(element.matrix @ probe.operator.matrix))) / element.trace()
+    lhs = witness_evaluate(element, probe).lhs
+    assert abs(lhs - expect) <= 1e-15 * abs(expect)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -261,7 +289,7 @@ def test_solver_restarts_are_independent(op):
 
 def test_solver_chunks_bound_frames(monkeypatch):
     # with no floor, a chunk's frames may hold no more entries than the operator
-    op = lambda_operator(3, 3)
+    op = random_real_symmetric(np.random.default_rng(3), (3, 3, 3))
     whole = separability_eigenvalue_numeric(op, restarts=20, seed=4, track_history=True)
     rows = []
     half_step = witness._half_step
@@ -283,16 +311,14 @@ def test_solver_chunks_bound_frames(monkeypatch):
     "op",
     [
         lambda_operator(3, 3),
+        random_real_symmetric(np.random.default_rng(3), (3, 3, 3)),
         random_real_symmetric(np.random.default_rng(6), (2, 3, 4)),
     ],
-    ids=["lambda_3_3", "real_symmetric_2_3_4"],
+    ids=["lambda_3_3", "real_symmetric_3_3_3", "real_symmetric_2_3_4"],
 )
 def test_half_step_real_product_matches_complex(op):
-    rng = np.random.default_rng(11)
-    states = []
-    for d in op.parties:
-        s = rng.standard_normal((7, d)) + 1j * rng.standard_normal((7, d))
-        states.append(s / np.linalg.norm(s, axis=1, keepdims=True))
+    # a stored matrix, lambda's too, takes the dense path
+    states = random_rows(np.random.default_rng(11), op.parties, 7)
     assert op.matrix.dtype == np.float64
     as_complex = op.matrix.astype(complex)
     for j in range(len(op.parties)):
@@ -304,7 +330,7 @@ def test_half_step_real_product_matches_complex(op):
 
 @pytest.mark.parametrize(
     "op",
-    [lambda_operator(3, 3), random_hermitian(np.random.default_rng(5), (2, 3))],
+    [random_real_symmetric(np.random.default_rng(3), (3, 3, 3)), random_hermitian(np.random.default_rng(5), (2, 3))],
     ids=["real", "complex"],
 )
 def test_solver_passes_the_stored_matrix(monkeypatch, op):
@@ -370,11 +396,7 @@ ORACLE_OPERATORS = {
 @pytest.mark.parametrize("name", sorted(ORACLE_OPERATORS))
 def test_conditioned_matches_frames_product(name, rows):
     op = ORACLE_OPERATORS[name]
-    rng = np.random.default_rng(rows)
-    states = []
-    for d in op.parties:
-        s = rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))
-        states.append(s / np.linalg.norm(s, axis=1, keepdims=True))
+    states = random_rows(np.random.default_rng(rows), op.parties, rows)
     for j in range(len(op.parties)):
         got = witness._conditioned(op.matrix, states, j)
         expect = frames_conditioned(op.matrix, states, j)
@@ -382,39 +404,157 @@ def test_conditioned_matches_frames_product(name, rows):
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
+DENSE_5_4 = random_real_symmetric(np.random.default_rng(54), (4,) * 5)
+
+
 @pytest.mark.parametrize("floor", [1, witness._FRAME_FLOOR])
 @pytest.mark.parametrize(
     "op",
-    [lambda_operator(5, 4), lambda_operator(3, 3), random_hermitian(np.random.default_rng(5), (2, 3, 4))],
-    ids=["lambda_5_4", "lambda_3_3", "random_2_3_4"],
+    [
+        lambda_operator(5, 4),
+        lambda_operator(3, 3),
+        DENSE_5_4,
+        random_real_symmetric(np.random.default_rng(3), (3, 3, 3)),
+        random_hermitian(np.random.default_rng(5), (2, 3, 4)),
+    ],
+    ids=["lambda_5_4", "lambda_3_3", "real_symmetric_4_4_4_4_4", "real_symmetric_3_3_3", "random_2_3_4"],
 )
 def test_solver_chunks_bound_the_intermediate(monkeypatch, op, floor):
-    # conditioning A rows on all parties but j leaves A D^2 / max(L, R) entries
+    # conditioning A rows on all parties but j leaves A D^2 / max(L, R)
+    # entries; lambda takes the dense path here only because it is forced
     dims = op.parties
     sizes = {j: [] for j in range(len(dims))}
     half_step = witness._half_step
 
     def spy(matrix, states, j):
+        assert matrix is op.matrix
         outer = max(math.prod(dims[:j]), math.prod(dims[j + 1 :]))
         sizes[j].append(states[j].shape[0] * op.dim**2 // outer)
         return half_step(matrix, states, j)
 
     monkeypatch.setattr(witness, "_FRAME_FLOOR", floor)
     monkeypatch.setattr(witness, "_half_step", spy)
+    monkeypatch.setattr(witness, "_sparse_entries", lambda matrix, dims: None)
     separability_eigenvalue_numeric(op, restarts=64, seed=2, max_sweeps=3)
     for j, seen in sizes.items():
         assert seen, j
         assert max(seen) <= max(op.dim**2, floor)
 
 
-def test_solver_memory_is_bounded_by_the_chunk_rule():
-    # a 64-restart solve at D = 1024: the largest intermediate holds at most
-    # D^2 complex entries, and the (A, d_j, R, L, d_j) rest is no larger
-    op = lambda_operator(5, 4)
+def peak_bytes(op, **kwargs):
     tracemalloc.start()
     try:
-        separability_eigenvalue_numeric(op, restarts=64, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
+        separability_eigenvalue_numeric(op, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 16 * op.dim**2
+
+
+def test_solver_memory_is_bounded_by_the_chunk_rule():
+    # a 64-restart solve at D = 1024: the largest intermediate holds at most
+    # D^2 complex entries, and the (A, d_j, R, L, d_j) rest is no larger;
+    # every sweep makes the same ones, so two show the peak
+    op = DENSE_5_4
+    assert peak_bytes(op, restarts=64, seed=0, max_sweeps=2) <= 2 * 16 * op.dim**2
+
+
+def test_entry_solver_memory_is_bounded_by_the_chunk_rule():
+    # the same solve of lambda (5, 4) on the entry path, to convergence
+    op = lambda_operator(5, 4)
+    assert peak_bytes(op, restarts=64, seed=0) <= 2 * 16 * op.dim**2
+
+
+PROBES = {
+    **{f"ghz{n}": ghz_probe(n).operator for n in (3, 4, 5)},
+    **{f"me{d}": me_probe(d).operator for d in (3, 4, 5)},
+}
+ENTRY_OPERATORS = {
+    **{name: op for name, op in ORACLE_OPERATORS.items() if name.startswith("lambda")},
+    **PROBES,
+    **{
+        f"sparse_{'_'.join(map(str, dims))}": random_sparse_hermitian(np.random.default_rng(len(dims)), dims)
+        for dims in [(2, 3, 4), (2, 5, 2, 3)]
+    },
+    # one nonzero entry: a party's d_i^2 table, not nnz, sets the chunk
+    "projector_2_8": HermitianOperator(np.diag(np.eye(16)[0]), (2, 8)),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 12, 37])
+@pytest.mark.parametrize("name", sorted(ENTRY_OPERATORS))
+def test_entry_conditioned_matches_frames_product(name, rows):
+    op = ENTRY_OPERATORS[name]
+    entries = witness._sparse_entries(op.matrix, op.parties)
+    states = random_rows(np.random.default_rng(rows), op.parties, rows)
+    for j in range(len(op.parties)):
+        got = witness._entry_conditioned(entries, states, j)
+        expect = frames_conditioned(op.matrix, states, j)
+        assert got.shape == (rows, op.parties[j], op.parties[j])
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+def test_the_operator_picks_the_path():
+    # at most 2 D nonzero entries take the entry path, any more the dense one
+    for name, op in ORACLE_OPERATORS.items():
+        entries = witness._sparse_entries(op.matrix, op.parties)
+        assert (entries is None) == (not name.startswith("lambda")), name
+    for name, op in ENTRY_OPERATORS.items():
+        entries = witness._sparse_entries(op.matrix, op.parties)
+        assert entries is not None, name
+        assert entries.values.size == np.count_nonzero(op.matrix), name
+    n, d = 4, 3
+    assert witness._sparse_entries(lambda_operator(n, d).matrix, (d,) * n).values.size == d * (d - 1)
+    assert witness._sparse_entries(ghz_probe(5).operator.matrix, (2,) * 5).values.size == 2**5 + 2
+    assert witness._sparse_entries(me_probe(5).operator.matrix, (5, 5)).values.size == 2 * 25 - 5
+    # the bound itself: the diagonal and D / 2 mirrored pairs is 2 D, one pair more is not
+    at_bound = np.eye(6)
+    at_bound[[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]] = 0.5
+    assert witness._sparse_entries(at_bound, (2, 3)).values.size == 12
+    at_bound[[0, 1], [1, 0]] = 0.25
+    assert witness._sparse_entries(at_bound, (2, 3)) is None
+
+
+PARITY_OPERATORS = {
+    **{f"lambda_{n}_{d}": lambda_operator(n, d) for n in (2, 3, 4) for d in (2, 3, 4)},
+    **{f"lambda_{n}_{d}": lambda_operator(n, d) for n, d in [(6, 3), (5, 4), (10, 2)]},
+    **PROBES,
+}
+
+
+@pytest.mark.parametrize("name", list(PARITY_OPERATORS))
+def test_entry_path_matches_the_dense_path(monkeypatch, name):
+    op = PARITY_OPERATORS[name]
+    fast = separability_eigenvalue_numeric(op, restarts=12, seed=0, track_history=True)
+    monkeypatch.setattr(witness, "_sparse_entries", lambda matrix, dims: None)
+    dense = separability_eigenvalue_numeric(op, restarts=12, seed=0, track_history=True)
+    assert abs(fast.gmax - dense.gmax) <= 1e-12
+    assert fast.converged == dense.converged
+    assert [len(h) for h in fast.history] == [len(h) for h in dense.history]
+
+
+@pytest.mark.parametrize("floor", [1, witness._FRAME_FLOOR])
+@pytest.mark.parametrize(
+    "name", ["lambda_5_4", "lambda_3_3", "ghz3", "me3", "sparse_2_3_4", "projector_2_8"]
+)
+def test_entry_solver_chunks_bound_the_weights(monkeypatch, name, floor):
+    # a chunk of A rows holds A nnz weights and A d_i^2 table entries per
+    # party, each at most max(D^2, floor)
+    op = ENTRY_OPERATORS[name]
+    width = max(np.count_nonzero(op.matrix), max(op.parties) ** 2)
+    whole = separability_eigenvalue_numeric(op, restarts=64, seed=2, track_history=True)
+    rows = []
+    half_step = witness._half_step
+
+    def spy(operand, states, j):
+        assert isinstance(operand, witness._Entries)
+        rows.append(states[j].shape[0])
+        return half_step(operand, states, j)
+
+    monkeypatch.setattr(witness, "_FRAME_FLOOR", floor)
+    monkeypatch.setattr(witness, "_half_step", spy)
+    chunked = separability_eigenvalue_numeric(op, restarts=64, seed=2, track_history=True)
+    assert max(rows) * width <= max(op.dim**2, floor)
+    if 64 * width > max(op.dim**2, floor):
+        assert max(rows) < 64
+    assert chunked.gmax == pytest.approx(whole.gmax, abs=1e-12)
+    assert_same_paths(chunked.history, whole.history)
