@@ -373,7 +373,7 @@ def quasidist(povm_path, out_dir, max_iter):
 @click.option("--samples", type=int, default=10000, show_default=True, help="Monte Carlo sample count.")
 @click.option("--inflation", type=float, default=1.05, show_default=True, help="Covariance factor inflation.")
 @click.option("--seed", type=int, default=None, help=f"RNG seed (default: ${SEED_ENV} or 0).")
-@click.option("--workers", type=int, default=None, help="Sample shares run in parallel, by at most one process per CPU.")
+@click.option("--workers", type=int, default=None, help="Sample shares run in parallel, one forked process per usable CPU at most.")
 @click.option("--margin", type=float, default=1e-5, show_default=True, help="Physicality margin.")
 @click.option("--max-iter", type=int, default=10000, show_default=True, help="Filter iteration cap.")
 @click.option("--out", "-o", "out_dir", type=str, default=None, help="Output directory (default: summary to stdout).")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -229,6 +230,85 @@ def _run_samples(payload):
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _reply(fn, payload, read_end: int, fd: int) -> None:
+    """In a forked child: pickle (ok, result or exception) into fd, then _exit.
+
+    The child never returns into the caller's frames, whatever fn raises; it
+    exits 1 without a reply when the reply cannot be pickled or written.
+    """
+    code = 1
+    try:
+        # without the pipe's read end, a child whose parent is gone gets
+        # EPIPE instead of blocking on a full pipe
+        os.close(read_end)
+        try:
+            reply = (True, fn(payload))
+        except Exception as exc:
+            reply = (False, exc)
+        data = pickle.dumps(reply)
+        with open(fd, "wb") as out:
+            out.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fan_out(fn, payloads: list) -> list:
+    """[fn(p) for p in payloads], the first here and each other in a forked child.
+
+    Each child writes its reply into its own pipe, which is read back in
+    payload order once the first payload is done.  A child's exception is
+    raised here with its own type; a child that ends without a reply raises
+    RuntimeError.  On any failure the children are killed, and every child
+    is reaped before this returns or raises.  Without os.fork the payloads
+    run here, one after another.
+    """
+    if not hasattr(os, "fork"):
+        return [fn(p) for p in payloads]
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    try:
+        for payload in payloads[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _reply(fn, payload, r, w)
+            except BaseException:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)
+            children.append((pid, r))
+        results = [fn(payloads[0])]
+        for pid, r in children:
+            with open(r, "rb", closefd=False) as reader:
+                data = reader.read()
+            if not data:
+                raise RuntimeError(f"worker process {pid} ended without returning its samples")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    except BaseException:
+        import signal
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, r in children:
+            os.close(r)
+            os.waitpid(pid, 0)
+
+
 def _scalar(x: float) -> float | None:
     return float(x) if np.isfinite(x) else None
 
@@ -388,8 +468,9 @@ def propagate(
     failures raise; sample grids are axis-matched against it before
     averaging.  Samples whose pipeline fails are excluded, and more than 1%
     exclusions abort the run.  The sample axis is split into cfg.workers
-    contiguous shares, run by a process pool of at most os.cpu_count()
-    workers.  `max_iter` caps the filter sweeps of the elements that go
+    contiguous shares, at most one per CPU this process may use: this
+    process runs the first and a forked child each other one
+    (`_fan_out`).  `max_iter` caps the filter sweeps of the elements that go
     through to_standard_form, and must be at least 1 even when none does.
     """
     if max_iter < 1:
@@ -398,20 +479,18 @@ def propagate(
     q_ref, grid_ref, _ = _quasi_batch(freqs.probs[None], freqs.basis_map, margin, max_iter, strict=True)
     factors = _pair_factors(freqs)
 
-    workers = cfg.workers or 1
-    bounds = [cfg.sample_size * w // workers for w in range(workers + 1)]
+    shares = min(cfg.workers or 1, cfg.sample_size)
+    if shares > 1:
+        shares = min(shares, _usable_cpus())
+    bounds = [cfg.sample_size * w // shares for w in range(shares + 1)]
     payloads = [
         (freqs, factors, lo, hi, cfg.seed, cfg.inflation, margin, max_iter, grid_ref[0])
         for lo, hi in zip(bounds, bounds[1:])
-        if hi > lo
     ]
-    if workers == 1:
+    if shares == 1:
         parts = [_run_samples(payloads[0])]
     else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(len(payloads), os.cpu_count() or 1)) as pool:
-            parts = list(pool.map(_run_samples, payloads))
+        parts = _fan_out(_run_samples, payloads)
     qs, grids, permuted, failed = (np.concatenate(arrays) for arrays in zip(*parts))
 
     excluded = int(failed.sum())

@@ -1,6 +1,7 @@
 """Counting covariance, simplex projection, and batched error propagation."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -190,33 +191,137 @@ def test_propagate_determinism_across_workers(bell_counts):
     assert a.replace('"workers": 3', '"workers": 1') == b.replace('"workers": 3', '"workers": 1')
 
 
-def test_propagate_caps_the_pool_at_the_cpu_count(bell_counts, monkeypatch):
-    # an in-process stand-in records the pool size and maps serially
-    import concurrent.futures
-    import os
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="shares fork only where os.fork exists")
 
-    sizes = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
+@pytest.fixture()
+def forks(monkeypatch):
+    """Counts os.fork calls; a forked child inherits the wrapper, which is harmless."""
+    calls = []
+    real = os.fork
 
-        def map(self, fn, items):
-            return map(fn, items)
+    def counting():
+        calls.append(1)
+        return real()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "fork", counting)
+    return calls
+
+
+def usable(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@needs_fork
+def test_propagate_caps_the_shares_at_the_usable_cpus(bell_counts, monkeypatch, forks):
+    usable(monkeypatch, 3)
     wide = propagate(bell_counts, McConfig(sample_size=12, seed=17, workers=10**6))
+    assert len(forks) == 2  # three processes, one per usable CPU
+    assert_no_child_left()
     serial = propagate(bell_counts, McConfig(sample_size=12, seed=17, workers=1))
-    assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
-    a = json.dumps(serial.to_dict(), sort_keys=True)
-    b = json.dumps(wide.to_dict(), sort_keys=True).replace('"workers": 1000000', '"workers": 1')
-    assert a == b
+    assert len(forks) == 2
+    assert json.dumps(wide.to_dict()) == json.dumps(serial.to_dict())
+
+
+@needs_fork
+def test_propagate_forks_nothing_on_one_usable_cpu(bell_counts, monkeypatch, forks):
+    usable(monkeypatch, 1)
+    report = propagate(bell_counts, McConfig(sample_size=12, seed=17, workers=4))
+    assert forks == []
+    serial = propagate(bell_counts, McConfig(sample_size=12, seed=17, workers=1))
+    assert json.dumps(report.to_dict()) == json.dumps(serial.to_dict())
+
+
+def test_propagate_runs_the_shares_here_without_fork(bell_counts, monkeypatch):
+    usable(monkeypatch, 3)
+    monkeypatch.delattr(os, "fork", raising=False)
+    shared = propagate(bell_counts, McConfig(sample_size=12, seed=17, workers=3))
+    monkeypatch.undo()
+    serial = propagate(bell_counts, McConfig(sample_size=12, seed=17, workers=1))
+    assert json.dumps(shared.to_dict()) == json.dumps(serial.to_dict())
+
+
+def failing_shares(monkeypatch, fail):
+    """Routes _run_samples through fail(lo) first; forked children inherit it."""
+    real = mc._run_samples
+
+    def run(payload):
+        fail(payload[2])
+        return real(payload)
+
+    monkeypatch.setattr(mc, "_run_samples", run)
+
+
+def raise_in_children(exc):
+    def fail(lo):
+        if lo > 0:
+            raise exc
+
+    return fail
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "exc", [ValidationError("bad share"), ConvergenceError("stalled share", residual=0.5)]
+)
+def test_child_share_error_is_raised_with_its_type(bell_counts, monkeypatch, exc):
+    usable(monkeypatch, 3)
+    failing_shares(monkeypatch, raise_in_children(exc))
+    with pytest.raises(type(exc), match=str(exc)) as info:
+        propagate(bell_counts, McConfig(sample_size=12, seed=17, workers=3))
+    assert info.value.args == exc.args
+    assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("exc, code", [(ValidationError("bad share"), 2), (ConvergenceError("stalled share"), 3)])
+def test_child_share_error_exits_without_traceback(tmp_path, capsys, monkeypatch, exc, code):
+    from povm_entangle.cli import main
+
+    counts = tmp_path / "c.csv"
+    assert main(["simulate", "--counts", "400", "--seed", "1", "-o", str(counts)]) == 0
+    usable(monkeypatch, 2)
+    failing_shares(monkeypatch, raise_in_children(exc))
+    assert main(["errors", "--counts", str(counts), "--samples", "12", "--workers", "2"]) == code
+    err = capsys.readouterr().err
+    assert str(exc) in err and "Traceback" not in err
+    assert_no_child_left()
+
+
+@needs_fork
+def test_parent_share_error_still_reaps_the_children(bell_counts, monkeypatch):
+    import time
+
+    def fail(lo):
+        if lo == 0:
+            raise ConvergenceError("parent share")
+        time.sleep(60)  # a child still at work is killed, not waited for
+
+    usable(monkeypatch, 3)
+    failing_shares(monkeypatch, fail)
+    t0 = time.monotonic()
+    with pytest.raises(ConvergenceError, match="parent share"):
+        propagate(bell_counts, McConfig(sample_size=12, seed=17, workers=3))
+    assert time.monotonic() - t0 < 30
+    assert_no_child_left()
+
+
+@needs_fork
+def test_child_that_exits_without_a_reply_raises(bell_counts, monkeypatch):
+    def fail(lo):
+        if lo > 0:
+            os._exit(1)
+
+    usable(monkeypatch, 2)
+    failing_shares(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match="without returning"):
+        propagate(bell_counts, McConfig(sample_size=12, seed=17, workers=2))
+    assert_no_child_left()
 
 
 def test_propagate_repeatability(bell_counts):

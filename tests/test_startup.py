@@ -60,8 +60,12 @@ def dataset(tmp_path_factory):
             ["errors", "--counts", "c.csv", "--samples", "20", "--workers", "1", "-o", "e"],
             [PACKAGE + "witness", PACKAGE + "simulate", "concurrent.futures"],
         ),
+        (
+            ["errors", "--counts", "c.csv", "--samples", "20", "--workers", "2", "-o", "e2"],
+            [PACKAGE + "witness", PACKAGE + "simulate", "concurrent.futures", "multiprocessing"],
+        ),
     ],
-    ids=["reconstruct", "quasidist", "errors-workers-1"],
+    ids=["reconstruct", "quasidist", "errors-workers-1", "errors-workers-2"],
 )
 def test_command_loads_only_its_layers(dataset, argv, absent):
     loaded = modules_after(argv, dataset)
