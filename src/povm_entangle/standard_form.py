@@ -49,13 +49,12 @@ _EIG_FLOOR = 1e-12
 
 # closed-form pi is left to to_standard_form where the squared Lorentz
 # singular values are not real to this share of the largest, where the top
-# two are this close, where the correlation block is already this diagonal,
-# or where the filters are this strong: |r|^2 over the sum of the squared
-# singular values is 1 for a standard form and grows with the filters, and
-# the closed form's error with it (below 1e-14 up to 10, 1e-8 past 100)
+# two are this close, or where the filters are this strong: |r|^2 over the
+# sum of the squared singular values is 1 for a standard form and grows with
+# the filters, and the closed form's error with it (below 1e-14 up to 10,
+# 1e-8 past 100)
 _REAL_TOL = 1e-12
 _GAP_TOL = 1e-6
-_DIAGONAL_TOL = 1e-9
 _BOOST_TOL = 10.0
 
 
@@ -173,22 +172,17 @@ def _lorentz_pi(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     det r rather than from its small eigenvalue.  The mask is False, and
     pi zero, where to_standard_form must decide: non-finite entries or a
     nonpositive trace, eigenvalues that are not real, s3^2 at or below
-    _EIG_FLOOR at unit trace, s0 ~ s1 (rank-deficient elements), strong
-    filters, which make the eigenproblem ill-conditioned, and a correlation
-    block that is already diagonal, where diagonalize_correlations keeps the
-    raw signs of the diagonal.
+    _EIG_FLOOR at unit trace, s0 ~ s1 (rank-deficient elements), and strong
+    filters, which make the eigenproblem ill-conditioned.
     """
     t = 4 * r[..., 0, 0]
     ok = np.isfinite(r).all(axis=(-2, -1)) & (t > 0)
     unit = np.where(ok[..., None, None], r, 0.0) / np.where(ok, t, 1.0)[..., None, None]
     ev = np.linalg.eigvals(unit @ _ETA @ np.swapaxes(unit, -1, -2) @ _ETA)
     sq = -np.sort(-ev.real, axis=-1)
-    block = unit[..., 1:, 1:]
-    off = np.abs(block - block * np.eye(3)).max(axis=(-2, -1))
     ok &= np.abs(ev.imag).max(axis=-1) <= _REAL_TOL * sq[..., 0]
     ok &= sq[..., 3] > _EIG_FLOOR
     ok &= sq[..., 0] - sq[..., 1] > _GAP_TOL * sq[..., 0]
-    ok &= off >= _DIAGONAL_TOL
     ok &= (unit**2).sum(axis=(-2, -1)) <= _BOOST_TOL * sq.sum(axis=-1)
     s = np.sqrt(np.where(ok[..., None], sq[..., :3], 1.0))
     # sign(det r) s3 = det r / (s0 s1 s2): the square root of the smallest
@@ -301,43 +295,24 @@ def su2_from_so3(r: np.ndarray) -> np.ndarray:
 def diagonalize_correlations(op: HermitianOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonal Pauli coefficients and the SU(2) pair that realizes them.
 
-    Expects vanishing local terms.  The diagonal is ordered by decreasing
-    magnitude with signs carried along; ties prefer the nonnegative entry,
-    then the original axis order.  Both underlying rotations have det +1, so
-    the net sign of the diagonal is preserved.
+    Expects vanishing local terms.  The diagonal is the signed singular value
+    decomposition of the 3x3 correlation block: magnitudes decrease and only
+    the last entry may be negative, with the sign of the block's determinant.
+    Both underlying rotations have det +1, so they lift to SU(2).
     """
     c = pauli_expand(op).coeffs
     local = max(float(np.max(np.abs(c[0, 1:]))), float(np.max(np.abs(c[1:, 0]))))
     if local > _RESIDUAL_TOL:
         raise ValidationError(f"local Pauli terms not removed (largest {local:.3e})")
-    block = c[1:, 1:]
-    off = float(np.max(np.abs(block - np.diag(np.diag(block)))))
-    if off < 1e-12:
-        diag = np.diag(block).astype(float).copy()
-        ra = np.eye(3)
-        rb = np.eye(3)
-    else:
-        u, s, vt = np.linalg.svd(block)
-        u, vt, diag = u.copy(), vt.copy(), s.astype(float).copy()
-        if np.linalg.det(u) < 0:
-            u[:, 2] *= -1
-            diag[2] *= -1
-        if np.linalg.det(vt) < 0:
-            vt[2, :] *= -1
-            diag[2] *= -1
-        ra = u.T
-        rb = vt
-    order = sorted(range(3), key=lambda i: (-abs(diag[i]), 0 if diag[i] >= 0 else 1, i))
-    perm = np.zeros((3, 3))
-    for slot, src in enumerate(order):
-        perm[slot, src] = 1.0
-    if np.linalg.det(perm) < 0:
-        perm[2, :] *= -1
-    ra = perm @ ra
-    rb = perm @ rb
-    diag = diag[order]
+    u, diag, vt = np.linalg.svd(c[1:, 1:])
+    if np.linalg.det(u) < 0:
+        u[:, 2] *= -1
+        diag[2] *= -1
+    if np.linalg.det(vt) < 0:
+        vt[2, :] *= -1
+        diag[2] *= -1
     pi = np.array([c[0, 0], diag[0], diag[1], diag[2]])
-    return pi, su2_from_so3(ra), su2_from_so3(rb)
+    return pi, su2_from_so3(u.T), su2_from_so3(vt)
 
 
 def to_standard_form(op: HermitianOperator, max_iter: int = 10000) -> StandardForm:

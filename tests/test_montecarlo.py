@@ -605,13 +605,13 @@ def test_strongly_filtered_element_takes_the_standard_form_path():
     np.testing.assert_allclose(_pipeline_pi([el])[0], [0.25, 0.2475, 0.2475, -0.2475], atol=1e-12)
 
 
-def test_diagonal_singlet_element_takes_the_standard_form_path():
+def test_diagonal_singlet_element_takes_the_closed_form_path():
     # 0.9 singlet + 0.1 * 1/4 and its Bell-diagonal partners: correlation
-    # blocks already diagonal, where to_standard_form keeps the raw signs
+    # blocks already diagonal, read in the same sign rule as every other block
     freqs = expected_frequencies(bell_model(eps=1 / 37))
     povm = reconstruct_povm(freqs)
     _, closed = _batched_pi(povm.elements)
-    assert not closed.any()
+    assert closed.all()
     q, grids, failed = mc._quasi_batch(freqs.probs[None], freqs.basis_map, 1e-5, 10000, strict=True)
     assert not failed.any()
     for k, el in enumerate(povm.elements):
@@ -619,10 +619,19 @@ def test_diagonal_singlet_element_takes_the_standard_form_path():
         assert q[0, k] == pytest.approx(qdist.q, abs=1e-12)
         np.testing.assert_allclose(grids[0, k], qdist.grid, rtol=0, atol=1e-12)
     singlet = to_standard_form(povm.element("AA")).pi
-    np.testing.assert_allclose(singlet, [0.25, -0.225, -0.225, -0.225], atol=1e-12)
-    # the closed form's signs would give a different grid for the same q
-    _, closed_grid = grids_from_pi(np.array([0.25, 0.225, 0.225, -0.225]))
-    assert np.abs(closed_grid - grids[0, 0]).max() > 0.1
+    np.testing.assert_allclose(singlet, [0.25, 0.225, 0.225, -0.225], atol=1e-12)
+
+
+def test_noise_free_samples_share_the_reference_sign_rule():
+    # the noise-free reference and its resamples must read each element in
+    # one sign rule, or the grid mean loses the reference's negative cells
+    report = propagate(expected_frequencies(bell_model()), McConfig(sample_size=200, seed=1, workers=1))
+    for e in report.elements:
+        big = np.abs(e.grid_reference) > 0.05
+        assert big.any()
+        np.testing.assert_array_equal(np.sign(e.grid_mean[big]), np.sign(e.grid_reference[big]))
+    permuted = {e.label: e.permuted for e in report.elements}
+    assert permuted["AA"] <= max(n for label, n in permuted.items() if label != "AA")
 
 
 def _per_element_aggregate(qs, grids):

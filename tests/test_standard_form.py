@@ -26,10 +26,11 @@ from povm_entangle import (
     to_standard_form,
 )
 from povm_entangle.operators import PAULIS, pauli_eigenstate, pauli_matrices
+from povm_entangle.standard_form import _lorentz_pi
 
 from conftest import random_pd_element
 
-SINGLET_PI = np.array([0.25, -0.25, -0.25, -0.25])
+SINGLET_PI = np.array([0.25, 0.25, 0.25, -0.25])
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 FILTER_A = np.array([[1.3, 0.2j], [0.1, 0.6]])
 
@@ -88,10 +89,12 @@ def test_singlet_already_standard(ideal_bell):
     assert form.residual < 1e-9
     assert form.source_trace == pytest.approx(1.0, abs=1e-12)
     t = form.transform
-    # nothing to do: filters and rotations stay proportional to the identity
-    for m in (t.filter_a, t.filter_b, t.rotation_a, t.rotation_b):
+    # no local terms: the filters stay proportional to the identity, and the
+    # rotations only move the singlet's signs onto the last axis
+    for m in (t.filter_a, t.filter_b):
         scaled = m / m[0, 0]
         assert np.max(np.abs(scaled - np.eye(2))) < 1e-9
+    assert_maps_onto_standard(ideal_bell.element("0"), form)
 
 
 def test_other_bell_elements(ideal_bell):
@@ -112,7 +115,7 @@ def test_white_noise_mix_of_singlet(ideal_bell):
     el0 = ideal_bell.element("0")
     mixed = HermitianOperator(0.8 * el0.matrix + 0.2 * np.eye(4) / 4, (2, 2))
     form = to_standard_form(mixed)
-    assert np.max(np.abs(form.pi - np.array([0.25, -0.2, -0.2, -0.2]))) < 1e-12
+    assert np.max(np.abs(form.pi - np.array([0.25, 0.2, 0.2, -0.2]))) < 1e-12
 
 
 def test_remove_local_terms_contract(rng):
@@ -194,16 +197,31 @@ def test_construct_and_invert_rotations(rng):
 
 
 def test_sorting_permutation_convention():
-    # a swap needs a det fix, but the flip hits both arms and cancels in the
-    # diagonal, so sorting only reorders entries and never touches signs
-    form = to_standard_form(standard_operator([0.25, 0.1, 0.2, 0.05]))
-    assert np.allclose(form.pi, [0.25, 0.2, 0.1, 0.05], atol=1e-12)
-    form = to_standard_form(standard_operator([0.25, 0.05, -0.2, 0.1]))
-    assert np.allclose(form.pi, [0.25, -0.2, 0.1, 0.05], atol=1e-12)
-    for pi_in in ([0.25, 0.1, 0.2, 0.05], [0.25, 0.05, -0.2, 0.1]):
-        t = to_standard_form(standard_operator(pi_in)).transform
+    # exactly diagonal blocks, ties and mixed signs included: magnitudes come
+    # out nonincreasing and the sign of the block's determinant lands on the
+    # last entry, as the closed form reads them
+    cases = [
+        ([0.25, 0.1, 0.2, 0.05], [0.25, 0.2, 0.1, 0.05]),
+        ([0.25, 0.05, -0.2, 0.1], [0.25, 0.2, 0.1, -0.05]),
+        ([0.25, -0.2, -0.2, -0.2], [0.25, 0.2, 0.2, -0.2]),
+        ([0.25, 0.2, -0.2, 0.2], [0.25, 0.2, 0.2, -0.2]),
+        ([0.25, -0.1, 0.2, 0.2], [0.25, 0.2, 0.2, -0.1]),
+        ([0.25, 0.1, -0.2, 0.2], [0.25, 0.2, 0.2, -0.1]),
+    ]
+    for pi_in, pi_out in cases:
+        el = standard_operator(pi_in)
+        form = to_standard_form(el)
+        assert np.allclose(form.pi, pi_out, atol=1e-12)
+        assert np.all(np.diff(np.abs(form.pi[1:])) <= 0)
+        assert np.all(form.pi[1:3] >= 0)
+        assert np.sign(form.pi[3]) == np.sign(np.prod(pi_in[1:]))
+        assert_maps_onto_standard(el, form)
+        t = form.transform
         assert np.linalg.det(so3_from_su2(t.rotation_a)) == pytest.approx(1.0, abs=1e-9)
         assert np.linalg.det(so3_from_su2(t.rotation_b)) == pytest.approx(1.0, abs=1e-9)
+        pi, closed = _lorentz_pi(pauli_expand(el).coeffs)
+        assert closed
+        np.testing.assert_allclose(pi, form.pi, rtol=0, atol=1e-12)
 
 
 def test_idempotence(rng):
