@@ -26,8 +26,8 @@ _EXPORTS = {
         "sample_frequencies",
     ),
     "operators": (
-        "HermitianOperator", "PauliCorrelationMatrix", "PovmSet", "bell_povm", "bloch_vector",
-        "ghz_state", "lambda_operator", "me_state", "min_eigenvalue", "noisy_ghz_element",
+        "HermitianOperator", "PovmSet", "bell_povm", "bloch_vector", "ghz_state",
+        "lambda_operator", "me_state", "min_eigenvalue", "noisy_ghz_element",
         "noisy_me_element", "partial_transpose", "pauli_eigenstate", "pauli_expand",
     ),
     "quasidist": (

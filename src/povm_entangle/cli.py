@@ -287,7 +287,7 @@ def reconstruct(counts_path, basis_map_path, margin, out):
         "p": p,
         "completeness_residual": residual,
         "correlations": {
-            label: c.coeffs.tolist() for label, c in zip(raw.labels, corrs)
+            label: c.tolist() for label, c in zip(raw.labels, corrs)
         },
         "bell_match": closest_bell_labels(corrected),
     }
@@ -373,7 +373,7 @@ def quasidist(povm_path, out_dir, max_iter):
 @click.option("--samples", type=int, default=10000, show_default=True, help="Monte Carlo sample count.")
 @click.option("--inflation", type=float, default=1.05, show_default=True, help="Covariance factor inflation.")
 @click.option("--seed", type=int, default=None, help=f"RNG seed (default: ${SEED_ENV} or 0).")
-@click.option("--workers", type=int, default=None, help="Sample shares run in parallel, one forked process per usable CPU at most.")
+@click.option("--workers", type=int, default=1, show_default=True, help="Sample shares run in parallel, one forked process per usable CPU at most.")
 @click.option("--margin", type=float, default=1e-5, show_default=True, help="Physicality margin.")
 @click.option("--max-iter", type=int, default=10000, show_default=True, help="Filter iteration cap.")
 @click.option("--out", "-o", "out_dir", type=str, default=None, help="Output directory (default: summary to stdout).")
@@ -459,6 +459,8 @@ def witness(family, n, d, eps, povm_path, element_label, lambda_mode, numeric, r
 
     used_seed = _resolve_seed(seed)
     if lambda_mode:
+        if family is not None or povm_path is not None or element_label is not None:
+            raise click.UsageError("--lambda takes no --family, --povm or --element")
         if n is None or d is None:
             raise click.UsageError("--lambda needs both -n and -d")
         op = lambda_operator(n, d)
@@ -476,9 +478,11 @@ def witness(family, n, d, eps, povm_path, element_label, lambda_mode, numeric, r
         }
         _emit(payload, out)
         return
-    if povm_path is not None:
-        if element_label is None:
-            raise click.UsageError("element mode needs --element")
+    if povm_path is not None or element_label is not None:
+        if povm_path is None or element_label is None:
+            raise click.UsageError("element mode needs both --povm and --element")
+        if n is not None or d is not None:
+            raise click.UsageError("element mode takes no -n or -d")
         povm = _read_povm(povm_path)
         element = povm.element(element_label)
         if family == "ghz":
@@ -511,15 +515,15 @@ def witness(family, n, d, eps, povm_path, element_label, lambda_mode, numeric, r
     if family is None:
         raise click.UsageError("pick a mode: --family, --povm/--element, or --lambda")
     if family == "ghz":
-        if n is None:
-            raise click.UsageError("family ghz needs -n")
+        if n is None or d is not None:
+            raise click.UsageError("family ghz needs -n and takes no -d")
         element = noisy_ghz_element(n, eps)
         probe = ghz_probe(n)
         threshold = noise_threshold("ghz", n)
         size = n
     else:
-        if d is None:
-            raise click.UsageError("family me needs -d")
+        if d is None or n is not None:
+            raise click.UsageError("family me needs -d and takes no -n")
         element = noisy_me_element(d, eps)
         probe = me_probe(d)
         threshold = noise_threshold("me", d)

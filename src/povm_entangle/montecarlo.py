@@ -63,14 +63,14 @@ class McConfig:
     sample_size: int = 10000
     inflation: float = 1.05
     seed: int = 0
-    workers: int | None = None
+    workers: int = 1
 
     def __post_init__(self):
         if self.sample_size < 2:
             raise ValidationError(f"need at least 2 samples, got {self.sample_size}")
         if not (math.isfinite(self.inflation) and self.inflation >= 1.0):
             raise ValidationError(f"inflation must be finite and >= 1, got {self.inflation}")
-        if self.workers is not None and self.workers < 1:
+        if self.workers < 1:
             raise ValidationError(f"workers must be positive, got {self.workers}")
 
 
@@ -162,8 +162,7 @@ def _quasi_batch(
     """
     n, m = probs.shape[:2]
     coeffs, mats = invert_frequencies(probs, basis_map)
-    finite = np.isfinite(mats).all(axis=(-2, -1))
-    low = np.linalg.eigvalsh(np.where(finite[..., None, None], mats, 0.0))[..., 0]
+    low = np.linalg.eigvalsh(mats)[..., 0]
     p, _ = repair_strength(low, margin)
     keep = (1 - p)[:, None, None, None]
     coeffs = keep * coeffs
@@ -479,18 +478,13 @@ def propagate(
     q_ref, grid_ref, _ = _quasi_batch(freqs.probs[None], freqs.basis_map, margin, max_iter, strict=True)
     factors = _pair_factors(freqs)
 
-    shares = min(cfg.workers or 1, cfg.sample_size)
-    if shares > 1:
-        shares = min(shares, _usable_cpus())
+    shares = min(cfg.workers, cfg.sample_size, _usable_cpus())
     bounds = [cfg.sample_size * w // shares for w in range(shares + 1)]
     payloads = [
         (freqs, factors, lo, hi, cfg.seed, cfg.inflation, margin, max_iter, grid_ref[0])
         for lo, hi in zip(bounds, bounds[1:])
     ]
-    if shares == 1:
-        parts = [_run_samples(payloads[0])]
-    else:
-        parts = _fan_out(_run_samples, payloads)
+    parts = _fan_out(_run_samples, payloads)
     qs, grids, permuted, failed = (np.concatenate(arrays) for arrays in zip(*parts))
 
     excluded = int(failed.sum())

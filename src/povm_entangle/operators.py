@@ -155,24 +155,6 @@ class HermitianOperator:
 
 
 @dataclass(frozen=True, eq=False)
-class PauliCorrelationMatrix:
-    """Real 4x4 coefficient matrix over sigma_w (x) sigma_v, w, v in {0,x,y,z}."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs)
-        if np.iscomplexobj(c):
-            if c.size and float(np.max(np.abs(c.imag))) > 0:
-                raise ValidationError("Pauli coefficients must be real")
-            c = c.real
-        c = c.astype(float)
-        if c.shape != (4, 4):
-            raise ValidationError(f"coefficient shape must be (4, 4), got {c.shape}")
-        object.__setattr__(self, "coeffs", _frozen(c))
-
-
-@dataclass(frozen=True, eq=False)
 class PovmSet:
     """Labeled POVM elements that sum to the identity."""
 
@@ -252,10 +234,11 @@ def bell_povm() -> PovmSet:
     return PovmSet(labels, elements)
 
 
-def pauli_expand(op) -> PauliCorrelationMatrix:
-    """Coefficients c[w, v] = tr(op sigma_w (x) sigma_v) / 4 of a two-qubit operator.
+def pauli_expand(op) -> np.ndarray:
+    """Real coefficients c[w, v] = tr(op sigma_w (x) sigma_v) / 4 of a two-qubit operator.
 
-    Accepts a HermitianOperator or a raw 4x4 array.  A raw array whose
+    Accepts a HermitianOperator or a raw 4x4 array and returns a contiguous
+    float64 (4, 4) array, w and v in {0, x, y, z}.  A raw array whose
     coefficients come out with imaginary part above 1e-9 is rejected.
     """
     m = op.matrix if isinstance(op, HermitianOperator) else np.asarray(op, dtype=complex)
@@ -265,7 +248,9 @@ def pauli_expand(op) -> PauliCorrelationMatrix:
     imag = float(np.max(np.abs(c.imag)))
     if imag > 1e-9:
         raise ValidationError(f"operator is not Hermitian (imaginary coefficient {imag:.3e})")
-    return PauliCorrelationMatrix(c.real)
+    # a contiguous copy: small matmuls on the strided .real view can round
+    # differently
+    return c.real.copy()
 
 
 def pauli_matrices(c: np.ndarray) -> np.ndarray:

@@ -230,7 +230,7 @@ def remove_local_terms(
     mb = _I2.copy()
     res = _bloch_residual(rho)
     if res >= _BLOCH_TOL:
-        r = pauli_expand(rho).coeffs
+        r = pauli_expand(rho)
         seed_a, seed_b = _lorentz_filter(r), _lorentz_filter(r.T)
         if np.all(np.isfinite(seed_a)) and np.all(np.isfinite(seed_b)):
             rho, t = _filtered(rho, np.kron(seed_a, seed_b))
@@ -300,7 +300,7 @@ def diagonalize_correlations(op: HermitianOperator) -> tuple[np.ndarray, np.ndar
     the last entry may be negative, with the sign of the block's determinant.
     Both underlying rotations have det +1, so they lift to SU(2).
     """
-    c = pauli_expand(op).coeffs
+    c = pauli_expand(op)
     local = max(float(np.max(np.abs(c[0, 1:]))), float(np.max(np.abs(c[1:, 0]))))
     if local > _RESIDUAL_TOL:
         raise ValidationError(f"local Pauli terms not removed (largest {local:.3e})")
@@ -326,7 +326,7 @@ def to_standard_form(op: HermitianOperator, max_iter: int = 10000) -> StandardFo
     rotated = _hermitize(k @ filtered.matrix @ k.conj().T)
     target = np.zeros((4, 4))
     target[np.arange(4), np.arange(4)] = pi
-    residual = float(np.max(np.abs(pauli_expand(rotated).coeffs - target)))
+    residual = float(np.max(np.abs(pauli_expand(rotated) - target)))
     if residual > _RESIDUAL_TOL:
         raise ConvergenceError(
             f"standard form residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}",
@@ -354,17 +354,6 @@ class TildeDecomposition:
         if g.shape != (6, 6):
             raise ValidationError("grid must have shape (6, 6)")
         object.__setattr__(self, "grid", _frozen(g))
-
-    def recompose(self) -> HermitianOperator:
-        m = np.zeros((4, 4), dtype=complex)
-        for k in range(6):
-            pa = np.outer(self.states_a[k], self.states_a[k].conj())
-            for l in range(6):
-                if self.grid[k, l] == 0.0:
-                    continue
-                pb = np.outer(self.states_b[l], self.states_b[l].conj())
-                m += self.grid[k, l] * np.kron(pa, pb)
-        return HermitianOperator(_hermitize(m), (2, 2))
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:

@@ -26,7 +26,6 @@ import numpy as np
 from .errors import ValidationError
 from .operators import (
     HermitianOperator,
-    PauliCorrelationMatrix,
     PovmSet,
     bell_povm,
     pauli_eigenstate,
@@ -44,6 +43,8 @@ INDEFINITE_TOL = 1e-12
 
 # largest count the int64 count arrays hold
 COUNT_MAX = int(np.iinfo(np.int64).max)
+# the smallest float past it: float(COUNT_MAX) itself rounds up to 2^63
+_FLOAT_OVER = 2.0**63
 
 _DEFAULT_ALICE = {"H": "z+", "V": "z-", "D": "x+", "A": "x-", "L": "y+", "R": "y-"}
 _DEFAULT_BOB = {"D": "z+", "A": "z-", "H": "x+", "V": "x-", "R": "y+", "L": "y-"}
@@ -156,6 +157,10 @@ class CoincidenceCounts:
         if not np.issubdtype(c.dtype, np.integer):
             if not np.all(c == np.floor(c)):
                 raise ValidationError("counts must be integers")
+            # the int64 cast would wrap these, infinities included
+            wide = np.abs(c) >= _FLOAT_OVER
+            if wide.any():
+                raise ValidationError(f"count {c[wide][0]} does not fit in 64 bits")
             c = c.astype(np.int64)
         if np.any(c < 0):
             raise ValidationError("counts must be nonnegative")
@@ -304,9 +309,10 @@ class RelativeFrequencies:
             raise ValidationError(f"probs shape must be ({len(outcomes)}, 6, 6), got {p.shape}")
         if t.shape != (6, 6):
             raise ValidationError(f"totals shape must be (6, 6), got {t.shape}")
-        if np.any(t <= 0):
-            raise ValidationError("totals must be positive for every probe pair")
-        if np.any(p < 0) or np.any(p > 1):
+        # written so that NaN fails: every comparison with it is false
+        if not np.all((t > 0) & (t < _FLOAT_OVER)):
+            raise ValidationError("totals must be positive and fit in 64 bits for every probe pair")
+        if not np.all((p >= 0) & (p <= 1)):
             raise ValidationError("frequencies must lie in [0, 1]")
         colsum = p.sum(axis=0)
         if float(np.max(np.abs(colsum - 1))) > 1e-12:
@@ -372,10 +378,9 @@ def repair_strength(low: np.ndarray, margin: float) -> tuple[np.ndarray, np.ndar
     return lam / (lam + 1.0 / low.shape[-1]), lam
 
 
-def reconstruct_correlations(freqs: RelativeFrequencies) -> list[PauliCorrelationMatrix]:
-    """One Pauli coefficient matrix per outcome, C_k = S_A P_k S_B^T / 4."""
-    coeffs, _ = invert_frequencies(freqs.probs, freqs.basis_map)
-    return [PauliCorrelationMatrix(c) for c in coeffs]
+def reconstruct_correlations(freqs: RelativeFrequencies) -> np.ndarray:
+    """Pauli coefficient matrices C_k = S_A P_k S_B^T / 4, stacked [outcome, 4, 4]."""
+    return invert_frequencies(freqs.probs, freqs.basis_map)[0]
 
 
 def reconstruct_povm(freqs: RelativeFrequencies) -> PovmSet:

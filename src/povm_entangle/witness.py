@@ -48,8 +48,10 @@ from .streams import keyed_rng
 # whatever the restart count, while small operators still advance thousands
 # of restarts per step.
 _FRAME_FLOOR = 1 << 16
-# a restart has converged once a sweep moves its value by less than this
+# a restart has converged once a sweep moves its value by less than this,
+# and stops unconverged after this many sweeps
 _SOLVER_TOL = 1e-10
+_MAX_SWEEPS = 10000
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,7 +291,6 @@ def _half_step(
 def separability_eigenvalue_numeric(
     op: HermitianOperator,
     restarts: int = 64,
-    max_sweeps: int = 10000,
     seed: int = 0,
     track_history: bool = False,
 ) -> SeparabilityResult:
@@ -321,14 +322,12 @@ def separability_eigenvalue_numeric(
     follows, and the active restarts go in chunks whose weights, tables or
     intermediate hold no more entries than the operator (or 2^16, whichever
     is more).  A restart leaves the active set after the first sweep that
-    moves its value by less than _SOLVER_TOL, or after `max_sweeps`; the
-    best restart is the first to reach the largest value.  The result is a certified lower bound on the
-    separability eigenvalue.
+    moves its value by less than _SOLVER_TOL, or after _MAX_SWEEPS; the
+    best restart is the first to reach the largest value.  The result is a
+    certified lower bound on the separability eigenvalue.
     """
     if restarts < 1:
         raise ValidationError(f"need at least 1 restart, got {restarts}")
-    if max_sweeps < 1:
-        raise ValidationError(f"need at least 1 sweep, got {max_sweeps}")
     dims = op.parties
     structured = _structured_starts(dims)
     starts = [
@@ -354,7 +353,7 @@ def separability_eigenvalue_numeric(
     converged = np.zeros(restarts, dtype=bool)
     history: list[list[float]] = [[] for _ in range(restarts)]
     active = np.arange(restarts)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         for j in range(len(dims)):
             for lo in range(0, active.size, chunks[j]):
                 rows = active[lo : lo + chunks[j]]

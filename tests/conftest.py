@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from povm_entangle import HermitianOperator, PovmSet, bell_povm
+from povm_entangle.operators import _hermitize
+
+# the same examples on every run, from a seed derived from each test, and no
+# example database: two runs of one commit test the same inputs.  Each test's
+# own max_examples and deadline still apply.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 def random_pd_element(rng, parties=(2, 2), trace=1.0):
@@ -56,6 +64,19 @@ def random_povm(rng, outcomes=4, parties=(2, 2)):
     )
     labels = tuple(f"k{i}" for i in range(outcomes))
     return PovmSet(labels, elements)
+
+
+def recompose(tilde) -> HermitianOperator:
+    """sum_kl grid[k, l] |a_k><a_k| (x) |b_l><b_l| of a TildeDecomposition."""
+    m = np.zeros((4, 4), dtype=complex)
+    for k in range(6):
+        pa = np.outer(tilde.states_a[k], tilde.states_a[k].conj())
+        for l in range(6):
+            if tilde.grid[k, l] == 0.0:
+                continue
+            pb = np.outer(tilde.states_b[l], tilde.states_b[l].conj())
+            m += tilde.grid[k, l] * np.kron(pa, pb)
+    return HermitianOperator(_hermitize(m), (2, 2))
 
 
 @pytest.fixture

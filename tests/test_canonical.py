@@ -153,3 +153,26 @@ def test_noisy_reconstruct_and_quasidist_bytes_are_pinned(tmp_path, monkeypatch)
     assert main(["quasidist", "--povm", "rec.json", "-o", "qd"]) == 0
     assert hashlib.sha256((tmp_path / "rec.json").read_bytes()).hexdigest() == RECONSTRUCT_NOISY
     assert digests(tmp_path / "qd") == QUASIDIST_NOISY
+
+
+# sha256 of `witness` outputs, taken before the solver's sweep cap became a
+# module constant; the element runs read the pinned noisy `reconstruct` output.
+WITNESS = {
+    ("--family", "ghz", "-n", "3", "--eps", "0.1"): "d0c96cf4baf71d081ad65e77eba965c245fd595a85cedb43b705f7ca0ecca664",
+    ("--family", "ghz", "-n", "3", "--eps", "0.1", "--numeric"): "6114805bff8afd0f47024a922dfdadefce25e0f8c8505208f15f606b71418f59",
+    ("--family", "me", "-d", "3", "--eps", "0.1"): "429b7450fddcf8ca1cf3565e6ea4f64cb53374a13e773421864a8d275fa9c0a1",
+    ("--family", "me", "-d", "3", "--eps", "0.1", "--numeric"): "1f9b863043d3774d4cac2eff06fe0e7def0fcbe3613d0c43304e6f82de34edfc",
+    ("--povm", "rec.json", "--element", "DD"): "c07e3ab9c54907f338cb7d468660fe2b551f4728b86d0e8c249ccebd95ff4aa1",
+    ("--povm", "rec.json", "--element", "DD", "--numeric"): "dcf630425683161bc7d82b4858b3d572863300dca60acce1feebbc66e67fc4b1",
+}
+
+
+def test_witness_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--eps", "0.1", "--counts", "1000", "--seed", "7", "-o", "noisy.csv"]) == 0
+    assert main(["reconstruct", "--counts", "noisy.csv", "-o", "rec.json"]) == 0
+    got = {}
+    for args in WITNESS:
+        assert main(["witness", *args, "-o", "w.json"]) == 0
+        got[args] = hashlib.sha256((tmp_path / "w.json").read_bytes()).hexdigest()
+    assert got == WITNESS

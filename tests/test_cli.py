@@ -233,6 +233,30 @@ class TestExitCodes:
         assert rc == 1
         assert "mode" in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--lambda", "-n", "3", "-d", "2", "--family", "ghz"],
+            ["--lambda", "-n", "3", "-d", "2", "--povm", "rec.json"],
+            ["--lambda", "-n", "3", "-d", "2", "--element", "DD"],
+            ["--family", "ghz", "-n", "3", "-d", "7"],
+            ["--family", "me", "-d", "3", "-n", "2"],
+            ["--povm", "rec.json", "--element", "DD", "-n", "2"],
+            ["--povm", "rec.json", "--element", "DD", "-d", "2"],
+            ["--family", "ghz", "-n", "3", "--element", "DD"],
+        ],
+        ids=[
+            "lambda-family", "lambda-povm", "lambda-element", "ghz-d", "me-n", "element-n",
+            "element-d", "element-without-povm",
+        ],
+    )
+    def test_witness_option_its_mode_ignores_is_one(self, capsys, args):
+        # refused before any file is read: rec.json need not exist
+        rc, out, err = run(["witness", *args], capsys)
+        assert rc == 1
+        assert out == ""
+        assert "Usage:" in err and "Traceback" not in err
+
     def test_missing_file_is_two(self, capsys):
         rc, _, err = run(["reconstruct", "--counts", "/nonexistent/file.csv"], capsys)
         assert rc == 2

@@ -545,7 +545,7 @@ def _local_filter(rng, strength):
 
 
 def _batched_pi(elements):
-    r = np.stack([pauli_expand(el).coeffs for el in elements])
+    r = np.stack([pauli_expand(el) for el in elements])
     return sf._lorentz_pi(r)
 
 
@@ -566,7 +566,7 @@ def test_lorentz_pi_matches_standard_form(seeds):
         if closed[k]:
             np.testing.assert_allclose(pi[k], to_standard_form(el).pi, rtol=0, atol=1e-12)
         else:  # strong filters only: the closed form hands these over
-            r = pauli_expand(el).coeffs
+            r = pauli_expand(el)
             assert (r**2).sum() > 10 * np.trace(r @ mc._ETA @ r.T @ mc._ETA)
     assert closed.mean() > 0.5
 

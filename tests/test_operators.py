@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from povm_entangle import (
     HermitianOperator,
-    PauliCorrelationMatrix,
     PovmSet,
     ValidationError,
     bell_povm,
@@ -78,7 +77,7 @@ def test_bell_diagonal_coefficients(ideal_bell):
         "z": (0.25, 0.25, -0.25),
     }
     for label, el in ideal_bell.items():
-        c = pauli_expand(el).coeffs
+        c = pauli_expand(el)
         assert abs(c[0, 0] - 0.25) < 1e-15
         diag = tuple(c[w, w] for w in (1, 2, 3))
         assert np.allclose(diag, expected[label], atol=1e-15)
@@ -87,7 +86,8 @@ def test_bell_diagonal_coefficients(ideal_bell):
 
 
 def test_expand_identity_quarter():
-    c = pauli_expand(HermitianOperator(np.eye(4) / 4, (2, 2))).coeffs
+    c = pauli_expand(HermitianOperator(np.eye(4) / 4, (2, 2)))
+    assert c.dtype == np.float64 and c.shape == (4, 4) and c.flags.c_contiguous
     assert c[0, 0] == pytest.approx(0.25, abs=1e-15)
     assert np.max(np.abs(c - np.diag([0.25, 0.0, 0.0, 0.0]))) < 1e-15
 
@@ -97,6 +97,8 @@ def test_expand_rejects_non_hermitian():
     m[0, 1] = 1.0
     with pytest.raises(ValidationError):
         pauli_expand(m)
+    with pytest.raises(ValidationError, match="4x4"):
+        pauli_expand(np.zeros((3, 4)))
 
 
 @settings(max_examples=50, deadline=None)
@@ -104,15 +106,8 @@ def test_expand_rejects_non_hermitian():
 def test_expand_compose_round_trip(seed):
     rng = np.random.default_rng(seed)
     el = random_pd_element(rng, trace=float(rng.uniform(0.1, 4.0)))
-    back = pauli_matrices(pauli_expand(el).coeffs)
+    back = pauli_matrices(pauli_expand(el))
     assert np.max(np.abs(back - el.matrix)) < 1e-12
-
-
-def test_compose_validates_coefficients():
-    with pytest.raises(ValidationError):
-        PauliCorrelationMatrix(np.zeros((3, 4)))
-    with pytest.raises(ValidationError):
-        PauliCorrelationMatrix(np.full((4, 4), 1j))
 
 
 def test_hermitian_operator_validation():

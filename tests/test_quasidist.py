@@ -204,7 +204,7 @@ def ideal_bell_reference() -> dict:
     """
     out = {}
     for label, el in bell_povm().items():
-        c = pauli_expand(el).coeffs
+        c = pauli_expand(el)
         out[label] = quasidistribution_from_pi(np.diag(c).copy(), el.trace())
     return out
 

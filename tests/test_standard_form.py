@@ -28,7 +28,7 @@ from povm_entangle import (
 from povm_entangle.operators import PAULIS, pauli_eigenstate, pauli_matrices
 from povm_entangle.standard_form import _lorentz_pi
 
-from conftest import random_pd_element
+from conftest import random_pd_element, recompose
 
 SINGLET_PI = np.array([0.25, 0.25, 0.25, -0.25])
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -122,7 +122,7 @@ def test_remove_local_terms_contract(rng):
     el = random_pd_element(rng, trace=1.7)
     filtered, ma, mb = remove_local_terms(el)
     assert filtered.trace() == pytest.approx(1.7, abs=1e-9)
-    c = pauli_expand(filtered).coeffs
+    c = pauli_expand(filtered)
     assert np.max(np.abs(c[0, 1:])) < 1e-9
     assert np.max(np.abs(c[1:, 0])) < 1e-9
     k = np.kron(ma, mb)
@@ -219,7 +219,7 @@ def test_sorting_permutation_convention():
         t = form.transform
         assert np.linalg.det(so3_from_su2(t.rotation_a)) == pytest.approx(1.0, abs=1e-9)
         assert np.linalg.det(so3_from_su2(t.rotation_b)) == pytest.approx(1.0, abs=1e-9)
-        pi, closed = _lorentz_pi(pauli_expand(el).coeffs)
+        pi, closed = _lorentz_pi(pauli_expand(el))
         assert closed
         np.testing.assert_allclose(pi, form.pi, rtol=0, atol=1e-12)
 
@@ -305,7 +305,7 @@ def test_back_transform_identity(ideal_bell):
         overlap = abs(np.vdot(tilde.states_a[k], ref))
         assert overlap == pytest.approx(1.0, abs=1e-9)
     assert np.max(np.abs(tilde.grid - qdist.grid)) < 1e-9
-    rec = tilde.recompose()
+    rec = recompose(tilde)
     assert np.max(np.abs(rec.matrix - ideal_bell.element("0").matrix)) < 1e-12
 
 
@@ -315,7 +315,7 @@ def test_back_transform_closure_and_signs(rng):
         form = to_standard_form(el)
         qdist = optimal_quasidistribution(form)
         tilde = back_transform(form, qdist)
-        assert np.max(np.abs(tilde.recompose().matrix - el.matrix)) < 1e-8
+        assert np.max(np.abs(recompose(tilde).matrix - el.matrix)) < 1e-8
         assert np.all(np.sign(tilde.grid) == np.sign(qdist.grid))
         assert abs(tilde.grid.sum() - el.trace()) < 1e-9
         for side in (tilde.states_a, tilde.states_b):

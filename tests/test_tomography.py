@@ -107,7 +107,7 @@ def test_trivial_povm_inversion():
     probs = np.full((4, 6, 6), 0.25)
     freqs = RelativeFrequencies(("AA", "AD", "DA", "DD"), probs, np.full((6, 6), 100.0), BasisMap.default())
     for c in reconstruct_correlations(freqs):
-        assert np.max(np.abs(c.coeffs - np.diag([0.25, 0.0, 0.0, 0.0]))) < 1e-12
+        assert np.max(np.abs(c - np.diag([0.25, 0.0, 0.0, 0.0]))) < 1e-12
     povm = reconstruct_povm(freqs)
     for el in povm.elements:
         assert np.max(np.abs(el.matrix - np.eye(4) / 4)) < 1e-12
@@ -144,8 +144,8 @@ def test_reconstruction_linearity(rng):
     c2 = reconstruct_correlations(f2)
     cm = reconstruct_correlations(mixed)
     for k in range(4):
-        expect = alpha * c1[k].coeffs + (1 - alpha) * c2[k].coeffs
-        assert np.max(np.abs(cm[k].coeffs - expect)) < 1e-12
+        expect = alpha * c1[k] + (1 - alpha) * c2[k]
+        assert np.max(np.abs(cm[k] - expect)) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -213,8 +213,7 @@ def test_stacked_inversion_matches_per_sample_inversion():
     coeffs, mats = invert_frequencies(np.stack([f.probs for f in samples]), samples[0].basis_map)
     assert coeffs.shape == mats.shape == (len(samples), 4, 4, 4)
     for s, f in enumerate(samples):
-        for k, c in enumerate(reconstruct_correlations(f)):
-            np.testing.assert_array_equal(coeffs[s, k], c.coeffs)
+        np.testing.assert_array_equal(coeffs[s], reconstruct_correlations(f))
         for k, el in enumerate(reconstruct_povm(f).elements):
             np.testing.assert_array_equal(mats[s, k], el.matrix)
 
@@ -392,6 +391,32 @@ def test_counts_validation():
         CoincidenceCounts(good.outcomes, zeroed, good.basis_map)
     with pytest.raises(ValidationError, match="non-empty"):
         CoincidenceCounts((" ", *good.outcomes[1:]), good.counts, good.basis_map)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, 2.0**63, 1e19])
+def test_float_counts_beyond_64_bits_are_refused(value):
+    # refused before the int64 cast, which would wrap them
+    good = exact_bell_counts()
+    wide = good.counts.astype(float)
+    wide[0, 1, 2] = value
+    with pytest.raises(ValidationError, match="does not fit in 64 bits"):
+        CoincidenceCounts(good.outcomes, wide, good.basis_map)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("probs", np.nan, r"lie in \[0, 1\]"),
+        ("totals", np.nan, "totals must be positive"),
+        ("totals", np.inf, "totals must be positive"),
+        ("totals", 2.0**63, "fit in 64 bits"),
+    ],
+)
+def test_frequencies_refuse_non_finite_values(field, value, message):
+    args = {"probs": np.full((4, 6, 6), 0.25), "totals": np.full((6, 6), 10.0)}
+    args[field].flat[0] = value
+    with pytest.raises(ValidationError, match=message):
+        RelativeFrequencies(("AA", "AD", "DA", "DD"), args["probs"], args["totals"], BasisMap.default())
 
 
 def test_frequencies_validation():

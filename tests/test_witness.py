@@ -255,18 +255,17 @@ def test_solver_monotone_history():
         assert np.all(diffs > -1e-12)
 
 
-def test_solver_determinism_and_flags():
+def test_solver_determinism_and_flags(monkeypatch):
     op = lambda_operator(2, 3)
     a = separability_eigenvalue_numeric(op, restarts=6, seed=42)
     b = separability_eigenvalue_numeric(op, restarts=6, seed=42)
     assert a.gmax == b.gmax
     assert all(np.array_equal(x, y) for x, y in zip(a.states, b.states))
-    short = separability_eigenvalue_numeric(op, restarts=2, max_sweeps=1)
-    assert not short.converged
     with pytest.raises(ValidationError):
         separability_eigenvalue_numeric(op, restarts=0)
-    with pytest.raises(ValidationError, match="sweep"):
-        separability_eigenvalue_numeric(op, max_sweeps=0)
+    monkeypatch.setattr(witness, "_MAX_SWEEPS", 1)
+    short = separability_eigenvalue_numeric(op, restarts=2)
+    assert not short.converged
 
 
 @pytest.mark.parametrize(
@@ -435,7 +434,8 @@ def test_solver_chunks_bound_the_intermediate(monkeypatch, op, floor):
     monkeypatch.setattr(witness, "_FRAME_FLOOR", floor)
     monkeypatch.setattr(witness, "_half_step", spy)
     monkeypatch.setattr(witness, "_sparse_entries", lambda matrix, dims: None)
-    separability_eigenvalue_numeric(op, restarts=64, seed=2, max_sweeps=3)
+    monkeypatch.setattr(witness, "_MAX_SWEEPS", 3)
+    separability_eigenvalue_numeric(op, restarts=64, seed=2)
     for j, seen in sizes.items():
         assert seen, j
         assert max(seen) <= max(op.dim**2, floor)
@@ -450,12 +450,13 @@ def peak_bytes(op, **kwargs):
         tracemalloc.stop()
 
 
-def test_solver_memory_is_bounded_by_the_chunk_rule():
+def test_solver_memory_is_bounded_by_the_chunk_rule(monkeypatch):
     # a 64-restart solve at D = 1024: the largest intermediate holds at most
     # D^2 complex entries, and the (A, d_j, R, L, d_j) rest is no larger;
     # every sweep makes the same ones, so two show the peak
     op = DENSE_5_4
-    assert peak_bytes(op, restarts=64, seed=0, max_sweeps=2) <= 2 * 16 * op.dim**2
+    monkeypatch.setattr(witness, "_MAX_SWEEPS", 2)
+    assert peak_bytes(op, restarts=64, seed=0) <= 2 * 16 * op.dim**2
 
 
 def test_entry_solver_memory_is_bounded_by_the_chunk_rule():
