@@ -30,33 +30,18 @@ Exit codes: 0 success, 1 usage, 2 invalid data, 3 numeric failure.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from itertools import chain
 from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__
 from .errors import ConvergenceError, ValidationError
 from .operators import PovmSet
 from .tomography import BasisMap, CoincidenceCounts
-
-SEED_ENV = "POVM_ENTANGLE_SEED"
-
-
-def _resolve_seed(seed: int | None) -> int:
-    if seed is not None:
-        return int(seed)
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(f"{SEED_ENV} must be an integer, got {env!r}")
-    return 0
-
 
 def _manifest(command: str, **params) -> dict:
     return {
@@ -192,12 +177,23 @@ def _write_counts(data: CoincidenceCounts, out: str | None, manifest: dict):
 
 
 def _read_povm(path: str) -> PovmSet:
+    """A bare POVM record, or the corrected POVM of reconstruct's output."""
     d = _load_json(path)
-    if "corrected_povm" in d:
-        return PovmSet.from_dict(d["corrected_povm"])
-    if "povm" in d:
-        return PovmSet.from_dict(d["povm"])
-    return PovmSet.from_dict(d)
+    return PovmSet.from_dict(d.get("corrected_povm", d))
+
+
+def _check_mode(ctx: click.Context, mode: str, needs: set[str], reads: set[str]):
+    """Usage error unless the options in needs are all given and every other
+    given option is in reads.  An option counts as given when it did not take
+    its default, so an explicit default value counts too."""
+    params = ctx.command.params
+    given = {p.name for p in params if ctx.get_parameter_source(p.name) is not ParameterSource.DEFAULT}
+    missing = [p.opts[0] for p in params if p.name in needs - given]
+    if missing:
+        raise click.UsageError(f"{mode} needs {', '.join(missing)}")
+    unread = [p.opts[0] for p in params if p.name in given - needs - reads]
+    if unread:
+        raise click.UsageError(f"{mode} takes no {', '.join(unread)}")
 
 
 def _file_stems(labels) -> dict[str, str]:
@@ -223,19 +219,21 @@ def cli():
 @click.option("--eps", type=float, default=0.0, show_default=True, help="White noise fraction.")
 @click.option("--counts", type=int, default=10000, show_default=True, help="Events per setting pair.")
 @click.option("--indefiniteness", type=float, default=0.0, show_default=True, help="Zero-sum probability distortion amplitude.")
-@click.option("--seed", type=int, default=None, help=f"RNG seed (default: ${SEED_ENV} or 0).")
+@click.option("--seed", type=int, default=None, help="RNG seed (default: the --model spec's seed, else 0).")
 @click.option("--basis-map", "basis_map_path", type=str, default=None, help="Basis map JSON file.")
 @click.option("--out", "-o", type=str, default=None, help="Output file (.csv or .json; default: CSV to stdout).")
-def simulate(model_path, povm_path, eps, counts, indefiniteness, seed, basis_map_path, out):
+@click.pass_context
+def simulate(ctx, model_path, povm_path, eps, counts, indefiniteness, seed, basis_map_path, out):
     """Draw synthetic coincidence counts from a detector model."""
     from .simulate import DetectorModel, bell_model, draw_counts, model_from_spec
 
-    basis_map = _read_basis_map(basis_map_path)
     if model_path is not None:
+        # the spec carries the model's own fields; only --seed overrides one
+        _check_mode(ctx, "--model", {"model_path"}, {"seed", "out"})
         model, model_seed = model_from_spec(_load_json(model_path))
-        used_seed = int(seed) if seed is not None else model_seed
     else:
-        used_seed = _resolve_seed(seed)
+        model_seed = 0
+        basis_map = _read_basis_map(basis_map_path)
         if povm_path is None or povm_path.lower() == "bell":
             model = bell_model(eps, counts, indefiniteness, basis_map)
         else:
@@ -246,6 +244,7 @@ def simulate(model_path, povm_path, eps, counts, indefiniteness, seed, basis_map
                 basis_map=basis_map or BasisMap.default(),
                 indefiniteness=indefiniteness,
             )
+    used_seed = model_seed if seed is None else seed
     manifest = _manifest(
         "simulate",
         eps=model.eps,
@@ -297,25 +296,22 @@ def reconstruct(counts_path, basis_map_path, margin, out):
 @cli.command()
 @click.option("--povm", "povm_path", type=str, required=True, help="POVM JSON (bare or reconstruct output).")
 @click.option("--out", "-o", "out_dir", type=str, required=True, help="Output directory.")
-@click.option("--max-iter", type=int, default=10000, show_default=True, help="Filter iteration cap.")
-def quasidist(povm_path, out_dir, max_iter):
+def quasidist(povm_path, out_dir):
     """Standard forms, optimal quasidistributions, and SVG charts per element."""
     from .operators import bloch_vector
     from .quasidist import LABELS, negativity_report, optimal_quasidistribution
-    from .standard_form import back_transform, to_standard_form
+    from .standard_form import _MAX_SWEEPS, back_transform, to_standard_form
     from .svg import quasidist_svg
 
     povm = _read_povm(povm_path)
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
     stems = _file_stems(povm.labels)
     outp = Path(out_dir)
     outp.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest("quasidist", povm=povm_path, max_iter=max_iter)
+    manifest = _manifest("quasidist", povm=povm_path, max_iter=_MAX_SWEEPS)
     summary: dict = {"manifest": manifest, "elements": {}, "failed": []}
     for label, element in povm.items():
         try:
-            form = to_standard_form(element, max_iter)
+            form = to_standard_form(element)
         except ConvergenceError as e:
             summary["elements"][label] = {"error": str(e), "residual": e.residual}
             summary["failed"].append(label)
@@ -372,12 +368,11 @@ def quasidist(povm_path, out_dir, max_iter):
 @click.option("--basis-map", "basis_map_path", type=str, default=None, help="Basis map JSON (CSV input only).")
 @click.option("--samples", type=int, default=10000, show_default=True, help="Monte Carlo sample count.")
 @click.option("--inflation", type=float, default=1.05, show_default=True, help="Covariance factor inflation.")
-@click.option("--seed", type=int, default=None, help=f"RNG seed (default: ${SEED_ENV} or 0).")
+@click.option("--seed", type=int, default=0, show_default=True, help="RNG seed.")
 @click.option("--workers", type=int, default=1, show_default=True, help="Sample shares run in parallel, one forked process per usable CPU at most.")
 @click.option("--margin", type=float, default=1e-5, show_default=True, help="Physicality margin.")
-@click.option("--max-iter", type=int, default=10000, show_default=True, help="Filter iteration cap.")
 @click.option("--out", "-o", "out_dir", type=str, default=None, help="Output directory (default: summary to stdout).")
-def errors(counts_path, basis_map_path, samples, inflation, seed, workers, margin, max_iter, out_dir):
+def errors(counts_path, basis_map_path, samples, inflation, seed, workers, margin, out_dir):
     """Propagate counting statistics through the pipeline by resampling."""
     from .montecarlo import McConfig, propagate
     from .svg import quasidist_svg
@@ -385,15 +380,14 @@ def errors(counts_path, basis_map_path, samples, inflation, seed, workers, margi
     basis_map = _read_basis_map(basis_map_path)
     data = _read_counts(counts_path, basis_map)
     stems = _file_stems(data.outcomes) if out_dir is not None else None
-    used_seed = _resolve_seed(seed)
-    cfg = McConfig(sample_size=samples, inflation=inflation, seed=used_seed, workers=workers)
-    report = propagate(data, cfg, margin=margin, max_iter=max_iter)
+    cfg = McConfig(sample_size=samples, inflation=inflation, seed=seed, workers=workers)
+    report = propagate(data, cfg, margin=margin)
     manifest = _manifest(
         "errors",
         counts=counts_path,
         samples=samples,
         inflation=inflation,
-        seed=used_seed,
+        seed=seed,
         margin=margin,
     )
     if out_dir is None:
@@ -433,6 +427,15 @@ def errors(counts_path, basis_map_path, samples, inflation, seed, workers, margi
     Path(outp / "summary.json").write_text(_canonical(summary))
 
 
+# each witness mode's options: those it needs, then the others it reads
+_WITNESS_MODES = {
+    "--lambda": ({"n", "d"}, {"lambda_mode", "restarts", "seed", "out"}),
+    "element mode": ({"povm_path", "element_label"}, {"family", "numeric", "restarts", "seed", "out"}),
+    "--family ghz": ({"n"}, {"family", "eps", "numeric", "restarts", "seed", "out"}),
+    "--family me": ({"d"}, {"family", "eps", "numeric", "restarts", "seed", "out"}),
+}
+
+
 @cli.command()
 @click.option("--family", type=click.Choice(["ghz", "me"]), default=None, help="Probe family.")
 @click.option("-n", "n", type=int, default=None, help="Qubit number for the ghz family.")
@@ -443,9 +446,10 @@ def errors(counts_path, basis_map_path, samples, inflation, seed, workers, margi
 @click.option("--lambda", "lambda_mode", is_flag=True, help="Cross-check the analytic bound against the numeric solver.")
 @click.option("--numeric", is_flag=True, help="Use the numeric lower bound for the verdict.")
 @click.option("--restarts", type=int, default=64, show_default=True, help="Solver restarts.")
-@click.option("--seed", type=int, default=None, help=f"Solver seed (default: ${SEED_ENV} or 0).")
+@click.option("--seed", type=int, default=0, show_default=True, help="Solver seed.")
 @click.option("--out", "-o", type=str, default=None, help="Output JSON file (default: stdout).")
-def witness(family, n, d, eps, povm_path, element_label, lambda_mode, numeric, restarts, seed, out):
+@click.pass_context
+def witness(ctx, family, n, d, eps, povm_path, element_label, lambda_mode, numeric, restarts, seed, out):
     """Evaluate probe-state witnesses or cross-check separability bounds."""
     from .operators import lambda_operator, noisy_ghz_element, noisy_me_element
     from .witness import (
@@ -457,17 +461,21 @@ def witness(family, n, d, eps, povm_path, element_label, lambda_mode, numeric, r
         witness_evaluate,
     )
 
-    used_seed = _resolve_seed(seed)
     if lambda_mode:
-        if family is not None or povm_path is not None or element_label is not None:
-            raise click.UsageError("--lambda takes no --family, --povm or --element")
-        if n is None or d is None:
-            raise click.UsageError("--lambda needs both -n and -d")
+        mode = "--lambda"
+    elif povm_path is not None or element_label is not None:
+        mode = "element mode"
+    elif family is not None:
+        mode = f"--family {family}"
+    else:
+        raise click.UsageError("pick a mode: --family, --povm/--element, or --lambda")
+    _check_mode(ctx, mode, *_WITNESS_MODES[mode])
+    if lambda_mode:
         op = lambda_operator(n, d)
         analytic = lambda_gmax_analytic(n, d)
-        res = separability_eigenvalue_numeric(op, restarts=restarts, seed=used_seed)
+        res = separability_eigenvalue_numeric(op, restarts=restarts, seed=seed)
         payload = {
-            "manifest": _manifest("witness", mode="lambda", n=n, d=d, restarts=restarts, seed=used_seed),
+            "manifest": _manifest("witness", mode="lambda", n=n, d=d, restarts=restarts, seed=seed),
             "mode": "lambda",
             "n": n,
             "d": d,
@@ -478,11 +486,7 @@ def witness(family, n, d, eps, povm_path, element_label, lambda_mode, numeric, r
         }
         _emit(payload, out)
         return
-    if povm_path is not None or element_label is not None:
-        if povm_path is None or element_label is None:
-            raise click.UsageError("element mode needs both --povm and --element")
-        if n is not None or d is not None:
-            raise click.UsageError("element mode takes no -n or -d")
+    if mode == "element mode":
         povm = _read_povm(povm_path)
         element = povm.element(element_label)
         if family == "ghz":
@@ -494,7 +498,7 @@ def witness(family, n, d, eps, povm_path, element_label, lambda_mode, numeric, r
                 raise ValidationError("me probe needs two equal-dimension parties")
             probe = me_probe(element.parties[0])
         result = witness_evaluate(
-            element, probe, numeric=numeric, restarts=restarts, seed=used_seed
+            element, probe, numeric=numeric, restarts=restarts, seed=seed
         )
         payload = {
             "manifest": _manifest(
@@ -504,7 +508,7 @@ def witness(family, n, d, eps, povm_path, element_label, lambda_mode, numeric, r
                 element=element_label,
                 family=family or "me",
                 numeric=numeric,
-                seed=used_seed,
+                seed=seed,
             ),
             "mode": "element",
             "element": element_label,
@@ -512,26 +516,20 @@ def witness(family, n, d, eps, povm_path, element_label, lambda_mode, numeric, r
         }
         _emit(payload, out)
         return
-    if family is None:
-        raise click.UsageError("pick a mode: --family, --povm/--element, or --lambda")
     if family == "ghz":
-        if n is None or d is not None:
-            raise click.UsageError("family ghz needs -n and takes no -d")
         element = noisy_ghz_element(n, eps)
         probe = ghz_probe(n)
         threshold = noise_threshold("ghz", n)
         size = n
     else:
-        if d is None or n is not None:
-            raise click.UsageError("family me needs -d and takes no -n")
         element = noisy_me_element(d, eps)
         probe = me_probe(d)
         threshold = noise_threshold("me", d)
         size = d
-    result = witness_evaluate(element, probe, numeric=numeric, restarts=restarts, seed=used_seed)
+    result = witness_evaluate(element, probe, numeric=numeric, restarts=restarts, seed=seed)
     payload = {
         "manifest": _manifest(
-            "witness", mode="family", family=family, size=size, eps=eps, numeric=numeric, seed=used_seed
+            "witness", mode="family", family=family, size=size, eps=eps, numeric=numeric, seed=seed
         ),
         "mode": "family",
         "family": family,

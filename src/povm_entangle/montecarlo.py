@@ -148,7 +148,6 @@ def _quasi_batch(
     probs: np.ndarray,
     basis_map,
     margin: float,
-    max_iter: int,
     strict: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """q[S, m], grids[S, m, 6, 6] and failure flags[S] of stacked frequencies probs[S, m, 6, 6].
@@ -178,7 +177,7 @@ def _quasi_batch(
             continue
         try:
             qdist = optimal_quasidistribution(
-                to_standard_form(HermitianOperator(mats[s, k], (2, 2)), max_iter)
+                to_standard_form(HermitianOperator(mats[s, k], (2, 2)))
             )
         except _SAMPLE_FAILURES:
             if strict:
@@ -219,11 +218,11 @@ def match_grid(reference: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, boo
 
 def _run_samples(payload):
     """Samples lo..hi-1 in blocks: q, aligned grids, permuted and failed flags."""
-    freqs, factors, lo, hi, seed, inflation, margin, max_iter, ref_grids = payload
+    freqs, factors, lo, hi, seed, inflation, margin, ref_grids = payload
     parts = []
     for start in range(lo, hi, _BLOCK):
         probs = _draw_probs(freqs, factors, range(start, min(start + _BLOCK, hi)), seed, inflation)
-        q, grids, failed = _quasi_batch(probs, freqs.basis_map, margin, max_iter)
+        q, grids, failed = _quasi_batch(probs, freqs.basis_map, margin)
         aligned, permuted = _match_grids(ref_grids, grids)
         parts.append((q, aligned, permuted, failed))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
@@ -459,7 +458,6 @@ def propagate(
     data: CoincidenceCounts | RelativeFrequencies,
     cfg: McConfig = McConfig(),
     margin: float = 1e-5,
-    max_iter: int = 10000,
 ) -> UncertaintyReport:
     """Run the full sampling study and return per-element uncertainty statistics.
 
@@ -469,19 +467,17 @@ def propagate(
     exclusions abort the run.  The sample axis is split into cfg.workers
     contiguous shares, at most one per CPU this process may use: this
     process runs the first and a forked child each other one
-    (`_fan_out`).  `max_iter` caps the filter sweeps of the elements that go
-    through to_standard_form, and must be at least 1 even when none does.
+    (`_fan_out`).  Elements the closed form leaves out go through
+    to_standard_form, whose filter sweeps stop at standard_form._MAX_SWEEPS.
     """
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
     freqs = relative_frequencies(data) if isinstance(data, CoincidenceCounts) else data
-    q_ref, grid_ref, _ = _quasi_batch(freqs.probs[None], freqs.basis_map, margin, max_iter, strict=True)
+    q_ref, grid_ref, _ = _quasi_batch(freqs.probs[None], freqs.basis_map, margin, strict=True)
     factors = _pair_factors(freqs)
 
     shares = min(cfg.workers, cfg.sample_size, _usable_cpus())
     bounds = [cfg.sample_size * w // shares for w in range(shares + 1)]
     payloads = [
-        (freqs, factors, lo, hi, cfg.seed, cfg.inflation, margin, max_iter, grid_ref[0])
+        (freqs, factors, lo, hi, cfg.seed, cfg.inflation, margin, grid_ref[0])
         for lo, hi in zip(bounds, bounds[1:])
     ]
     parts = _fan_out(_run_samples, payloads)

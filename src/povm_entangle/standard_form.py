@@ -46,6 +46,8 @@ _FILTER_CAP = 1e60
 _BLOCH_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
 _EIG_FLOOR = 1e-12
+# the filter sweeps give up after this many; most elements need at most one
+_MAX_SWEEPS = 10000
 
 # closed-form pi is left to to_standard_form where the squared Lorentz
 # singular values are not real to this share of the largest, where the top
@@ -202,15 +204,13 @@ def _filtered(rho: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, float]:
     return out / t, t
 
 
-def remove_local_terms(
-    op: HermitianOperator, max_iter: int = 10000
-) -> tuple[HermitianOperator, np.ndarray, np.ndarray]:
+def remove_local_terms(op: HermitianOperator) -> tuple[HermitianOperator, np.ndarray, np.ndarray]:
     """Local filters that make both single-arm Bloch vectors vanish.
 
     Unless the input is already free of local terms, the filters start from
     the closed-form Lorentz pair of `_lorentz_filter`, which removes the local
     terms of a full-rank operator outright.  Alternating sweeps
-    X = (reduced operator)^(-1/2), at most max_iter of them, then run
+    X = (reduced operator)^(-1/2), at most _MAX_SWEEPS of them, then run
     until the Bloch residual is below _BLOCH_TOL; rank-deficient inputs
     need them.  Returns (filtered operator, filter_a, filter_b) with
     filtered = (filter_a (x) filter_b) op (...)^dagger and the filters scaled
@@ -218,8 +218,6 @@ def remove_local_terms(
     rank-deficient inputs whose local terms cannot be filtered away, such as
     product projectors, raise ConvergenceError with the residual reached.
     """
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
     if op.parties != (2, 2):
         raise ValidationError(f"standard form needs a two-qubit operator, got parties {op.parties}")
     t_in = op.trace()
@@ -238,7 +236,7 @@ def remove_local_terms(
             mb = seed_b / t**0.25
             res = _bloch_residual(rho)
     converged = res < _BLOCH_TOL
-    for _ in range(max_iter):
+    for _ in range(_MAX_SWEEPS):
         if converged:
             break
         # fold each renormalization into the filter so the accumulated
@@ -260,7 +258,7 @@ def remove_local_terms(
     if not converged:
         raise ConvergenceError(
             f"local-term removal stalled at Bloch residual {res:.3e} "
-            f"after {max_iter} iterations",
+            f"after {_MAX_SWEEPS} iterations",
             residual=res,
         )
     k = np.kron(ma, mb)
@@ -315,12 +313,12 @@ def diagonalize_correlations(op: HermitianOperator) -> tuple[np.ndarray, np.ndar
     return pi, su2_from_so3(u.T), su2_from_so3(vt)
 
 
-def to_standard_form(op: HermitianOperator, max_iter: int = 10000) -> StandardForm:
+def to_standard_form(op: HermitianOperator) -> StandardForm:
     """Filter, rotate, and report the diagonal form of a positive two-qubit operator.
 
-    `max_iter` caps the filter sweeps of `remove_local_terms`.
+    The filters come from `remove_local_terms`, whose sweeps stop at _MAX_SWEEPS.
     """
-    filtered, ma, mb = remove_local_terms(op, max_iter)
+    filtered, ma, mb = remove_local_terms(op)
     pi, ua, ub = diagonalize_correlations(filtered)
     k = np.kron(ua, ub)
     rotated = _hermitize(k @ filtered.matrix @ k.conj().T)

@@ -201,20 +201,14 @@ class TestDeterminism:
         b = json.loads(rec_b.read_text())
         assert a["corrected_povm"] == b["corrected_povm"]
 
-    def test_seed_env_fallback(self, tmp_path, capsys, monkeypatch):
-        viaenv = tmp_path / "env.csv"
+    def test_seed_overrides_the_model_spec(self, tmp_path, capsys):
+        spec = tmp_path / "model.json"
+        spec.write_text(json.dumps({"counts_per_setting": 400, "seed": 9}))
+        viaspec = tmp_path / "spec.csv"
         viaflag = tmp_path / "flag.csv"
-        monkeypatch.setenv("POVM_ENTANGLE_SEED", "123")
-        assert run(["simulate", "-o", str(viaenv)], capsys)[0] == 0
-        monkeypatch.delenv("POVM_ENTANGLE_SEED")
-        assert run(["simulate", "--seed", "123", "-o", str(viaflag)], capsys)[0] == 0
-        assert viaenv.read_bytes() == viaflag.read_bytes()
-
-    def test_seed_env_must_be_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("POVM_ENTANGLE_SEED", "not-a-number")
-        rc, _, err = run(["simulate"], capsys)
-        assert rc == 2
-        assert "POVM_ENTANGLE_SEED" in err
+        assert run(["simulate", "--model", str(spec), "--seed", "4", "-o", str(viaspec)], capsys)[0] == 0
+        assert run(["simulate", "--counts", "400", "--seed", "4", "-o", str(viaflag)], capsys)[0] == 0
+        assert viaspec.read_bytes() == viaflag.read_bytes()
 
 
 class TestExitCodes:
@@ -244,10 +238,13 @@ class TestExitCodes:
             ["--povm", "rec.json", "--element", "DD", "-n", "2"],
             ["--povm", "rec.json", "--element", "DD", "-d", "2"],
             ["--family", "ghz", "-n", "3", "--element", "DD"],
+            ["--lambda", "-n", "2", "-d", "2", "--numeric"],
+            ["--lambda", "-n", "2", "-d", "2", "--eps", "0.3"],
+            ["--povm", "rec.json", "--element", "DD", "--eps", "0.3"],
         ],
         ids=[
             "lambda-family", "lambda-povm", "lambda-element", "ghz-d", "me-n", "element-n",
-            "element-d", "element-without-povm",
+            "element-d", "element-without-povm", "lambda-numeric", "lambda-eps", "element-eps",
         ],
     )
     def test_witness_option_its_mode_ignores_is_one(self, capsys, args):
@@ -256,6 +253,29 @@ class TestExitCodes:
         assert rc == 1
         assert out == ""
         assert "Usage:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--povm", "rec.json"],
+            ["--eps", "0.5"],
+            ["--eps", "0.0"],
+            ["--counts", "7"],
+            ["--indefiniteness", "0.3"],
+            ["--basis-map", "map.json"],
+        ],
+        ids=["povm", "eps", "eps-default", "counts", "indefiniteness", "basis-map"],
+    )
+    def test_simulate_option_model_ignores_is_one(self, tmp_path, capsys, args):
+        # the spec carries these fields itself; rec.json and map.json need not exist
+        spec = tmp_path / "model.json"
+        spec.write_text(json.dumps({"counts_per_setting": 400}))
+        out_csv = tmp_path / "c.csv"
+        rc, out, err = run(["simulate", "--model", str(spec), *args, "-o", str(out_csv)], capsys)
+        assert rc == 1
+        assert out == ""
+        assert "Usage:" in err and args[0] in err and "Traceback" not in err
+        assert not out_csv.exists()
 
     def test_missing_file_is_two(self, capsys):
         rc, _, err = run(["reconstruct", "--counts", "/nonexistent/file.csv"], capsys)
@@ -289,6 +309,14 @@ class TestExitCodes:
         path.write_text(body)
         rc, _, err = run(["quasidist", "--povm", str(path), "-o", str(tmp_path / "q")], capsys)
         self.assert_invalid_input(rc, err)
+
+    def test_wrapped_povm_record_is_two(self, tmp_path, capsys):
+        # a POVM is read bare or as reconstruct's corrected_povm, nothing else
+        path = tmp_path / "povm.json"
+        path.write_text(json.dumps({"povm": bell_povm().to_dict()}))
+        rc, _, err = run(["quasidist", "--povm", str(path), "-o", str(tmp_path / "q")], capsys)
+        self.assert_invalid_input(rc, err)
+        assert "malformed POVM record" in err
 
     @pytest.mark.parametrize("name", ["counts.csv", "counts.json"])
     def test_non_utf8_counts_is_two(self, tmp_path, capsys, name):
@@ -429,22 +457,6 @@ class TestExitCodes:
         assert rc == 2
         assert "non-finite" in err
 
-    @pytest.mark.parametrize("command", ["quasidist", "errors"])
-    def test_max_iter_below_one_is_two(self, tmp_path, capsys, bell_csv, command):
-        # refused before any output, even where no element needs a sweep
-        if command == "quasidist":
-            povm = tmp_path / "povm.json"
-            assert main(["reconstruct", "--counts", str(bell_csv), "-o", str(povm)]) == 0
-            argv = ["quasidist", "--povm", str(povm)]
-        else:
-            argv = ["errors", "--counts", str(bell_csv), "--samples", "10"]
-        out_dir = tmp_path / "out"
-        rc, out, err = run([*argv, "--max-iter", "0", "-o", str(out_dir)], capsys)
-        self.assert_invalid_input(rc, err)
-        assert "max_iter" in err
-        assert out == ""
-        assert not out_dir.exists()
-
     def test_overlapping_groups_is_two(self, tmp_path, capsys, bell_csv):
         rc, _, err = run(
             ["combine", "--counts", str(bell_csv), "--groups", "AA+AD,AD+DA"], capsys
@@ -455,7 +467,7 @@ class TestExitCodes:
         povm_path = mixed_povm_file(tmp_path)
         qdir = tmp_path / "qout"
         rc, _, err = run(
-            ["quasidist", "--povm", str(povm_path), "-o", str(qdir), "--max-iter", "300"],
+            ["quasidist", "--povm", str(povm_path), "-o", str(qdir)],
             capsys,
         )
         assert rc == 3

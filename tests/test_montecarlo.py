@@ -412,14 +412,14 @@ def _failing_after(monkeypatch, good_calls, bad_calls=None):
     ref = mc.to_standard_form
     calls = {"n": 0}
 
-    def flaky(op, max_iter):
+    def flaky(op):
         calls["n"] += 1
         bad = calls["n"] > good_calls
         if bad_calls is not None:
             bad &= calls["n"] <= good_calls + bad_calls
         if bad:
             raise ConvergenceError("boom")
-        return ref(op, max_iter)
+        return ref(op)
 
     monkeypatch.setattr(mc, "to_standard_form", flaky)
 
@@ -447,7 +447,7 @@ def test_failed_element_excludes_its_sample(bell_counts, monkeypatch):
 def _sample_q(counts, seed, sample):
     freqs = relative_frequencies(counts)
     probs = mc._draw_probs(freqs, mc._pair_factors(freqs), [sample], seed, 1.05)
-    q, _, _ = mc._quasi_batch(probs, freqs.basis_map, 1e-5, 10000)
+    q, _, _ = mc._quasi_batch(probs, freqs.basis_map, 1e-5)
     return dict(zip(freqs.outcomes, q[0]))
 
 
@@ -468,7 +468,7 @@ def test_product_projector_reference_raises_convergence_error():
     povm = PovmSet(("bad", "good"), (HermitianOperator(p00), HermitianOperator(np.eye(4) - p00)))
     freqs = expected_frequencies(DetectorModel(povm=povm))
     with pytest.raises(ConvergenceError, match="filtered trace"):
-        propagate(freqs, McConfig(sample_size=10), max_iter=300)
+        propagate(freqs, McConfig(sample_size=10))
 
 
 @pytest.mark.parametrize("margin", [float("nan"), float("inf"), -1e-3])
@@ -612,7 +612,7 @@ def test_diagonal_singlet_element_takes_the_closed_form_path():
     povm = reconstruct_povm(freqs)
     _, closed = _batched_pi(povm.elements)
     assert closed.all()
-    q, grids, failed = mc._quasi_batch(freqs.probs[None], freqs.basis_map, 1e-5, 10000, strict=True)
+    q, grids, failed = mc._quasi_batch(freqs.probs[None], freqs.basis_map, 1e-5, strict=True)
     assert not failed.any()
     for k, el in enumerate(povm.elements):
         qdist = optimal_quasidistribution(to_standard_form(el))

@@ -25,6 +25,7 @@ from povm_entangle import (
     su2_from_so3,
     to_standard_form,
 )
+from povm_entangle import standard_form
 from povm_entangle.operators import PAULIS, pauli_eigenstate, pauli_matrices
 from povm_entangle.standard_form import _lorentz_pi
 
@@ -134,7 +135,7 @@ def test_rank_deficient_raises_with_residual():
     proj[0, 0] = 1.0
     el = HermitianOperator(proj, (2, 2))
     with pytest.raises(ConvergenceError) as err:
-        to_standard_form(el, max_iter=50)
+        to_standard_form(el)
     assert err.value.residual > 0
 
 
@@ -147,12 +148,13 @@ def test_near_pure_full_rank_element():
     assert_maps_onto_standard(el, form)
 
 
-def test_resampled_bell_elements_need_no_sweeps():
+def test_resampled_bell_elements_need_no_sweeps(monkeypatch):
     counts = draw_counts(bell_model(counts_per_setting=10_000), 0)
     povm, _, _ = physicality_correct(reconstruct_povm(relative_frequencies(counts)))
     # one sweep at most: the closed-form filters must do the work on their own
+    monkeypatch.setattr(standard_form, "_MAX_SWEEPS", 1)
     for el in povm.elements:
-        form = to_standard_form(el, max_iter=1)
+        form = to_standard_form(el)
         assert_maps_onto_standard(el, form)
 
 
@@ -173,9 +175,7 @@ def test_rank_deficient_elements_still_converge(ideal_bell):
     assert_maps_onto_standard(el, form)
 
 
-def test_standard_form_validation(ideal_bell):
-    with pytest.raises(ValidationError, match="max_iter"):
-        to_standard_form(ideal_bell.element("0"), max_iter=0)
+def test_standard_form_validation():
     with pytest.raises(ValidationError):
         to_standard_form(HermitianOperator(np.zeros((4, 4)), (2, 2)))
 
