@@ -2,10 +2,12 @@
 
 Operators are plain numpy matrices tagged with the dimensions of their
 tensor factors: real input is stored as float64, anything else as
-complex128.  Total dimension is capped at 4096, so every spectral
-question is answered by a dense Hermitian eigensolve; there is no sparse or
-iterative machinery.  All containers are frozen and functions return new
-objects, which keeps concurrent use safe.
+complex128.  Total dimension is capped at 4096.  An operator built from its
+nonzero entries (`HermitianOperator.from_entries`, which every producer here
+uses) is checked over those entries only and keeps them, so the solver and
+`min_eigenvalue` read its structure instead of scanning D^2 entries.  All
+containers are frozen and functions return new objects, which keeps
+concurrent use safe.
 """
 
 from __future__ import annotations
@@ -94,6 +96,43 @@ def _hermiticity_deviation(m: np.ndarray) -> float:
     return float(dev)
 
 
+def _entry_deviation(flat: np.ndarray, values: np.ndarray, dim: int) -> float:
+    """_hermiticity_deviation of the matrix whose only nonzero entries are these.
+
+    `flat` holds the sorted, distinct indices r D + c.  A pair of zeros
+    deviates by 0, so the largest |m_rc - conj(m_cr)| is found at an entry,
+    against its mirror entry c D + r, or 0 where the mirror is not listed.
+    """
+    r, c = np.divmod(flat, dim)
+    mirror = c * dim + r
+    at = np.minimum(np.searchsorted(flat, mirror), flat.size - 1)
+    other = np.where(flat[at] == mirror, values[at], 0)
+    with np.errstate(invalid="ignore"):
+        return float(np.abs(values - other.conj()).max(initial=0.0))
+
+
+def _checked_parties(parties) -> tuple[tuple[int, ...], int]:
+    """The party dimensions as ints and their product, checked against the guard."""
+    parties = tuple(int(d) for d in parties)
+    if not parties or any(d < 2 for d in parties):
+        raise ValidationError(f"party dimensions must all be >= 2, got {parties}")
+    dim = math.prod(parties)
+    _check_dimension(dim)
+    return parties, dim
+
+
+def _check_deviation(dev: float) -> None:
+    # any NaN or infinite entry makes its own deviation NaN or infinite
+    if not math.isfinite(dev):
+        raise ValidationError("matrix has non-finite entries")
+    if dev > HERMITICITY_TOL:
+        raise ValidationError(f"matrix is not Hermitian (deviation {dev:.3e})")
+
+
+def _stored_dtype(a: np.ndarray) -> type:
+    return float if a.dtype.kind in "biuf" else complex
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """Hermitian matrix on a tensor product of finite-dimensional parties.
@@ -105,30 +144,59 @@ class HermitianOperator:
     matrix whose largest |m - m^dag| entry exceeds HERMITICITY_TOL, or that
     has a NaN or infinite entry.  The check runs over blocks of
     _HERMITICITY_BLOCK rows against the matching columns, so it makes no
-    full-size temporary.
+    full-size temporary.  `from_entries` builds the same operator from its
+    nonzero entries and checks those alone.
     """
 
     matrix: np.ndarray
     parties: tuple[int, ...] = (2, 2)
+    # (flat indices r D + c, values) of the nonzero entries, sorted by index;
+    # set by from_entries only, so None means "not known without a scan"
+    support = None
 
     def __post_init__(self):
-        parties = tuple(int(d) for d in self.parties)
-        if not parties or any(d < 2 for d in parties):
-            raise ValidationError(f"party dimensions must all be >= 2, got {parties}")
-        dim = math.prod(parties)
-        _check_dimension(dim)
+        parties, dim = _checked_parties(self.parties)
         m = np.asarray(self.matrix)
-        m = np.asarray(m, dtype=float if m.dtype.kind in "biuf" else complex)
+        m = np.asarray(m, dtype=_stored_dtype(m))
         if m.shape != (dim, dim):
             raise ValidationError(f"matrix shape {m.shape} does not match parties {parties}")
-        dev = _hermiticity_deviation(m)
-        # any NaN or infinite entry makes its own deviation NaN or infinite
-        if not math.isfinite(dev):
-            raise ValidationError("matrix has non-finite entries")
-        if dev > HERMITICITY_TOL:
-            raise ValidationError(f"matrix is not Hermitian (deviation {dev:.3e})")
+        _check_deviation(_hermiticity_deviation(m))
         object.__setattr__(self, "matrix", _frozen(m))
         object.__setattr__(self, "parties", parties)
+
+    @classmethod
+    def from_entries(cls, flat, values, parties) -> "HermitianOperator":
+        """The operator whose only nonzero entries are `values` at indices r D + c.
+
+        Values are stored by the constructor's dtype rule and written into
+        zeros; the party, dimension, finiteness and Hermiticity checks run over
+        the entries alone, which is exact because every other entry is zero.
+        An index outside [0, D^2) or listed twice is rejected.  The operator
+        keeps its nonzero entries, sorted by index, as `support`.
+        """
+        parties, dim = _checked_parties(parties)
+        flat = np.asarray(flat)
+        values = np.asarray(values)
+        values = np.asarray(values, dtype=_stored_dtype(values))
+        if flat.ndim != 1 or flat.shape != values.shape or (flat.size and flat.dtype.kind not in "iu"):
+            raise ValidationError(
+                f"entries need equal-length 1-d integer indices and values, got {flat.shape} and {values.shape}"
+            )
+        if flat.size and (flat.min() < 0 or flat.max() >= dim * dim):
+            raise ValidationError(f"entry index outside [0, {dim * dim})")
+        order = np.argsort(flat)
+        flat, values = flat.astype(np.intp)[order], values[order]
+        if np.any(flat[1:] == flat[:-1]):
+            raise ValidationError("an entry index is listed twice")
+        _check_deviation(_entry_deviation(flat, values, dim))
+        m = np.zeros((dim, dim), dtype=values.dtype)
+        m.reshape(-1)[flat] = values
+        keep = values != 0
+        op = cls.__new__(cls)
+        object.__setattr__(op, "matrix", _frozen(m))
+        object.__setattr__(op, "parties", parties)
+        object.__setattr__(op, "support", (_frozen(flat[keep]), _frozen(values[keep])))
+        return op
 
     @property
     def dim(self) -> int:
@@ -278,13 +346,27 @@ def me_state(d: int) -> np.ndarray:
     return v
 
 
+def _noisy_element(v: np.ndarray, eps: float, parties) -> HermitianOperator:
+    """eps * identity + (1 - eps) |v><v| from its entries.
+
+    They lie on the diagonal and on the block where both indices hold a
+    nonzero amplitude of v; each takes the operations the dense expression
+    would, at its row r and column c.
+    """
+    dim = v.size
+    block = np.flatnonzero(v)
+    flat = np.union1d(np.arange(dim) * (dim + 1), (block[:, None] * dim + block).ravel())
+    r, c = np.divmod(flat, dim)
+    values = eps * (r == c).astype(float) + (1 - eps) * (v[r] * v.conj()[c])
+    return HermitianOperator.from_entries(flat, values, parties)
+
+
 def noisy_ghz_element(n: int, eps: float) -> HermitianOperator:
     """eps * identity + (1 - eps) |ghz><ghz| on n qubits."""
     if not 0.0 <= eps <= 1.0:
         raise ValidationError(f"eps must lie in [0, 1], got {eps}")
     v = ghz_state(n)
-    m = eps * np.eye(2**n) + (1 - eps) * np.outer(v, v.conj())
-    return HermitianOperator(m, (2,) * n)
+    return _noisy_element(v, eps, (2,) * n)
 
 
 def noisy_me_element(d: int, eps: float) -> HermitianOperator:
@@ -292,29 +374,49 @@ def noisy_me_element(d: int, eps: float) -> HermitianOperator:
     if not 0.0 <= eps <= 1.0:
         raise ValidationError(f"eps must lie in [0, 1], got {eps}")
     v = me_state(d)
-    m = eps * np.eye(d * d) + (1 - eps) * np.outer(v, v.conj())
-    return HermitianOperator(m, (d, d))
+    return _noisy_element(v, eps, (d, d))
 
 
 def lambda_operator(n: int, d: int) -> HermitianOperator:
     """sum_kl (|k><l|)^(x n) - sum_k (|k><k|)^(x n) on n qudits of dimension d.
 
-    Spectrum: d - 1 once, -1 with multiplicity d - 1, zero elsewhere.
+    Spectrum: d - 1 once, -1 with multiplicity d - 1, zero elsewhere.  Its
+    d(d - 1) entries are 1 at rows and columns |k...k> != |l...l>.
     """
     if n < 2 or d < 2:
         raise ValidationError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
-    _check_dimension(d**n)
+    dim = d**n
+    _check_dimension(dim)
     # |k...k> sits at index k * (d^n - 1) / (d - 1) in the computational basis.
-    stride = (d**n - 1) // (d - 1)
-    idx = np.arange(d) * stride
-    m = np.zeros((d**n, d**n))
-    m[np.ix_(idx, idx)] = 1.0 - np.eye(d)
-    return HermitianOperator(m, (d,) * n)
+    idx = np.arange(d) * ((dim - 1) // (d - 1))
+    k, l = np.nonzero(~np.eye(d, dtype=bool))
+    return HermitianOperator.from_entries(idx[k] * dim + idx[l], np.ones(k.size), (d,) * n)
 
 
 def min_eigenvalue(op: HermitianOperator) -> float:
-    """Smallest eigenvalue, from a dense Hermitian eigensolve."""
-    return float(np.linalg.eigvalsh(op.matrix)[0])
+    """Smallest eigenvalue, from the rows that hold an off-diagonal nonzero.
+
+    Every other row and its column are zero off the diagonal, so the spectrum
+    is that of op[S, S], S those rows, together with the diagonal outside S:
+    exact for any operator, and a dense eigensolve where S is every row.  S is
+    read from the operator's support when it has one, else from the matrix.
+    """
+    m = op.matrix
+    if op.support is None:
+        off = m != 0
+        np.fill_diagonal(off, False)
+        coupled = off.any(axis=0) | off.any(axis=1)
+    else:
+        r, c = np.divmod(op.support[0], op.dim)
+        coupled = np.zeros(op.dim, dtype=bool)
+        coupled[r[r != c]] = coupled[c[r != c]] = True
+    if coupled.all():
+        return float(np.linalg.eigvalsh(m)[0])
+    s = np.flatnonzero(coupled)
+    low = m.diagonal()[~coupled].real.min()
+    if s.size:
+        low = min(low, np.linalg.eigvalsh(m[np.ix_(s, s)])[0])
+    return float(low)
 
 
 def partial_transpose(op: HermitianOperator) -> HermitianOperator:

@@ -36,11 +36,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random import Generator
 
 from .errors import ValidationError
 from .operators import HermitianOperator, lambda_operator, min_eigenvalue
-from .streams import keyed_rng
+from .streams import keyed_normals
 
 # A chunk of restarts conditioned on all parties but j leaves an intermediate
 # (dense path) or weights and tables (entry path) of at most
@@ -100,20 +99,28 @@ class SeparabilityResult:
     history: tuple = ()
 
 
+def _unit_plus(lam: HermitianOperator, scale: int) -> HermitianOperator:
+    """(1 + lam) / scale from lam's entries, which all lie off the diagonal.
+
+    Every entry of 1 + lam is then a 1, so each value is 1 / scale, the
+    float the dense (eye + lam) / scale gives.
+    """
+    dim = lam.dim
+    flat = np.concatenate([np.arange(dim) * (dim + 1), lam.support[0]])
+    values = np.concatenate([np.ones(dim), lam.support[1]]) / scale
+    return HermitianOperator.from_entries(flat, values, lam.parties)
+
+
 def ghz_probe(n: int) -> ProbeState:
     """(1 + flip) / 2^n on n qubits, where flip exchanges |0...0> and |1...1>."""
-    lam = lambda_operator(n, 2)
-    m = (np.eye(2**n) + lam.matrix) / 2**n
     gmax = (1 + 2.0 ** (1 - n)) / 2**n
-    return ProbeState(HermitianOperator(m, (2,) * n), gmax)
+    return ProbeState(_unit_plus(lambda_operator(n, 2), 2**n), gmax)
 
 
 def me_probe(d: int) -> ProbeState:
     """(1 + sum_{k != l} |k><l| (x) |k><l|) / d^2 on two qudits."""
-    lam = lambda_operator(2, d)
-    m = (np.eye(d * d) + lam.matrix) / d**2
     gmax = (2 - 1.0 / d) / d**2
-    return ProbeState(HermitianOperator(m, (d, d)), gmax)
+    return ProbeState(_unit_plus(lambda_operator(2, d), d**2), gmax)
 
 
 def noise_threshold(family: str, size: int) -> float:
@@ -146,23 +153,31 @@ def lambda_gmax_analytic(n: int, d: int) -> float:
     return max(dp * (dp - 1) / dp**n for dp in range(1, d + 1))
 
 
-def _structured_starts(dims: tuple[int, ...]) -> list[list[np.ndarray]]:
-    starts = []
-    for dp in range(1, min(dims) + 1):
-        states = []
-        for d in dims:
-            v = np.zeros(d, dtype=complex)
-            v[:dp] = 1.0 / np.sqrt(dp)
-            states.append(v)
-        starts.append(states)
-    return starts
+def _structured_starts(dims: tuple[int, ...]) -> list[np.ndarray]:
+    """Uniform-support starts, one (min(dims), d_i) array per party.
+
+    Row k puts 1 / sqrt(k + 1) on each party's first k + 1 basis states.
+    """
+    width = np.arange(1, min(dims) + 1)[:, None]
+    return [np.where(np.arange(d) < width, 1.0 / np.sqrt(width), 0.0).astype(complex) for d in dims]
 
 
-def _random_start(dims: tuple[int, ...], rng: Generator) -> list[np.ndarray]:
+def _random_starts(dims: tuple[int, ...], seed: int, indices) -> list[np.ndarray]:
+    """Random unit states, one (len(indices), d_i) array per party.
+
+    Row r draws 2 sum(d_i) normals from the stream keyed by (seed,
+    indices[r]); party i takes the next d_i as real parts, then d_i as
+    imaginary parts.  The norm is sqrt(re . re + im . im) with the dot
+    products np.linalg.norm takes on a single complex vector, so each row is
+    the start that drawing and normalizing it alone gives, bit for bit.
+    """
+    z = keyed_normals(seed, indices, 2 * sum(dims))
     states = []
+    at = 0
     for d in dims:
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        states.append(v / np.linalg.norm(v))
+        v = z[:, at : at + d] + 1j * z[:, at + d : at + 2 * d]
+        at += 2 * d
+        states.append(v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None])
     return states
 
 
@@ -235,17 +250,28 @@ class _Entries(NamedTuple):
     pairs: np.ndarray  # (n, nnz): r_i d_i + c_i for an entry at row r, column c
 
 
-def _sparse_entries(matrix: np.ndarray, dims: tuple[int, ...]) -> _Entries | None:
-    """The operator's nonzero entries when it has at most 2 D, else None."""
-    nonzero = matrix != 0
-    if np.count_nonzero(nonzero) > 2 * matrix.shape[0]:
-        return None
-    flat = np.flatnonzero(nonzero)
+def _sparse_entries(op: HermitianOperator) -> _Entries | None:
+    """The operator's nonzero entries when it has at most 2 D, else None.
+
+    They are read from the operator's support; only an operator built from
+    a dense matrix is scanned for them.
+    """
+    if op.support is None:
+        nonzero = op.matrix != 0
+        if np.count_nonzero(nonzero) > 2 * op.dim:
+            return None
+        flat = np.flatnonzero(nonzero)
+        values = op.matrix.ravel()[flat]
+    else:
+        flat, values = op.support
+        if values.size > 2 * op.dim:
+            return None
     # flat = r D + c, so its digits over dims + dims are r's digits, then c's
+    dims = op.parties
     digits = np.unravel_index(flat, dims + dims)
     n = len(dims)
     pairs = [digits[i] * dims[i] + digits[n + i] for i in range(n)]
-    return _Entries(matrix.ravel()[flat], np.array(pairs))
+    return _Entries(values, np.array(pairs))
 
 
 def _entry_conditioned(entries: _Entries, states: list[np.ndarray], j: int) -> np.ndarray:
@@ -298,15 +324,17 @@ def separability_eigenvalue_numeric(
 
     Each half-step replaces one party's state with the top eigenvector of the
     operator conditioned on the others, so the objective never decreases. The
-    first starts sweep the uniform-support family, the rest are random from a
-    deterministic Philox stream keyed by (seed, restart).  All restarts
+    first starts sweep the uniform-support family, the rest are random, each
+    from a deterministic Philox stream keyed by (seed, restart) and all
+    drawn in one call.  All restarts
     advance together as stacked (restarts, d_i) states.  The operator picks
     how a half-step on party j conditions it on the other parties:
 
     - with at most 2 D nonzero entries (lambda, GHZ and ME probes), through
-      those entries, extracted once per solve: (n - 1) nnz multiply-adds
-      per restart, and a restart's weights hold nnz entries, its digit-pair
-      tables and conditioned matrix d_i^2 each;
+      those entries, read from the operator's support (an operator built
+      from a dense matrix is scanned once per solve): (n - 1) nnz
+      multiply-adds per restart, and a restart's weights hold nnz entries,
+      its digit-pair tables and conditioned matrix d_i^2 each;
     - otherwise, one matrix product of the operator with the product states
       of the parties on the larger side of j, D^2 multiply-adds per
       restart, then small per-restart products.  With L and R the
@@ -329,14 +357,11 @@ def separability_eigenvalue_numeric(
     if restarts < 1:
         raise ValidationError(f"need at least 1 restart, got {restarts}")
     dims = op.parties
-    structured = _structured_starts(dims)
-    starts = [
-        structured[r] if r < len(structured) else _random_start(dims, keyed_rng(seed, r))
-        for r in range(restarts)
-    ]
-    states = [np.array([s[i] for s in starts]) for i in range(len(dims))]
+    first = [s[:restarts] for s in _structured_starts(dims)]
+    drawn = _random_starts(dims, seed, range(len(first[0]), restarts))
+    states = [np.concatenate(pair) for pair in zip(first, drawn)]
     cap = max(op.dim**2, _FRAME_FLOOR)
-    operand = _sparse_entries(op.matrix, dims)
+    operand = _sparse_entries(op)
     if operand is None:
         operand = op.matrix
         # a row conditioned on all parties but j leaves D^2 / max(L, R) entries

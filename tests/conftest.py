@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from povm_entangle import HermitianOperator, PovmSet, bell_povm
+from povm_entangle import HermitianOperator, PovmSet, bell_povm, ghz_state, me_state
 from povm_entangle.operators import _hermitize
 
 # the same examples on every run, from a seed derived from each test, and no
@@ -87,3 +87,48 @@ def rng():
 @pytest.fixture
 def ideal_bell():
     return bell_povm()
+
+
+# The dense builds of the producers that are now built from their entries,
+# kept as byte-for-byte oracles: each forms the whole matrix and runs the
+# constructor's full Hermiticity scan.
+def dense_lambda_operator(n, d):
+    idx = np.arange(d) * ((d**n - 1) // (d - 1))
+    m = np.zeros((d**n, d**n))
+    m[np.ix_(idx, idx)] = 1.0 - np.eye(d)
+    return HermitianOperator(m, (d,) * n)
+
+
+def dense_ghz_probe(n):
+    m = (np.eye(2**n) + dense_lambda_operator(n, 2).matrix) / 2**n
+    return HermitianOperator(m, (2,) * n)
+
+
+def dense_me_probe(d):
+    m = (np.eye(d * d) + dense_lambda_operator(2, d).matrix) / d**2
+    return HermitianOperator(m, (d, d))
+
+
+def dense_noisy_ghz_element(n, eps):
+    v = ghz_state(n)
+    m = eps * np.eye(2**n) + (1 - eps) * np.outer(v, v.conj())
+    return HermitianOperator(m, (2,) * n)
+
+
+def dense_noisy_me_element(d, eps):
+    v = me_state(d)
+    m = eps * np.eye(d * d) + (1 - eps) * np.outer(v, v.conj())
+    return HermitianOperator(m, (d, d))
+
+
+def random_start(dims, rng):
+    """One restart's random product state, drawn party by party from its own generator.
+
+    The oracle for the solver's stacked starts: real parts, then imaginary
+    parts, of each party in turn, normalized by np.linalg.norm.
+    """
+    states = []
+    for d in dims:
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        states.append(v / np.linalg.norm(v))
+    return states

@@ -176,3 +176,20 @@ def test_witness_bytes_are_pinned(tmp_path, monkeypatch):
         assert main(["witness", *args, "-o", "w.json"]) == 0
         got[args] = hashlib.sha256((tmp_path / "w.json").read_bytes()).hexdigest()
     assert got == WITNESS
+
+
+# sha256 of `witness` runs at dimension 1024, taken before the operators
+# were built from their entries: both solver paths' largest lambda units and
+# the numeric GHZ family witness.
+WITNESS_D1024 = {
+    ("--lambda", "-n", "5", "-d", "4"): "e6069e9de37f1c1c93d673576bbaf2c96d8631db8b935a36a990396f4e0a5fe7",
+    ("--lambda", "-n", "10", "-d", "2"): "22f99956a0b0dd11dada36abb8f62b7e86195e9ea65e8896f0e8a218a643f9af",
+    ("--family", "ghz", "-n", "10", "--eps", "0.1", "--numeric"): "d01b17be0be8f83f413aed71d40ae07376dff0afd054ebb01b42bb23d7ef6ed1",
+}
+
+
+@pytest.mark.parametrize("args", list(WITNESS_D1024), ids=" ".join)
+def test_dimension_1024_witness_bytes_are_pinned(tmp_path, args):
+    out = tmp_path / "w.json"
+    assert main(["witness", *args, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WITNESS_D1024[args]

@@ -27,9 +27,20 @@ from povm_entangle import (
     pauli_eigenstate,
     pauli_expand,
 )
-from povm_entangle.operators import _BELL_VECTORS, PAULIS, _hermiticity_deviation, pauli_matrices
+from povm_entangle.operators import (
+    _BELL_VECTORS,
+    PAULIS,
+    _entry_deviation,
+    _hermiticity_deviation,
+    pauli_matrices,
+)
 
-from conftest import random_pd_element
+from conftest import (
+    dense_lambda_operator,
+    dense_noisy_ghz_element,
+    dense_noisy_me_element,
+    random_pd_element,
+)
 
 
 def test_pauli_orthogonality():
@@ -351,6 +362,161 @@ def test_noisy_elements_check_the_guard_before_allocating(build, size):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def same_operator(got, expect):
+    assert got.parties == expect.parties
+    assert got.matrix.dtype == expect.matrix.dtype
+    assert got.matrix.tobytes() == expect.matrix.tobytes()
+
+
+# criterion 5's grid and the benchmark's points near dimension 1024
+WITNESS_GRID = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4), (6, 3), (5, 4), (10, 2)]
+
+
+@pytest.mark.parametrize("n,d", WITNESS_GRID + [(2, 7)])
+def test_lambda_operator_matches_the_dense_build(n, d):
+    lam = lambda_operator(n, d)
+    same_operator(lam, dense_lambda_operator(n, d))
+    assert lam.support[0].size == d * (d - 1)
+    assert np.array_equal(lam.support[0], np.flatnonzero(lam.matrix))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1, 1 / 3, 0.5, 0.9, 1.0])
+@pytest.mark.parametrize(
+    "build, dense, size",
+    [(noisy_ghz_element, dense_noisy_ghz_element, n) for n in (2, 3, 5, 8)]
+    + [(noisy_me_element, dense_noisy_me_element, d) for d in (2, 3, 5, 8)],
+)
+def test_noisy_elements_match_the_dense_build(build, dense, size, eps):
+    el = build(size, eps)
+    expect = dense(size, eps)
+    same_operator(el, expect)
+    flat = np.flatnonzero(expect.matrix)
+    assert np.array_equal(el.support[0], flat)
+    assert el.support[1].tobytes() == expect.matrix.ravel()[flat].tobytes()
+
+
+def entry_matrix(flat, values, dim):
+    m = np.zeros((dim, dim), dtype=values.dtype)
+    m.reshape(-1)[flat] = values
+    return m
+
+
+def random_entries(rng, dim, count, dtype):
+    flat = np.sort(rng.choice(dim * dim, size=count, replace=False))
+    values = rng.standard_normal(count).astype(dtype)
+    if dtype is complex:
+        values += 1j * rng.standard_normal(count)
+    return flat, values
+
+
+@pytest.mark.parametrize("dim", [4, 16, 65])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_entry_deviation_matches_the_dense_scan(dim, dtype):
+    rng = np.random.default_rng(dim)
+    flat, values = random_entries(rng, dim, 2 * dim, dtype)
+    m = entry_matrix(flat, values, dim)
+    h = (m + m.conj().T) / 2
+    hflat = np.flatnonzero(h)
+    cases = [(flat, values), (hflat, h.ravel()[hflat])]
+    # one side of a pair nudged, a pair's mirror missing, and non-finite values
+    for k in (0, hflat.size // 2, hflat.size - 1):
+        nudged = h.ravel()[hflat].copy()
+        nudged[k] += 1e-9
+        cases.append((hflat, nudged))
+        cases.append((np.delete(hflat, k), np.delete(h.ravel()[hflat], k)))
+        for value in (np.nan, np.inf, -np.inf):
+            bad = h.ravel()[hflat].copy()
+            bad[k] = value
+            cases.append((hflat, bad))
+    cases.append((hflat[:0], h.ravel()[:0]))
+    for f, v in cases:
+        got = _entry_deviation(f, v, dim)
+        expect = _hermiticity_deviation(entry_matrix(f, v, dim))
+        assert same_float(got, expect), (got, expect)
+
+
+def test_from_entries_keeps_the_support_and_the_dtype_rule():
+    flat = np.array([5, 0, 15, 10])
+    op = HermitianOperator.from_entries(flat, np.array([1, 2, 0, 3]), (2, 2))
+    assert op.matrix.dtype == np.float64
+    assert op.matrix.tobytes() == np.diag([2.0, 1.0, 3.0, 0.0]).tobytes()
+    assert not op.matrix.flags.writeable
+    # sorted by index, the explicit zero left out
+    assert op.support[0].tolist() == [0, 5, 10]
+    assert op.support[1].tolist() == [2.0, 1.0, 3.0]
+    c = HermitianOperator.from_entries([1, 2], np.array([1j, -1j], dtype=np.complex64), (2,))
+    assert c.matrix.dtype == np.complex128
+    assert c.support[1].dtype == np.complex128
+    empty = HermitianOperator.from_entries([], [], (2, 3))
+    assert empty.matrix.tobytes() == np.zeros((6, 6)).tobytes()
+    assert empty.support[0].size == 0
+    assert HermitianOperator(np.eye(4), (2, 2)).support is None
+
+
+@pytest.mark.parametrize(
+    "flat, values, parties, match",
+    [
+        ([0, 3], [np.nan, 1.0], (2,), "non-finite"),
+        ([0, 3], [1.0, np.inf], (2,), "non-finite"),
+        ([1, 2], [complex(0, np.inf), complex(0, -np.inf)], (2,), "non-finite"),
+        ([1, 2], [np.inf, np.inf], (2,), "non-finite"),
+        ([1], [0.5], (2,), "not Hermitian"),
+        ([1, 2], [1j, 1j], (2,), "not Hermitian"),
+        ([0], [1j], (2,), "not Hermitian"),
+        ([0, 0], [1.0, 1.0], (2,), "twice"),
+        ([3, 1, 3], [1.0, 0.0, 2.0], (2,), "twice"),
+        ([4], [1.0], (2,), "outside"),
+        ([-1], [1.0], (2,), "outside"),
+        (np.array([2**64 - 1], dtype=np.uint64), [1.0], (2,), "outside"),
+        ([0.0], [1.0], (2,), "integer"),
+        ([0, 3], [1.0], (2,), "equal-length"),
+        ([[0, 3]], [[1.0, 1.0]], (2,), "1-d"),
+        ([0], [1.0], (1, 2), "party dimensions"),
+        ([0], [1.0], (2,) * 13, "guard"),
+    ],
+)
+def test_from_entries_validation(flat, values, parties, match):
+    with pytest.raises(ValidationError, match=match):
+        HermitianOperator.from_entries(flat, values, parties)
+
+
+def half_diagonal(rng, dim, dtype):
+    # half the rows, at random, hold nothing off the diagonal
+    a = rng.standard_normal((dim, dim)).astype(dtype)
+    if dtype is complex:
+        a += 1j * rng.standard_normal((dim, dim))
+    h = (a + a.conj().T) / 2
+    lone = rng.permutation(dim)[: dim // 2]
+    keep = np.diag(h).copy()
+    h[lone, :] = 0
+    h[:, lone] = 0
+    h[lone, lone] = keep[lone]
+    return h
+
+
+@pytest.mark.parametrize("parties", [(2, 2), (4, 4), (4, 4, 4)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_min_eigenvalue_matches_the_dense_eigensolve(parties, dtype):
+    rng = np.random.default_rng(len(parties) * 10 + int(dtype is complex))
+    dim = int(np.prod(parties))
+    a = rng.standard_normal((dim, dim)).astype(dtype)
+    if dtype is complex:
+        a += 1j * rng.standard_normal((dim, dim))
+    half = half_diagonal(rng, dim, dtype)
+    flat = np.flatnonzero(half)
+    diagonal = np.diag(rng.standard_normal(dim))
+    ops = [
+        HermitianOperator((a + a.conj().T) / 2, parties),
+        HermitianOperator(half, parties),
+        HermitianOperator.from_entries(flat, half.ravel()[flat], parties),
+        HermitianOperator(diagonal, parties),
+        HermitianOperator.from_entries(np.arange(dim) * (dim + 1), np.diag(diagonal), parties),
+        lambda_operator(len(parties), parties[0]),
+    ]
+    for op in ops:
+        assert abs(min_eigenvalue(op) - np.linalg.eigvalsh(op.matrix)[0]) <= 1e-12
 
 
 def test_min_eigenvalue(rng):

@@ -23,9 +23,11 @@ from povm_entangle import (
     separability_eigenvalue_numeric,
     witness_evaluate,
 )
-from povm_entangle import witness
+from povm_entangle import operators, witness
+from povm_entangle.cli import main
+from povm_entangle.streams import keyed_rng
 
-from conftest import random_separable_element
+from conftest import dense_ghz_probe, dense_me_probe, random_separable_element, random_start
 
 
 def closed_form_lhs(n, eps):
@@ -135,6 +137,39 @@ def test_probe_state_validation():
     m = np.diag([1.1, -0.1, 0.0, 0.0])
     with pytest.raises(ValidationError, match="positive"):
         ProbeState(HermitianOperator(m, (2, 2)))
+
+
+def test_probe_state_rejects_indefinite_entry_built_probes():
+    # (1 + 2 flip) / 4 has eigenvalue -1/4 in its coupled block, -0.1 a lone diagonal
+    flip = lambda_operator(2, 2).support[0]
+    coupled = HermitianOperator.from_entries(np.concatenate([[0, 5, 10, 15], flip]), [1, 1, 1, 1, 2, 2], (2, 2))
+    lone = HermitianOperator.from_entries([0, 5, 10, 15], [1.1, -0.1, 0.0, 0.0], (2, 2))
+    for m in (coupled.matrix / 4, lone.matrix):
+        with pytest.raises(ValidationError, match="positive"):
+            ProbeState(HermitianOperator(m, (2, 2)))
+    with pytest.raises(ValidationError, match="positive"):
+        ProbeState(lone)
+    quarter = HermitianOperator.from_entries(coupled.support[0], coupled.support[1] / 4, (2, 2))
+    with pytest.raises(ValidationError, match="positive"):
+        ProbeState(quarter)
+
+
+@pytest.mark.parametrize("size", [2, 3, 5, 8, 10])
+def test_ghz_probe_matches_the_dense_build(size):
+    probe = ghz_probe(size).operator
+    expect = dense_ghz_probe(size)
+    assert probe.parties == expect.parties
+    assert probe.matrix.dtype == expect.matrix.dtype
+    assert probe.matrix.tobytes() == expect.matrix.tobytes()
+
+
+@pytest.mark.parametrize("size", [2, 3, 5, 8, 16])
+def test_me_probe_matches_the_dense_build(size):
+    probe = me_probe(size).operator
+    expect = dense_me_probe(size)
+    assert probe.parties == expect.parties
+    assert probe.matrix.dtype == expect.matrix.dtype
+    assert probe.matrix.tobytes() == expect.matrix.tobytes()
 
 
 def test_noise_thresholds():
@@ -433,7 +468,7 @@ def test_solver_chunks_bound_the_intermediate(monkeypatch, op, floor):
 
     monkeypatch.setattr(witness, "_FRAME_FLOOR", floor)
     monkeypatch.setattr(witness, "_half_step", spy)
-    monkeypatch.setattr(witness, "_sparse_entries", lambda matrix, dims: None)
+    monkeypatch.setattr(witness, "_sparse_entries", lambda op: None)
     monkeypatch.setattr(witness, "_MAX_SWEEPS", 3)
     separability_eigenvalue_numeric(op, restarts=64, seed=2)
     for j, seen in sizes.items():
@@ -485,7 +520,7 @@ ENTRY_OPERATORS = {
 @pytest.mark.parametrize("name", sorted(ENTRY_OPERATORS))
 def test_entry_conditioned_matches_frames_product(name, rows):
     op = ENTRY_OPERATORS[name]
-    entries = witness._sparse_entries(op.matrix, op.parties)
+    entries = witness._sparse_entries(op)
     states = random_rows(np.random.default_rng(rows), op.parties, rows)
     for j in range(len(op.parties)):
         got = witness._entry_conditioned(entries, states, j)
@@ -497,22 +532,70 @@ def test_entry_conditioned_matches_frames_product(name, rows):
 def test_the_operator_picks_the_path():
     # at most 2 D nonzero entries take the entry path, any more the dense one
     for name, op in ORACLE_OPERATORS.items():
-        entries = witness._sparse_entries(op.matrix, op.parties)
+        entries = witness._sparse_entries(op)
         assert (entries is None) == (not name.startswith("lambda")), name
     for name, op in ENTRY_OPERATORS.items():
-        entries = witness._sparse_entries(op.matrix, op.parties)
+        entries = witness._sparse_entries(op)
         assert entries is not None, name
         assert entries.values.size == np.count_nonzero(op.matrix), name
     n, d = 4, 3
-    assert witness._sparse_entries(lambda_operator(n, d).matrix, (d,) * n).values.size == d * (d - 1)
-    assert witness._sparse_entries(ghz_probe(5).operator.matrix, (2,) * 5).values.size == 2**5 + 2
-    assert witness._sparse_entries(me_probe(5).operator.matrix, (5, 5)).values.size == 2 * 25 - 5
+    assert witness._sparse_entries(lambda_operator(n, d)).values.size == d * (d - 1)
+    assert witness._sparse_entries(ghz_probe(5).operator).values.size == 2**5 + 2
+    assert witness._sparse_entries(me_probe(5).operator).values.size == 2 * 25 - 5
     # the bound itself: the diagonal and D / 2 mirrored pairs is 2 D, one pair more is not
     at_bound = np.eye(6)
     at_bound[[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]] = 0.5
-    assert witness._sparse_entries(at_bound, (2, 3)).values.size == 12
+    assert witness._sparse_entries(HermitianOperator(at_bound.copy(), (2, 3))).values.size == 12
     at_bound[[0, 1], [1, 0]] = 0.25
-    assert witness._sparse_entries(at_bound, (2, 3)) is None
+    assert witness._sparse_entries(HermitianOperator(at_bound.copy(), (2, 3))) is None
+    # the same rule on an operator's support
+    flat = np.flatnonzero(at_bound)
+    assert witness._sparse_entries(HermitianOperator.from_entries(flat, at_bound.ravel()[flat], (2, 3))) is None
+
+
+ENTRY_BUILT = {
+    **{f"lambda_{n}_{d}": lambda_operator(n, d) for n, d in [(2, 2), (3, 3), (4, 4), (6, 3), (5, 4), (10, 2)]},
+    **PROBES,
+    "ghz_probe_10": ghz_probe(10).operator,
+    "me_probe_32": me_probe(32).operator,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_BUILT))
+def test_entries_read_from_the_support_match_the_scan(name):
+    op = ENTRY_BUILT[name]
+    assert op.support is not None
+    got = witness._sparse_entries(op)
+    expect = witness._sparse_entries(HermitianOperator(op.matrix, op.parties))
+    assert got.values.dtype == expect.values.dtype
+    assert got.values.tobytes() == expect.values.tobytes()
+    assert np.array_equal(got.pairs, expect.pairs)
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3, 4), (4,) * 5, (2,) * 10], ids=str)
+def test_stacked_random_starts_match_one_generator_per_restart(seed, dims):
+    indices = range(2, 102)
+    stacked = witness._random_starts(dims, seed, indices)
+    assert [s.shape for s in stacked] == [(100, d) for d in dims]
+    for row, index in enumerate(indices):
+        for s, expect in zip(stacked, random_start(dims, keyed_rng(seed, index))):
+            assert s[row].tobytes() == expect.tobytes()
+
+
+def test_entry_built_operators_skip_the_dense_scan(monkeypatch, tmp_path):
+    # building, checking and solving lambda and the GHZ family never scans D^2 entries
+    def refuse(m):
+        raise AssertionError(f"dense Hermiticity scan of a {m.shape} matrix")
+
+    monkeypatch.setattr(operators, "_hermiticity_deviation", refuse)
+    res = separability_eigenvalue_numeric(lambda_operator(5, 4), restarts=12, seed=0)
+    assert abs(res.gmax - lambda_gmax_analytic(5, 4)) < 1e-9
+    out = tmp_path / "w.json"
+    assert main(["witness", "--family", "ghz", "-n", "10", "--numeric", "-o", str(out)]) == 0
+    assert '"verdict": "entangled"' in out.read_text()
+    with pytest.raises(AssertionError, match="dense Hermiticity scan"):
+        HermitianOperator(np.eye(4), (2, 2))
 
 
 PARITY_OPERATORS = {
@@ -526,7 +609,7 @@ PARITY_OPERATORS = {
 def test_entry_path_matches_the_dense_path(monkeypatch, name):
     op = PARITY_OPERATORS[name]
     fast = separability_eigenvalue_numeric(op, restarts=12, seed=0, track_history=True)
-    monkeypatch.setattr(witness, "_sparse_entries", lambda matrix, dims: None)
+    monkeypatch.setattr(witness, "_sparse_entries", lambda op: None)
     dense = separability_eigenvalue_numeric(op, restarts=12, seed=0, track_history=True)
     assert abs(fast.gmax - dense.gmax) <= 1e-12
     assert fast.converged == dense.converged
