@@ -508,6 +508,7 @@ def witness(ctx, family, n, d, eps, povm_path, element_label, lambda_mode, numer
                 element=element_label,
                 family=family or "me",
                 numeric=numeric,
+                restarts=restarts,
                 seed=seed,
             ),
             "mode": "element",
@@ -529,7 +530,14 @@ def witness(ctx, family, n, d, eps, povm_path, element_label, lambda_mode, numer
     result = witness_evaluate(element, probe, numeric=numeric, restarts=restarts, seed=seed)
     payload = {
         "manifest": _manifest(
-            "witness", mode="family", family=family, size=size, eps=eps, numeric=numeric, seed=seed
+            "witness",
+            mode="family",
+            family=family,
+            size=size,
+            eps=eps,
+            numeric=numeric,
+            restarts=restarts,
+            seed=seed,
         ),
         "mode": "family",
         "family": family,

@@ -155,15 +155,16 @@ def test_noisy_reconstruct_and_quasidist_bytes_are_pinned(tmp_path, monkeypatch)
     assert digests(tmp_path / "qd") == QUASIDIST_NOISY
 
 
-# sha256 of `witness` outputs, taken before the solver's sweep cap became a
-# module constant; the element runs read the pinned noisy `reconstruct` output.
+# sha256 of `witness` outputs, taken when the family and element manifests
+# gained the restart count; the element runs read the pinned noisy
+# `reconstruct` output.
 WITNESS = {
-    ("--family", "ghz", "-n", "3", "--eps", "0.1"): "d0c96cf4baf71d081ad65e77eba965c245fd595a85cedb43b705f7ca0ecca664",
-    ("--family", "ghz", "-n", "3", "--eps", "0.1", "--numeric"): "6114805bff8afd0f47024a922dfdadefce25e0f8c8505208f15f606b71418f59",
-    ("--family", "me", "-d", "3", "--eps", "0.1"): "429b7450fddcf8ca1cf3565e6ea4f64cb53374a13e773421864a8d275fa9c0a1",
-    ("--family", "me", "-d", "3", "--eps", "0.1", "--numeric"): "1f9b863043d3774d4cac2eff06fe0e7def0fcbe3613d0c43304e6f82de34edfc",
-    ("--povm", "rec.json", "--element", "DD"): "c07e3ab9c54907f338cb7d468660fe2b551f4728b86d0e8c249ccebd95ff4aa1",
-    ("--povm", "rec.json", "--element", "DD", "--numeric"): "dcf630425683161bc7d82b4858b3d572863300dca60acce1feebbc66e67fc4b1",
+    ("--family", "ghz", "-n", "3", "--eps", "0.1"): "7ab84aba917fdcac3623c5ca08e1a098abbd2290fdd708bde83aea2e494ed153",
+    ("--family", "ghz", "-n", "3", "--eps", "0.1", "--numeric"): "ec4a9aaeb64c2cc8615a83a780a6d77b61cfe4f5ac79f63e146a1c5fc4640860",
+    ("--family", "me", "-d", "3", "--eps", "0.1"): "ce61ae78666b850942e5ca9b85bc2b1c23e82dd71c811192922b3efa5606caa7",
+    ("--family", "me", "-d", "3", "--eps", "0.1", "--numeric"): "7fc6e0ba3922d747896c60df8f5d072773a1a4ba903453c40867862d839119f3",
+    ("--povm", "rec.json", "--element", "DD"): "0ee80f599158b94add20cab09303c75658019e34837821e083e8fcf804a3cb87",
+    ("--povm", "rec.json", "--element", "DD", "--numeric"): "31db8dcf4a2d6b58c0f23fc50ae55a7043c068a6b2fdf76fcb47feb49c6720ef",
 }
 
 
@@ -178,13 +179,14 @@ def test_witness_bytes_are_pinned(tmp_path, monkeypatch):
     assert got == WITNESS
 
 
-# sha256 of `witness` runs at dimension 1024, taken before the operators
-# were built from their entries: both solver paths' largest lambda units and
-# the numeric GHZ family witness.
+# sha256 of `witness` runs at dimension 1024: both solver paths' largest
+# lambda units, taken before the operators were built from their entries,
+# and the numeric GHZ family witness, taken again when its manifest gained
+# the restart count.
 WITNESS_D1024 = {
     ("--lambda", "-n", "5", "-d", "4"): "e6069e9de37f1c1c93d673576bbaf2c96d8631db8b935a36a990396f4e0a5fe7",
     ("--lambda", "-n", "10", "-d", "2"): "22f99956a0b0dd11dada36abb8f62b7e86195e9ea65e8896f0e8a218a643f9af",
-    ("--family", "ghz", "-n", "10", "--eps", "0.1", "--numeric"): "d01b17be0be8f83f413aed71d40ae07376dff0afd054ebb01b42bb23d7ef6ed1",
+    ("--family", "ghz", "-n", "10", "--eps", "0.1", "--numeric"): "504ee324078ef40d4b0f75b4ed0b08012f1540ff9dc26d63ea31fd3ebf8bfc45",
 }
 
 

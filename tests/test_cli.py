@@ -104,6 +104,28 @@ class TestWorkflow:
         assert payload["verdict"] == "entangled"
         assert payload["lhs"] == pytest.approx(0.5, abs=0.05)
 
+    def test_witness_manifests_record_restarts(self, tmp_path, capsys, bell_csv):
+        # with --numeric the restart count can decide the verdict, so every
+        # mode's manifest names it: here 2 restarts read entangled, 64 do not
+        rec = tmp_path / "rec.json"
+        assert run(["reconstruct", "--counts", str(bell_csv), "-o", str(rec)], capsys)[0] == 0
+        modes = {
+            "family": ["--family", "me", "-d", "3", "--eps", "0.2"],
+            "element": ["--povm", str(rec), "--element", "DD"],
+            "lambda": ["--lambda", "-n", "3", "-d", "2"],
+        }
+        payloads = {}
+        for mode, args in modes.items():
+            numeric = [] if mode == "lambda" else ["--numeric"]
+            for restarts in ("2", "64"):
+                rc, out, _ = run(["witness", *args, *numeric, "--restarts", restarts], capsys)
+                assert rc == 0
+                payloads[mode, restarts] = json.loads(out)
+            assert payloads[mode, "2"]["manifest"]["parameters"]["restarts"] == 2, mode
+            assert payloads[mode, "64"]["manifest"]["parameters"]["restarts"] == 64, mode
+        assert payloads["family", "2"]["verdict"] == "entangled"
+        assert payloads["family", "64"]["verdict"] == "inconclusive"
+
     def test_povm_bell_literal(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
