@@ -519,6 +519,15 @@ def test_min_eigenvalue_matches_the_dense_eigensolve(parties, dtype):
         assert abs(min_eigenvalue(op) - np.linalg.eigvalsh(op.matrix)[0]) <= 1e-12
 
 
+def test_min_eigenvalue_couples_both_rows_of_a_one_sided_entry():
+    # within the tolerance an entry may lack its mirror; the eigensolve reads
+    # the lower triangle, so rows 0 and 1 stay coupled and give -1e-13
+    one_sided = np.zeros((4, 4))
+    one_sided[1, 0] = 1e-13
+    for op in (HermitianOperator(one_sided, (2, 2)), HermitianOperator.from_entries([4], [1e-13], (2, 2))):
+        assert min_eigenvalue(op) == pytest.approx(-1e-13, rel=1e-6, abs=0)
+
+
 def test_min_eigenvalue(rng):
     el = random_pd_element(rng)
     assert min_eigenvalue(el) == pytest.approx(np.linalg.eigvalsh(el.matrix)[0])

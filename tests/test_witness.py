@@ -140,33 +140,27 @@ def test_probe_state_validation():
 
 
 def test_probe_state_rejects_indefinite_entry_built_probes():
-    # (1 + 2 flip) / 4 has eigenvalue -1/4 in its coupled block, -0.1 a lone diagonal
+    # (1 + 2 flip) / 4 has eigenvalue -1/4 in its coupled block; the other
+    # probe has -0.1 on a lone diagonal entry
     flip = lambda_operator(2, 2).support[0]
-    coupled = HermitianOperator.from_entries(np.concatenate([[0, 5, 10, 15], flip]), [1, 1, 1, 1, 2, 2], (2, 2))
+    coupled = HermitianOperator.from_entries(
+        np.concatenate([[0, 5, 10, 15], flip]), np.array([1, 1, 1, 1, 2, 2]) / 4, (2, 2)
+    )
     lone = HermitianOperator.from_entries([0, 5, 10, 15], [1.1, -0.1, 0.0, 0.0], (2, 2))
-    for m in (coupled.matrix / 4, lone.matrix):
-        with pytest.raises(ValidationError, match="positive"):
-            ProbeState(HermitianOperator(m, (2, 2)))
-    with pytest.raises(ValidationError, match="positive"):
-        ProbeState(lone)
-    quarter = HermitianOperator.from_entries(coupled.support[0], coupled.support[1] / 4, (2, 2))
-    with pytest.raises(ValidationError, match="positive"):
-        ProbeState(quarter)
+    for op in (coupled, lone):
+        for probe in (op, HermitianOperator(op.matrix, op.parties)):
+            with pytest.raises(ValidationError, match="positive"):
+                ProbeState(probe)
 
 
-@pytest.mark.parametrize("size", [2, 3, 5, 8, 10])
-def test_ghz_probe_matches_the_dense_build(size):
-    probe = ghz_probe(size).operator
-    expect = dense_ghz_probe(size)
-    assert probe.parties == expect.parties
-    assert probe.matrix.dtype == expect.matrix.dtype
-    assert probe.matrix.tobytes() == expect.matrix.tobytes()
-
-
-@pytest.mark.parametrize("size", [2, 3, 5, 8, 16])
-def test_me_probe_matches_the_dense_build(size):
-    probe = me_probe(size).operator
-    expect = dense_me_probe(size)
+@pytest.mark.parametrize(
+    "build, dense, size",
+    [(ghz_probe, dense_ghz_probe, n) for n in (2, 3, 5, 8, 10)]
+    + [(me_probe, dense_me_probe, d) for d in (2, 3, 5, 8, 16)],
+)
+def test_probes_match_the_dense_build(build, dense, size):
+    probe = build(size).operator
+    expect = dense(size)
     assert probe.parties == expect.parties
     assert probe.matrix.dtype == expect.matrix.dtype
     assert probe.matrix.tobytes() == expect.matrix.tobytes()
