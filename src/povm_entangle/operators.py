@@ -3,11 +3,11 @@
 Operators are plain numpy matrices tagged with the dimensions of their
 tensor factors: real input is stored as float64, anything else as
 complex128.  Total dimension is capped at 4096.  An operator built from its
-nonzero entries (`HermitianOperator.from_entries`, which every producer here
-uses) is checked over those entries only and keeps them, so the solver and
-`min_eigenvalue` read its structure instead of scanning D^2 entries.  All
-containers are frozen and functions return new objects, which keeps
-concurrent use safe.
+nonzero entries (`HermitianOperator.from_entries`, which `lambda_operator`,
+both noisy elements and, in `witness`, both probes use) is checked over those
+entries only and keeps them, so the solver and `min_eigenvalue` read its
+structure instead of scanning D^2 entries.  All containers are frozen and
+functions return new objects, which keeps concurrent use safe.
 """
 
 from __future__ import annotations
@@ -394,22 +394,20 @@ def lambda_operator(n: int, d: int) -> HermitianOperator:
 
 
 def min_eigenvalue(op: HermitianOperator) -> float:
-    """Smallest eigenvalue, from the rows that hold an off-diagonal nonzero.
+    """Smallest eigenvalue; for an entry-built operator, from its support.
 
-    Every other row and its column are zero off the diagonal, so the spectrum
-    is that of op[S, S], S those rows, together with the diagonal outside S:
-    exact for any operator, and a dense eigensolve where S is every row.  S is
-    read from the operator's support when it has one, else from the matrix.
+    There S is the rows that hold an off-diagonal nonzero.  Every other row
+    and its column are zero off the diagonal, so the spectrum is that of
+    op[S, S] together with the diagonal outside S: exact, and a dense
+    eigensolve where S is every row.  An operator built from a dense matrix
+    gets the dense eigensolve.
     """
     m = op.matrix
     if op.support is None:
-        off = m != 0
-        np.fill_diagonal(off, False)
-        coupled = off.any(axis=0) | off.any(axis=1)
-    else:
-        r, c = np.divmod(op.support[0], op.dim)
-        coupled = np.zeros(op.dim, dtype=bool)
-        coupled[r[r != c]] = coupled[c[r != c]] = True
+        return float(np.linalg.eigvalsh(m)[0])
+    r, c = np.divmod(op.support[0], op.dim)
+    coupled = np.zeros(op.dim, dtype=bool)
+    coupled[r[r != c]] = coupled[c[r != c]] = True
     if coupled.all():
         return float(np.linalg.eigvalsh(m)[0])
     s = np.flatnonzero(coupled)
