@@ -1,13 +1,14 @@
-"""Dense operator algebra for small multi-party quantum systems.
+"""Operator algebra for small multi-party quantum systems.
 
-Operators are plain numpy matrices tagged with the dimensions of their
-tensor factors: real input is stored as float64, anything else as
-complex128.  Total dimension is capped at 4096.  An operator built from its
-nonzero entries (`HermitianOperator.from_entries`, which `lambda_operator`,
-both noisy elements and, in `witness`, both probes use) is checked over those
-entries only and keeps them, so the solver and `min_eigenvalue` read its
-structure instead of scanning D^2 entries.  All containers are frozen and
-functions return new objects, which keeps concurrent use safe.
+Operators are numpy matrices tagged with the dimensions of their tensor
+factors: real input is stored as float64, anything else as complex128.
+Total dimension is capped at 4096.  An operator built from its nonzero
+entries (`HermitianOperator.from_entries`, which `lambda_operator`, both
+noisy elements and, in `witness`, both probes use) is checked over those
+entries only and keeps them as its `support`; it holds no dense matrix until
+`matrix` is first read.  `dim`, `trace`, `min_eigenvalue` and the separability
+solver read the support instead.  All containers are frozen and functions return new objects, which
+keeps concurrent use safe.
 """
 
 from __future__ import annotations
@@ -145,7 +146,8 @@ class HermitianOperator:
     has a NaN or infinite entry.  The check runs over blocks of
     _HERMITICITY_BLOCK rows against the matching columns, so it makes no
     full-size temporary.  `from_entries` builds the same operator from its
-    nonzero entries and checks those alone.
+    nonzero entries and checks those alone; such an operator has a dense
+    matrix only once `matrix` has been read, and then keeps it.
     """
 
     matrix: np.ndarray
@@ -164,15 +166,27 @@ class HermitianOperator:
         object.__setattr__(self, "matrix", _frozen(m))
         object.__setattr__(self, "parties", parties)
 
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: the matrix of an
+        # entry-built operator, written from its support on first read
+        if name != "matrix" or self.support is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        flat, values = self.support
+        m = np.zeros((self.dim, self.dim), dtype=values.dtype)
+        m.reshape(-1)[flat] = values
+        object.__setattr__(self, "matrix", _frozen(m))
+        return m
+
     @classmethod
     def from_entries(cls, flat, values, parties) -> "HermitianOperator":
         """The operator whose only nonzero entries are `values` at indices r D + c.
 
-        Values are stored by the constructor's dtype rule and written into
-        zeros; the party, dimension, finiteness and Hermiticity checks run over
-        the entries alone, which is exact because every other entry is zero.
-        An index outside [0, D^2) or listed twice is rejected.  The operator
-        keeps its nonzero entries, sorted by index, as `support`.
+        Values are stored by the constructor's dtype rule; the party,
+        dimension, finiteness and Hermiticity checks run over the entries
+        alone, which is exact because every other entry is zero.  An index
+        outside [0, D^2) or listed twice is rejected.  The operator keeps its
+        nonzero entries, sorted by index, as `support`, and writes them into
+        a dense matrix only when `matrix` is read.
         """
         parties, dim = _checked_parties(parties)
         flat = np.asarray(flat)
@@ -189,21 +203,18 @@ class HermitianOperator:
         if np.any(flat[1:] == flat[:-1]):
             raise ValidationError("an entry index is listed twice")
         _check_deviation(_entry_deviation(flat, values, dim))
-        m = np.zeros((dim, dim), dtype=values.dtype)
-        m.reshape(-1)[flat] = values
         keep = values != 0
         op = cls.__new__(cls)
-        object.__setattr__(op, "matrix", _frozen(m))
         object.__setattr__(op, "parties", parties)
         object.__setattr__(op, "support", (_frozen(flat[keep]), _frozen(values[keep])))
         return op
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return math.prod(self.parties)
 
     def trace(self) -> float:
-        return float(self.matrix.trace().real)
+        return float(_diagonal(self).sum().real)
 
     def to_dict(self) -> dict:
         return {
@@ -220,6 +231,20 @@ class HermitianOperator:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed operator record: {exc}") from exc
         return cls(m, parties)
+
+
+def _diagonal(op: HermitianOperator) -> np.ndarray:
+    """The diagonal in the stored dtype, zeros included; from the support when there is one.
+
+    Its sum adds in the order matrix.trace() does, so both give the same float.
+    """
+    if op.support is None:
+        return op.matrix.diagonal()
+    flat, values = op.support
+    r, c = np.divmod(flat, op.dim)
+    d = np.zeros(op.dim, dtype=values.dtype)
+    d[r[r == c]] = values[r == c]
+    return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,21 +424,23 @@ def min_eigenvalue(op: HermitianOperator) -> float:
     There S is the rows that hold an off-diagonal nonzero.  Every other row
     and its column are zero off the diagonal, so the spectrum is that of
     op[S, S] together with the diagonal outside S: exact, and a dense
-    eigensolve where S is every row.  An operator built from a dense matrix
-    gets the dense eigensolve.
+    eigensolve where S is every row.  Both are written from the support, so
+    no dense matrix is built.  An operator built from a dense matrix gets the
+    dense eigensolve.
     """
-    m = op.matrix
     if op.support is None:
-        return float(np.linalg.eigvalsh(m)[0])
-    r, c = np.divmod(op.support[0], op.dim)
+        return float(np.linalg.eigvalsh(op.matrix)[0])
+    flat, values = op.support
+    r, c = np.divmod(flat, op.dim)
     coupled = np.zeros(op.dim, dtype=bool)
     coupled[r[r != c]] = coupled[c[r != c]] = True
-    if coupled.all():
-        return float(np.linalg.eigvalsh(m)[0])
+    low = _diagonal(op)[~coupled].real.min(initial=np.inf)
     s = np.flatnonzero(coupled)
-    low = m.diagonal()[~coupled].real.min()
     if s.size:
-        low = min(low, np.linalg.eigvalsh(m[np.ix_(s, s)])[0])
+        inside = coupled[r]  # an entry in a coupled row has a coupled column
+        block = np.zeros((s.size, s.size), dtype=values.dtype)
+        block[np.searchsorted(s, r[inside]), np.searchsorted(s, c[inside])] = values[inside]
+        low = min(low, np.linalg.eigvalsh(block)[0])
     return float(low)
 
 
