@@ -9,20 +9,25 @@ certified lower bound on g_max and therefore only used for verdicts on
 explicit request.
 
 The solver (the separability-eigenvalue equations of Sperling and Vogel,
-PRL 111, 110503 (2013)) runs all its restarts together on stacked arrays:
-each half-step conditions the operator on the other parties' states of every
-active restart and solves the conditioned problems with one batched
-eigensolve.  Conditioning takes one of two paths, chosen once per solve from
-the operator itself.  An operator with at most 2 D nonzero entries (lambda
-has d(d - 1), the GHZ probe D + 2, the ME probe 2 D - d) is conditioned
-through its (row, column, value) triples: each entry is weighted by the
-other parties' amplitudes at its row and column digits and added into the
-d_j x d_j bin of its party-j digits, (n - 1) nnz multiply-adds per restart.
-Any other operator is contracted with the other parties' product states
-directly, one matrix product over the larger of the two outer factors
-first, D^2 multiply-adds per restart and never a product with the 1_{d_j}
-factor; real-stored operators run that product in real arithmetic on the
-product states' stacked real and imaginary parts.  On random sparse
+PRL 111, 110503 (2013)) runs its restarts together on stacked arrays: each
+half-step conditions the operator on the other parties' states of every
+live restart and solves the conditioned problems with one batched
+eigensolve.  The live restarts' states sit in contiguous (live, d_i) stacks;
+a restart that converges is written back and the stacks are compacted, so
+no half-step gathers or scatters the states of finished restarts.
+Conditioning takes one of two paths, chosen once per solve from the
+operator itself.  An operator with at most 2 D nonzero entries (lambda has
+d(d - 1), the GHZ probe D + 2, the ME probe 2 D - d) is conditioned through
+its (row, column, value) triples: each entry is weighted by the other
+parties' factors conj(a_i[r_i]) a_i[c_i] at its row and column digits and
+added into the d_j x d_j bin of its party-j digits, (n - 1) nnz
+multiply-adds per restart.  Each party's factors are kept as a (live, nnz)
+stack and gathered again only after that party is solved.  Any other
+operator is contracted with the other parties' product states directly, one
+matrix product over the larger of the two outer factors first, D^2
+multiply-adds per restart and never a product with the 1_{d_j} factor;
+real-stored operators run that product in real arithmetic on the product
+states' stacked real and imaginary parts.  On random sparse
 operators at D = 1024 the two paths break even near 2 nonzeros per row for
 ten qubits and near 3 to 4 for five ququarts, so the 2 D rule keeps the
 entry path where it does not lose.  Each restart drops out on its own
@@ -274,38 +279,48 @@ def _sparse_entries(op: HermitianOperator) -> _Entries | None:
     return _Entries(values, np.array(pairs))
 
 
-def _entry_conditioned(entries: _Entries, states: list[np.ndarray], j: int) -> np.ndarray:
+def _gathered(entries: _Entries, s: np.ndarray, i: int) -> np.ndarray:
+    """Party i's factors conj(a_i[r_i]) a_i[c_i] at every entry, as an (A, nnz) array.
+
+    `s` holds the party's (A, d_i) states; the factors are read from its
+    (A, d_i^2) table conj(a_i) (x) a_i at the entries' digit pairs.
+    """
+    a = s.shape[0]
+    return (s.conj()[:, :, None] * s[:, None, :]).reshape(a, -1)[:, entries.pairs[i]]
+
+
+def _entry_conditioned(entries: _Entries, factors: list[np.ndarray], j: int, dj: int) -> np.ndarray:
     """F_a^dag op F_a for every row a from the operator's nonzero entries.
 
     Entry (r, c) contributes value * prod_{i != j} conj(a_i[r_i]) a_i[c_i]
-    to bin (r_j, c_j).  Each other party's factors are read from its
-    (A, d_i^2) table conj(a_i) (x) a_i at the entries' digit pairs, so a row
-    costs (n - 1) nnz gathers and products, then one scatter-add.
+    to bin (r_j, c_j).  `factors` holds each party's `_gathered` factors of
+    the A rows (party j's are not read), multiplied in party order, so a row
+    costs (n - 1) nnz products, then one scatter-add.
     """
-    a, dj = states[j].shape
+    a = factors[0].shape[0]
     w = np.empty((a, entries.values.size), dtype=complex)
     w[:] = entries.values
-    for i, s in enumerate(states):
+    for i, f in enumerate(factors):
         if i != j:
-            w *= (s.conj()[:, :, None] * s[:, None, :]).reshape(a, -1)[:, entries.pairs[i]]
+            w *= f
     out = np.zeros((a, dj * dj), dtype=complex)
     np.add.at(out, (slice(None), entries.pairs[j]), w)
     return out.reshape(a, dj, dj)
 
 
 def _half_step(
-    operand: np.ndarray | _Entries, states: list[np.ndarray], j: int
+    operand: np.ndarray | _Entries, states: list[np.ndarray], j: int, factors: list[np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenpair of the operator conditioned on every party but j, per row.
 
     `states` holds one (A, d_i) array per party, and `operand` is either the
-    stored matrix or its `_Entries`.  The conditioned operators
-    F_r^dag op F_r of all A rows come from `_conditioned` or
-    `_entry_conditioned`, neither of which multiplies by the 1_{d_j} factor
-    of the frames F_r; one batched eigensolve follows.
+    stored matrix or its `_Entries`, which come with the rows' `_gathered`
+    `factors`.  The conditioned operators F_r^dag op F_r of all A rows come
+    from `_conditioned` or `_entry_conditioned`, neither of which multiplies
+    by the 1_{d_j} factor of the frames F_r; one batched eigensolve follows.
     """
     if isinstance(operand, _Entries):
-        m = _entry_conditioned(operand, states, j)
+        m = _entry_conditioned(operand, factors, j, states[j].shape[1])
     else:
         m = _conditioned(operand, states, j)
     w, vecs = np.linalg.eigh((m + m.conj().transpose(0, 2, 1)) / 2)
@@ -326,15 +341,15 @@ def separability_eigenvalue_numeric(
     operator conditioned on the others, so the objective never decreases. The
     first starts sweep the uniform-support family, the rest are random, each
     from a deterministic Philox stream keyed by (seed, restart) and all
-    drawn in one call.  All restarts
-    advance together as stacked (restarts, d_i) states.  The operator picks
-    how a half-step on party j conditions it on the other parties:
+    drawn in one call.  The operator picks how a half-step on party j
+    conditions it on the other parties:
 
     - with at most 2 D nonzero entries (lambda, GHZ and ME probes), through
       those entries, read from the operator's support (an operator built
-      from a dense matrix is scanned once per solve): (n - 1) nnz
-      multiply-adds per restart, and a restart's weights hold nnz entries,
-      its digit-pair tables and conditioned matrix d_i^2 each;
+      from a dense matrix is scanned once per solve).  Each party's factors
+      conj(a_i[r_i]) a_i[c_i] at the entries are kept per restart and only
+      the party just solved has its factors gathered again, so a half-step
+      costs (n - 1) nnz multiply-adds per restart and one scatter-add;
     - otherwise, one matrix product of the operator with the product states
       of the parties on the larger side of j, D^2 multiply-adds per
       restart, then small per-restart products.  With L and R the
@@ -347,12 +362,17 @@ def separability_eigenvalue_numeric(
     At D = 1024 the entry path takes 0.06-0.1 ms where the dense one takes
     1.6-1.9 ms on lambda (12 restarts, one half-step), and the two break
     even near 2 to 4 nonzeros per row.  Either way one batched eigensolve
-    follows, and the active restarts go in chunks whose weights, tables or
-    intermediate hold no more entries than the operator (or 2^16, whichever
-    is more).  A restart leaves the active set after the first sweep that
-    moves its value by less than _SOLVER_TOL, or after _MAX_SWEEPS; the
-    best restart is the first to reach the largest value.  The result is a
-    certified lower bound on the separability eigenvalue.
+    follows.  The restarts are solved in blocks whose kept factors and
+    weights, or intermediates, hold no more entries than the operator (or
+    2^16, whichever is more).  A block advances only its live restarts, as
+    contiguous (live, d_i) stacks: a restart leaves after the first sweep
+    that moves its value by less than _SOLVER_TOL, when its state and value
+    are written back and the stacks are compacted, and the restarts still
+    live after _MAX_SWEEPS are written back at the end.  No restart's
+    arithmetic depends on the others, so neither the blocks nor the leaving
+    restarts change any bit of its path.  The best restart is the first to
+    reach the largest value.  The result is a certified lower bound on the
+    separability eigenvalue.
     """
     if restarts < 1:
         raise ValidationError(f"need at least 1 restart, got {restarts}")
@@ -361,37 +381,54 @@ def separability_eigenvalue_numeric(
     drawn = _random_starts(dims, seed, range(len(first[0]), restarts))
     states = [np.concatenate(pair) for pair in zip(first, drawn)]
     cap = max(op.dim**2, _FRAME_FLOOR)
-    operand = _sparse_entries(op)
-    if operand is None:
+    entries = _sparse_entries(op)
+    if entries is None:
         operand = op.matrix
         # a row conditioned on all parties but j leaves D^2 / max(L, R) entries
-        chunks = [
+        block = min(
             cap * max(math.prod(dims[:j]), math.prod(dims[j + 1 :])) // op.dim**2
             for j in range(len(dims))
-        ]
+        )
     else:
-        # a row's weights hold nnz entries, its digit-pair tables and
-        # conditioned matrix d_i^2 each
-        chunks = [cap // max(operand.values.size, max(dims) ** 2)] * len(dims)
-    prev = np.full(restarts, -np.inf)
+        operand = entries
+        # a row's kept factors and weights hold (n + 1) nnz entries, its
+        # digit-pair tables and conditioned matrix d_i^2 each
+        block = cap // ((len(dims) + 1) * max(entries.values.size, max(dims) ** 2))
+    block = max(block, 1)
     val = np.full(restarts, -np.inf)
     converged = np.zeros(restarts, dtype=bool)
     history: list[list[float]] = [[] for _ in range(restarts)]
-    active = np.arange(restarts)
-    for _ in range(_MAX_SWEEPS):
-        for j in range(len(dims)):
-            for lo in range(0, active.size, chunks[j]):
-                rows = active[lo : lo + chunks[j]]
-                val[rows], states[j][rows] = _half_step(operand, [s[rows] for s in states], j)
-        if track_history:
-            for r in active:
-                history[r].append(float(val[r]))
-        done = np.abs(val[active] - prev[active]) < _SOLVER_TOL
-        converged[active[done]] = True
-        prev[active] = val[active]
-        active = active[~done]
-        if not active.size:
-            break
+    for lo in range(0, restarts, block):
+        ids = np.arange(lo, min(lo + block, restarts))
+        live = [s[ids] for s in states]
+        factors = None if entries is None else [_gathered(entries, s, i) for i, s in enumerate(live)]
+        prev = np.full(ids.size, -np.inf)
+        for _ in range(_MAX_SWEEPS):
+            for j in range(len(dims)):
+                value, live[j] = _half_step(operand, live, j, factors)
+                if factors is not None:
+                    factors[j] = _gathered(entries, live[j], j)
+            if track_history:
+                for r, v in zip(ids.tolist(), value.tolist()):
+                    history[r].append(v)
+            done = np.abs(value - prev) < _SOLVER_TOL
+            prev = value
+            if done.any():
+                # converged restarts leave: write them back, compact the rest
+                left = ids[done]
+                val[left], converged[left] = prev[done], True
+                for s, x in zip(states, live):
+                    s[left] = x[done]
+                keep = ~done
+                ids, prev, live = ids[keep], prev[keep], [x[keep] for x in live]
+                if factors is not None:
+                    factors = [f[keep] for f in factors]
+                if not ids.size:
+                    break
+        # restarts stopped by _MAX_SWEEPS
+        val[ids] = prev
+        for s, x in zip(states, live):
+            s[ids] = x
     best = int(np.argmax(val))
     return SeparabilityResult(
         gmax=float(val[best]),

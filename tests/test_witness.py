@@ -322,9 +322,9 @@ def test_solver_chunks_bound_frames(monkeypatch):
     rows = []
     half_step = witness._half_step
 
-    def spy(matrix, states, j):
+    def spy(matrix, states, j, factors):
         rows.append(states[j].shape[0])
-        return half_step(matrix, states, j)
+        return half_step(matrix, states, j, factors)
 
     monkeypatch.setattr(witness, "_FRAME_FLOOR", 1)
     monkeypatch.setattr(witness, "_half_step", spy)
@@ -366,9 +366,9 @@ def test_solver_passes_the_stored_matrix(monkeypatch, op):
     seen = []
     half_step = witness._half_step
 
-    def spy(matrix, states, j):
+    def spy(matrix, states, j, factors):
         seen.append(matrix is op.matrix)
-        return half_step(matrix, states, j)
+        return half_step(matrix, states, j, factors)
 
     monkeypatch.setattr(witness, "_half_step", spy)
     separability_eigenvalue_numeric(op, restarts=3, seed=1)
@@ -454,11 +454,11 @@ def test_solver_chunks_bound_the_intermediate(monkeypatch, op, floor):
     sizes = {j: [] for j in range(len(dims))}
     half_step = witness._half_step
 
-    def spy(matrix, states, j):
+    def spy(matrix, states, j, factors):
         assert matrix is op.matrix
         outer = max(math.prod(dims[:j]), math.prod(dims[j + 1 :]))
         sizes[j].append(states[j].shape[0] * op.dim**2 // outer)
-        return half_step(matrix, states, j)
+        return half_step(matrix, states, j, factors)
 
     monkeypatch.setattr(witness, "_FRAME_FLOOR", floor)
     monkeypatch.setattr(witness, "_half_step", spy)
@@ -516,8 +516,9 @@ def test_entry_conditioned_matches_frames_product(name, rows):
     op = ENTRY_OPERATORS[name]
     entries = witness._sparse_entries(op)
     states = random_rows(np.random.default_rng(rows), op.parties, rows)
+    factors = [witness._gathered(entries, s, i) for i, s in enumerate(states)]
     for j in range(len(op.parties)):
-        got = witness._entry_conditioned(entries, states, j)
+        got = witness._entry_conditioned(entries, factors, j, op.parties[j])
         expect = frames_conditioned(op.matrix, states, j)
         assert got.shape == (rows, op.parties[j], op.parties[j])
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
@@ -623,10 +624,10 @@ def test_entry_solver_chunks_bound_the_weights(monkeypatch, name, floor):
     rows = []
     half_step = witness._half_step
 
-    def spy(operand, states, j):
+    def spy(operand, states, j, factors):
         assert isinstance(operand, witness._Entries)
         rows.append(states[j].shape[0])
-        return half_step(operand, states, j)
+        return half_step(operand, states, j, factors)
 
     monkeypatch.setattr(witness, "_FRAME_FLOOR", floor)
     monkeypatch.setattr(witness, "_half_step", spy)
