@@ -6,9 +6,10 @@ Total dimension is capped at 4096.  An operator built from its nonzero
 entries (`HermitianOperator.from_entries`, which `lambda_operator`, both
 noisy elements and, in `witness`, both probes use) is checked over those
 entries only and keeps them as its `support`; it holds no dense matrix until
-`matrix` is first read.  `dim`, `trace`, `min_eigenvalue` and the separability
-solver read the support instead.  All containers are frozen and functions return new objects, which
-keeps concurrent use safe.
+`matrix` is first read.  `dim`, `trace`, `min_eigenvalue`, the separability
+solver and the witness sum read the support instead, so no witness command
+writes the D^2 zeros.  All containers are frozen and functions return new
+objects, which keeps concurrent use safe.
 """
 
 from __future__ import annotations

@@ -438,6 +438,32 @@ def separability_eigenvalue_numeric(
     )
 
 
+def _trace_of_product(element: HermitianOperator, probe: HermitianOperator) -> float:
+    """tr(element probe) = sum_rc real(conj(p_rc) e_rc), over the probe's nonzero entries.
+
+    The probe's entries are its support, or a scan of its matrix when it
+    was built dense; the element's values at them come from its support, or
+    from its matrix when it was built dense, so no dense matrix is built.
+    The terms are added by math.fsum, which rounds their exact sum once: the
+    value depends on neither their order nor the BLAS thread count.
+    """
+    if probe.support is None:
+        flat = np.flatnonzero(probe.matrix)
+        p = probe.matrix.ravel()[flat]
+    else:
+        flat, p = probe.support
+    if element.support is None:
+        e = element.matrix.ravel()[flat]
+    else:
+        have, values = element.support
+        at = np.searchsorted(have, flat)
+        hit = at < have.size
+        hit[hit] = have[at[hit]] == flat[hit]
+        e = np.zeros(flat.size, dtype=values.dtype)
+        e[hit] = values[at[hit]]
+    return math.fsum((p.conj() * e).real.tolist())
+
+
 def witness_evaluate(
     element: HermitianOperator,
     probe: ProbeState,
@@ -459,8 +485,7 @@ def witness_evaluate(
     t = element.trace()
     if t <= 0:
         raise ValidationError(f"element trace must be positive, got {t}")
-    # tr(element probe) = sum_rc conj(probe_rc) element_rc for Hermitian probes
-    lhs = float(np.vdot(probe.operator.matrix, element.matrix).real) / t
+    lhs = _trace_of_product(element, probe.operator) / t
     if numeric:
         res = separability_eigenvalue_numeric(probe.operator, restarts=restarts, seed=seed)
         # best value found is still a valid lower bound; just flag it

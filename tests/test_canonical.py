@@ -3,14 +3,21 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import povm_entangle
 from povm_entangle import cli
 from povm_entangle.cli import _canonical, main
+
+SRC = str(Path(povm_entangle.__file__).parents[1])
 
 
 def stdlib(obj) -> str:
@@ -181,12 +188,12 @@ def test_witness_bytes_are_pinned(tmp_path, monkeypatch):
 
 # sha256 of `witness` runs at dimension 1024: both solver paths' largest
 # lambda units, taken before the operators were built from their entries,
-# and the numeric GHZ family witness, taken again when its manifest gained
-# the restart count.
+# and the numeric GHZ family witness, taken again when its lhs became a
+# correctly rounded sum over the probe's entries.
 WITNESS_D1024 = {
     ("--lambda", "-n", "5", "-d", "4"): "e6069e9de37f1c1c93d673576bbaf2c96d8631db8b935a36a990396f4e0a5fe7",
     ("--lambda", "-n", "10", "-d", "2"): "22f99956a0b0dd11dada36abb8f62b7e86195e9ea65e8896f0e8a218a643f9af",
-    ("--family", "ghz", "-n", "10", "--eps", "0.1", "--numeric"): "504ee324078ef40d4b0f75b4ed0b08012f1540ff9dc26d63ea31fd3ebf8bfc45",
+    ("--family", "ghz", "-n", "10", "--eps", "0.1", "--numeric"): "a17fedafd6802811dbdc2fbf0776b40c581503bf2bcb90aaa40a9962a4584e6c",
 }
 
 
@@ -195,3 +202,50 @@ def test_dimension_1024_witness_bytes_are_pinned(tmp_path, args):
     out = tmp_path / "w.json"
     assert main(["witness", *args, "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == WITNESS_D1024[args]
+
+
+# runs CLI commands in a fresh interpreter, whose BLAS reads its thread count
+# at start-up, and reports the sha256 of every file they wrote
+_HASH_RUNS = """
+import hashlib, json, sys
+from pathlib import Path
+from povm_entangle.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps({
+    str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path().rglob("*")) if p.is_file()
+}))
+"""
+
+
+def hashes_at_blas_threads(threads: str, commands: list, cwd) -> dict:
+    env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads}
+    out = subprocess.run(
+        [sys.executable, "-c", _HASH_RUNS, json.dumps(commands)],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=600,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # every pinned witness run, and errors and quasidist on criterion 8's data
+    witness_runs = {f"w{k}.json": args for k, args in enumerate([*WITNESS, *WITNESS_D1024])}
+    commands = [
+        ["simulate", "--eps", "0.1", "--counts", "1000", "--seed", "7", "-o", "noisy.csv"],
+        ["reconstruct", "--counts", "noisy.csv", "-o", "rec.json"],
+        *(["witness", *args, "-o", name] for name, args in witness_runs.items()),
+        ["simulate", "--seed", "0", "-o", "counts.csv"],
+        ["reconstruct", "--counts", "counts.csv", "-o", "c8.json"],
+        ["quasidist", "--povm", "c8.json", "-o", "qd"],
+        ["errors", "--counts", "counts.csv", "--samples", "1000", "--seed", "0", "--workers", "1", "-o", "err"],
+    ]
+    got = {}
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        got[threads] = hashes_at_blas_threads(threads, commands, tmp_path / threads)
+    assert got["1"] == got["2"]
+    pins = {**WITNESS, **WITNESS_D1024}
+    assert {name: got["1"][name] for name in witness_runs} == {name: pins[a] for name, a in witness_runs.items()}
+    assert {name[4:]: h for name, h in got["1"].items() if name.startswith("err/")} == ERRORS_C8
+    assert len([name for name in got["1"] if name.startswith("qd/")]) == 9
