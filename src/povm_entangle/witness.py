@@ -368,10 +368,11 @@ def separability_eigenvalue_numeric(
     contiguous (live, d_i) stacks: a restart leaves after the first sweep
     that moves its value by less than _SOLVER_TOL, when its state and value
     are written back and the stacks are compacted, and the restarts still
-    live after _MAX_SWEEPS are written back at the end.  No restart's
-    arithmetic depends on the others, so neither the blocks nor the leaving
-    restarts change any bit of its path.  The best restart is the first to
-    reach the largest value.  The result is a certified lower bound on the
+    live after _MAX_SWEEPS are written back at the end.  On the entry path
+    no restart's arithmetic depends on the others, so neither the blocks nor
+    the leaving restarts change any bit of its path; on the dense path the
+    matrix products may round differently with the number of rows.  The
+    best restart is the first to reach the largest value.  The result is a certified lower bound on the
     separability eigenvalue.
     """
     if restarts < 1:

@@ -36,7 +36,9 @@ from povm_entangle.operators import (
 )
 
 from conftest import (
+    dense_ghz_probe,
     dense_lambda_operator,
+    dense_me_probe,
     dense_noisy_ghz_element,
     dense_noisy_me_element,
     random_pd_element,
@@ -395,6 +397,42 @@ def test_noisy_elements_match_the_dense_build(build, dense, size, eps):
     flat = np.flatnonzero(expect.matrix)
     assert np.array_equal(el.support[0], flat)
     assert el.support[1].tobytes() == expect.matrix.ravel()[flat].tobytes()
+
+
+def probe_operator(probe):
+    return lambda size: probe(size).operator
+
+
+# each producer that builds from entries, its dense oracle, and sizes
+ENTRY_PRODUCERS = {
+    "lambda": (lambda nd: lambda_operator(*nd), lambda nd: dense_lambda_operator(*nd), [(2, 3), (3, 3), (5, 4), (10, 2)]),
+    "ghz_probe": (probe_operator(ghz_probe), dense_ghz_probe, [3, 5, 10]),
+    "me_probe": (probe_operator(me_probe), dense_me_probe, [3, 5, 32]),
+    "noisy_ghz": (lambda n: noisy_ghz_element(n, 0.1), lambda n: dense_noisy_ghz_element(n, 0.1), [3, 5, 10]),
+    "noisy_me": (lambda d: noisy_me_element(d, 0.2), lambda d: dense_noisy_me_element(d, 0.2), [3, 5, 32]),
+}
+
+
+@pytest.mark.parametrize(
+    "build, dense, size",
+    [
+        pytest.param(build, dense, size, id=f"{name}-{size}")
+        for name, (build, dense, sizes) in ENTRY_PRODUCERS.items()
+        for size in sizes
+    ],
+)
+def test_entry_built_matrix_is_written_on_first_read(build, dense, size):
+    op, expect = build(size), dense(size)
+    # dim and trace come from the parties and the support, the trace as the
+    # float matrix.trace() gives
+    assert op.dim == expect.dim
+    assert op.trace() == float(expect.matrix.trace().real)
+    assert "matrix" not in vars(op)
+    m = op.matrix
+    assert m.dtype == expect.matrix.dtype
+    assert m.tobytes() == expect.matrix.tobytes()
+    assert not m.flags.writeable
+    assert op.matrix is m
 
 
 def entry_matrix(flat, values, dim):

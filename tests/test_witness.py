@@ -1,7 +1,11 @@
 """Probe-state witnesses, noise thresholds, and the separability solver."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from povm_entangle import (
     separability_eigenvalue_numeric,
     witness_evaluate,
 )
+import povm_entangle
 from povm_entangle import operators, witness
 from povm_entangle.cli import main
 from povm_entangle.streams import keyed_rng
@@ -637,3 +642,105 @@ def test_entry_solver_chunks_bound_the_weights(monkeypatch, name, floor):
         assert max(rows) < 64
     assert chunked.gmax == pytest.approx(whole.gmax, abs=1e-12)
     assert_same_paths(chunked.history, whole.history)
+
+
+def solve_each_restart_alone(op, restarts, seed):
+    """(gmax, states, converged, history) with every restart run as a one-row stack.
+
+    The oracle for the solver's blocks, live stacks and kept factors: each
+    restart sweeps on its own, its entry factors gathered afresh from its
+    states at every half-step, under the solver's stopping and best-restart
+    rules.
+    """
+    entries = witness._sparse_entries(op)
+    operand = op.matrix if entries is None else entries
+    dims = op.parties
+    first = [s[:restarts] for s in witness._structured_starts(dims)]
+    drawn = witness._random_starts(dims, seed, range(len(first[0]), restarts))
+    starts = [np.concatenate(pair) for pair in zip(first, drawn)]
+    runs = []
+    for r in range(restarts):
+        states = [s[r : r + 1] for s in starts]
+        history, converged, prev = [], False, -np.inf
+        for _ in range(witness._MAX_SWEEPS):
+            for j in range(len(dims)):
+                factors = None
+                if entries is not None:
+                    factors = [witness._gathered(entries, s, i) for i, s in enumerate(states)]
+                value, states[j] = witness._half_step(operand, states, j, factors)
+            history.append(float(value[0]))
+            converged = abs(history[-1] - prev) < witness._SOLVER_TOL
+            prev = history[-1]
+            if converged:
+                break
+        runs.append((history, states, converged))
+    best = int(np.argmax([h[-1] for h, _, _ in runs]))
+    history, states, converged = runs[best]
+    return history[-1], tuple(s[0] for s in states), converged, tuple(tuple(h) for h, _, _ in runs)
+
+
+def same_bits(res, expect):
+    gmax, states, converged, history = expect
+    assert res.gmax == gmax
+    assert [s.tobytes() for s in res.states] == [s.tobytes() for s in states]
+    assert res.converged == converged
+    assert res.history == history
+
+
+@pytest.mark.parametrize("sweeps", [3, witness._MAX_SWEEPS])
+@pytest.mark.parametrize("name", ["lambda_3_3", "ghz3", "me3", "sparse_2_3_4", "sparse_2_5_2_3", "projector_2_8"])
+def test_live_stacks_keep_every_bit(monkeypatch, name, sweeps):
+    # entry path, blocks forced by the floor, restarts leaving as they
+    # converge or at the sweep cap: every bit of the result is the
+    # unchunked solve's, and each restart's path is the one it takes alone
+    op = ENTRY_OPERATORS[name]
+    uncapped = separability_eigenvalue_numeric(op, restarts=64, seed=2, track_history=True)
+    monkeypatch.setattr(witness, "_MAX_SWEEPS", sweeps)
+    whole = separability_eigenvalue_numeric(op, restarts=64, seed=2, track_history=True)
+    rows = []
+    half_step = witness._half_step
+
+    def spy(operand, states, j, factors):
+        rows.append(states[j].shape[0])
+        return half_step(operand, states, j, factors)
+
+    monkeypatch.setattr(witness, "_FRAME_FLOOR", 1)
+    monkeypatch.setattr(witness, "_half_step", spy)
+    chunked = separability_eigenvalue_numeric(op, restarts=64, seed=2, track_history=True)
+    assert max(rows) < 64
+    expect = (whole.gmax, whole.states, whole.converged, whole.history)
+    same_bits(chunked, expect)
+    same_bits(whole, solve_each_restart_alone(op, 64, 2))
+    assert whole.history == tuple(h[:sweeps] for h in uncapped.history)
+
+
+def test_solves_and_witness_sums_write_no_dense_matrix():
+    op = lambda_operator(5, 4)
+    res = separability_eigenvalue_numeric(op, restarts=12, seed=0)
+    assert abs(res.gmax - lambda_gmax_analytic(5, 4)) < 1e-9
+    assert "matrix" not in vars(op)
+    element, probe = noisy_ghz_element(12, 0.1), ghz_probe(12)
+    lhs = witness_evaluate(element, probe).lhs
+    assert lhs == pytest.approx(closed_form_lhs(12, 0.1), rel=1e-12)
+    assert "matrix" not in vars(element)
+    assert "matrix" not in vars(probe.operator)
+
+
+_PEAK_RSS = """
+import resource, sys
+from povm_entangle.cli import main
+assert main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_ghz_12_family_witness_peak_rss(tmp_path):
+    # a dense 4096 x 4096 complex element alone would take 256 MB
+    env = {**os.environ, "PYTHONPATH": str(Path(povm_entangle.__file__).parents[1])}
+    argv = ["witness", "--family", "ghz", "-n", "12", "-o", str(tmp_path / "w.json")]
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *argv], capture_output=True, text=True, env=env, check=True, timeout=300
+    )
+    # ru_maxrss counts KiB on Linux, bytes on macOS
+    peak = int(out.stdout.split()[-1]) * (1 if sys.platform == "darwin" else 1024)
+    assert peak < 200 * 2**20
