@@ -98,6 +98,14 @@ def _hermiticity_deviation(m: np.ndarray) -> float:
     return float(dev)
 
 
+def _lookup(flat: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The values listed at the sorted, distinct indices `flat`, read at `at`; 0 where not listed."""
+    if not flat.size:
+        return np.zeros(at.shape, dtype=values.dtype)
+    i = np.minimum(np.searchsorted(flat, at), flat.size - 1)
+    return np.where(flat[i] == at, values[i], 0)
+
+
 def _entry_deviation(flat: np.ndarray, values: np.ndarray, dim: int) -> float:
     """_hermiticity_deviation of the matrix whose only nonzero entries are these.
 
@@ -106,9 +114,7 @@ def _entry_deviation(flat: np.ndarray, values: np.ndarray, dim: int) -> float:
     against its mirror entry c D + r, or 0 where the mirror is not listed.
     """
     r, c = np.divmod(flat, dim)
-    mirror = c * dim + r
-    at = np.minimum(np.searchsorted(flat, mirror), flat.size - 1)
-    other = np.where(flat[at] == mirror, values[at], 0)
+    other = _lookup(flat, values, c * dim + r)
     with np.errstate(invalid="ignore"):
         return float(np.abs(values - other.conj()).max(initial=0.0))
 
@@ -243,8 +249,9 @@ def _diagonal(op: HermitianOperator) -> np.ndarray:
         return op.matrix.diagonal()
     flat, values = op.support
     r, c = np.divmod(flat, op.dim)
+    on = r == c
     d = np.zeros(op.dim, dtype=values.dtype)
-    d[r[r == c]] = values[r == c]
+    d[r[on]] = values[on]
     return d
 
 

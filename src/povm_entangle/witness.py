@@ -27,11 +27,11 @@ operator is contracted with the other parties' product states directly, one
 matrix product over the larger of the two outer factors first, D^2
 multiply-adds per restart and never a product with the 1_{d_j} factor;
 real-stored operators run that product in real arithmetic on the product
-states' stacked real and imaginary parts.  On random sparse
-operators at D = 1024 the two paths break even near 2 nonzeros per row for
-ten qubits and near 3 to 4 for five ququarts, so the 2 D rule keeps the
-entry path where it does not lose.  Each restart drops out on its own
-convergence, so its sweeps are those it would take alone.
+states' stacked real and imaginary parts.  On random sparse operators at
+D = 1024 the two paths break even near 2 nonzeros per row for ten qubits
+and near 3 to 4 for five ququarts, so the 2 D rule keeps the entry path
+where it does not lose.  Each restart drops out on its own convergence, so
+its sweeps are those it would take alone.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .operators import HermitianOperator, lambda_operator, min_eigenvalue
+from .operators import HermitianOperator, _lookup, lambda_operator, min_eigenvalue
 from .streams import keyed_normals
 
 # A chunk of restarts conditioned on all parties but j leaves an intermediate
@@ -372,8 +372,8 @@ def separability_eigenvalue_numeric(
     no restart's arithmetic depends on the others, so neither the blocks nor
     the leaving restarts change any bit of its path; on the dense path the
     matrix products may round differently with the number of rows.  The
-    best restart is the first to reach the largest value.  The result is a certified lower bound on the
-    separability eigenvalue.
+    best restart is the first to reach the largest value.  The result is a
+    certified lower bound on the separability eigenvalue.
     """
     if restarts < 1:
         raise ValidationError(f"need at least 1 restart, got {restarts}")
@@ -453,15 +453,7 @@ def _trace_of_product(element: HermitianOperator, probe: HermitianOperator) -> f
         p = probe.matrix.ravel()[flat]
     else:
         flat, p = probe.support
-    if element.support is None:
-        e = element.matrix.ravel()[flat]
-    else:
-        have, values = element.support
-        at = np.searchsorted(have, flat)
-        hit = at < have.size
-        hit[hit] = have[at[hit]] == flat[hit]
-        e = np.zeros(flat.size, dtype=values.dtype)
-        e[hit] = values[at[hit]]
+    e = element.matrix.ravel()[flat] if element.support is None else _lookup(*element.support, flat)
     return math.fsum((p.conj() * e).real.tolist())
 
 
