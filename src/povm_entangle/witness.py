@@ -325,7 +325,7 @@ def _half_step(
         m = _conditioned(operand, states, j)
     w, vecs = np.linalg.eigh((m + m.conj().transpose(0, 2, 1)) / 2)
     v = vecs[:, :, -1]
-    lead = v[np.arange(v.shape[0]), np.argmax(np.abs(v), axis=1)]
+    lead = v[np.arange(v.shape[0]), np.abs(v).argmax(axis=1)]
     return w[:, -1], v * (np.abs(lead) / lead)[:, None]
 
 
