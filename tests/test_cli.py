@@ -1,6 +1,7 @@
 """End-to-end command line checks: workflows, determinism, and exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -501,6 +502,77 @@ class TestExitCodes:
         assert "q" in summary["elements"]["good"]
         assert (qdir / summary["elements"]["good"]["file"]).exists()
         assert not (qdir / "element_bad.json").exists()
+
+
+# every option each command lists in its help, and the defaults it shows, in order
+HELP = {
+    None: (["--version", "--help"], []),
+    "simulate": (
+        ["--model", "--povm", "--eps", "--counts", "--indefiniteness", "--seed", "--basis-map", "--out", "-o", "--help"],
+        ["0.0", "10000", "0.0"],
+    ),
+    "reconstruct": (["--counts", "--basis-map", "--margin", "--out", "-o", "--help"], ["1e-05"]),
+    "quasidist": (["--povm", "--out", "-o", "--help"], []),
+    "errors": (
+        ["--counts", "--basis-map", "--samples", "--inflation", "--seed", "--workers", "--margin", "--out", "-o", "--help"],
+        ["10000", "1.05", "0", "1", "1e-05"],
+    ),
+    "witness": (
+        ["--family", "-n", "-d", "--eps", "--povm", "--element", "--lambda", "--numeric", "--restarts", "--seed",
+         "--out", "-o", "--help"],
+        ["0.0", "64", "0"],
+    ),
+    "combine": (["--counts", "--basis-map", "--groups", "--out", "-o", "--help"], []),
+}
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv, named, usage_line",
+        [
+            (["--bogus"], "--bogus", True),
+            (["errors", "--counts", "c.csv", "--bogus"], "--bogus", True),
+            (["errors", "--counts", "c.csv", "--samp", "3"], "--samp", True),
+            (["errors"], "--counts", True),
+            (["errors", "--counts", "c.csv", "--samples", "abc"], "abc", True),
+            (["witness", "--family", "xyz"], "xyz", True),
+            # an option left without its value need only name itself
+            (["reconstruct", "--counts", "c.csv", "-o"], "-o", False),
+            (["nosuch"], "nosuch", True),
+            ([], "Usage:", True),
+        ],
+        ids=["unknown-top", "unknown", "abbreviation", "missing-counts", "not-an-int", "bad-choice",
+             "trailing-o", "unknown-command", "no-arguments"],
+    )
+    def test_usage_error_is_one(self, capsys, argv, named, usage_line):
+        # refused before any file is read: c.csv need not exist
+        rc, out, err = run(argv, capsys)
+        assert rc == 1
+        assert out == ""
+        assert named in err
+        assert "Traceback" not in err
+        if usage_line:
+            assert "Usage:" in err
+
+    @pytest.mark.parametrize("command", list(HELP), ids=[c or "top" for c in HELP])
+    def test_help_lists_every_option_and_default(self, monkeypatch, capsys, command):
+        # a wide terminal, so no line break falls inside a "[default: ...]"
+        monkeypatch.setenv("COLUMNS", "200")
+        rc, out, err = run([command, "--help"] if command else ["--help"], capsys)
+        assert rc == 0, err
+        text = " ".join(out.split())
+        flags, defaults = HELP[command]
+        for flag in flags:
+            assert re.search(rf"(?<![\w-]){flag}(?![\w-])", text), flag
+        assert re.findall(r"\[default: ([^\]]+)\]", text) == defaults
+        if command is None:
+            for name in HELP:
+                assert name is None or re.search(rf"\b{name}\b", text), name
+
+    def test_version_is_zero(self, capsys):
+        rc, out, _ = run(["--version"], capsys)
+        assert rc == 0
+        assert out == "povm-entangle, version 0.1.0\n"
 
 
 # A valid dataset (25 counts in every cell) and its malformed variants; each
