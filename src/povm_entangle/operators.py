@@ -56,8 +56,9 @@ _BELL_VECTORS = {
     "z": np.array([0, 1, 1, 0], dtype=complex) / _SQ2,
 }
 
-# kron(sigma_w, sigma_v) for all 16 axis pairs, indexed [w, v].
-_PAULI_KRONS = np.array([[np.kron(a, b) for b in PAULIS] for a in PAULIS])
+# kron(sigma_w, sigma_v) for all 16 axis pairs, indexed [w, v], as one
+# broadcast product: entry [w, v, 2i + k, 2j + l] is sigma_w[i, j] sigma_v[k, l]
+_PAULI_KRONS = (PAULIS[:, None, :, None, :, None] * PAULIS[None, :, None, :, None, :]).reshape(4, 4, 4, 4)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -215,6 +216,15 @@ class HermitianOperator:
         object.__setattr__(op, "parties", parties)
         object.__setattr__(op, "support", (_frozen(flat[keep]), _frozen(values[keep])))
         return op
+
+    def __repr__(self) -> str:
+        # the dataclass repr would print `matrix`, and so write an entry-built
+        # operator's dense matrix
+        if self.support is None:
+            dtype, nonzero = self.matrix.dtype, np.count_nonzero(self.matrix)
+        else:
+            dtype, nonzero = self.support[1].dtype, self.support[1].size
+        return f"HermitianOperator(parties={self.parties}, dtype={dtype}, nonzero={nonzero})"
 
     @property
     def dim(self) -> int:

@@ -29,6 +29,7 @@ from povm_entangle import (
 )
 from povm_entangle.operators import (
     _BELL_VECTORS,
+    _PAULI_KRONS,
     PAULIS,
     _entry_deviation,
     _hermiticity_deviation,
@@ -52,6 +53,13 @@ def test_pauli_orthogonality():
             expect = 2.0 if i == j else 0.0
             assert abs(np.trace(a @ b).real - expect) < 1e-15
             assert np.max(np.abs(a - a.conj().T)) == 0
+
+
+def test_pauli_product_table_matches_kron():
+    kron_table = np.array([[np.kron(a, b) for b in PAULIS] for a in PAULIS])
+    assert _PAULI_KRONS.shape == kron_table.shape
+    assert _PAULI_KRONS.dtype == kron_table.dtype
+    assert _PAULI_KRONS.tobytes() == kron_table.tobytes()
 
 
 def test_pauli_eigenstates():
@@ -433,6 +441,17 @@ def test_entry_built_matrix_is_written_on_first_read(build, dense, size):
     assert m.tobytes() == expect.matrix.tobytes()
     assert not m.flags.writeable
     assert op.matrix is m
+
+
+def test_repr_never_writes_the_dense_matrix():
+    probe = ghz_probe(12)
+    text = repr(probe) + repr(probe.operator)
+    assert "matrix" not in vars(probe.operator)
+    assert "parties=(2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2)" in text
+    # the identity's 4096 diagonal entries and the flip's two corners
+    assert "nonzero=4098" in text
+    dense = HermitianOperator(np.diag([1.0, 0.0, 0.0, 2.0]), (2, 2))
+    assert repr(dense) == "HermitianOperator(parties=(2, 2), dtype=float64, nonzero=2)"
 
 
 def entry_matrix(flat, values, dim):
