@@ -18,25 +18,36 @@ holds ", " is walked instead.  Anything else, and everything without the C
 encoder, goes to the stdlib encoder.  Input files are read as UTF-8 with an
 optional byte-order mark.
 
+Arguments: one table, `_COMMANDS`, declares each command and its options,
+and feeds both the command's `argparse` parser and the mode checks.  A
+parser is built the first time its command runs and kept for the process,
+so a caller that runs commands in one process builds each only once.
+Prefixes of an option are refused, an option set explicitly counts as given
+even at its default value, and a value option takes the next argument as
+is, even when it starts with "-".  A usage error prints the usage line and
+returns 1; `main` returns an exit code and never raises `SystemExit`.
+
 Start-up: this module imports only what every command shares (the error
-classes, the counts and basis-map readers, and `PovmSet`); each command
-imports its own layers when it runs, so a process compiles and executes
-only the modules its command uses.  `reconstruct` never loads the Monte
-Carlo, witness or simulator modules, nor `numpy.random`.
+classes, the counts and basis-map readers, `PovmSet` and the standard
+library's `argparse`); each command imports its own layers when it runs, so
+a process compiles and executes only the modules its command uses.
+`reconstruct` never loads the Monte Carlo, witness or simulator modules,
+nor `numpy.random`.
 
 Exit codes: 0 success, 1 usage, 2 invalid data, 3 numeric failure.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import json
 import sys
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
-import click
 import numpy as np
-from click.core import ParameterSource
 
 from . import __version__
 from .errors import ConvergenceError, ValidationError
@@ -122,7 +133,7 @@ def _canonical(obj) -> str:
 def _emit(obj: dict, out: str | None):
     text = _canonical(obj)
     if out is None:
-        click.echo(text, nl=False)
+        print(text, end="", flush=True)
     else:
         Path(out).write_text(text)
 
@@ -171,7 +182,7 @@ def _write_counts(data: CoincidenceCounts, out: str | None, manifest: dict):
     if out is not None and out.endswith(".json"):
         _emit({"manifest": manifest, **data.to_json_dict()}, out)
     elif out is None:
-        click.echo(data.to_csv(), nl=False)
+        print(data.to_csv(), end="", flush=True)
     else:
         Path(out).write_text(data.to_csv())
 
@@ -182,18 +193,17 @@ def _read_povm(path: str) -> PovmSet:
     return PovmSet.from_dict(d.get("corrected_povm", d))
 
 
-def _check_mode(ctx: click.Context, mode: str, needs: set[str], reads: set[str]):
+def _check_mode(command: str, given: frozenset[str], mode: str, needs: set[str], reads: set[str]):
     """Usage error unless the options in needs are all given and every other
-    given option is in reads.  An option counts as given when it did not take
-    its default, so an explicit default value counts too."""
-    params = ctx.command.params
-    given = {p.name for p in params if ctx.get_parameter_source(p.name) is not ParameterSource.DEFAULT}
-    missing = [p.opts[0] for p in params if p.name in needs - given]
+    given option is in reads.  An option counts as given when it is on the
+    command line, so an explicit default value counts too."""
+    options = _COMMANDS[command][1]
+    missing = [o.flags[0] for o in options if o.dest in needs - given]
     if missing:
-        raise click.UsageError(f"{mode} needs {', '.join(missing)}")
-    unread = [p.opts[0] for p in params if p.name in given - needs - reads]
+        raise _UsageError(f"{mode} needs {', '.join(missing)}", f"{_PROG} {command}")
+    unread = [o.flags[0] for o in options if o.dest in given - needs - reads]
     if unread:
-        raise click.UsageError(f"{mode} takes no {', '.join(unread)}")
+        raise _UsageError(f"{mode} takes no {', '.join(unread)}", f"{_PROG} {command}")
 
 
 def _file_stems(labels) -> dict[str, str]:
@@ -207,29 +217,13 @@ def _file_stems(labels) -> dict[str, str]:
     return {label: stem for stem, label in owner.items()}
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="povm-entangle")
-def cli():
-    """Detector tomography, quasidistributions, and entanglement witnesses."""
-
-
-@cli.command()
-@click.option("--model", "model_path", type=str, default=None, help="JSON model spec file.")
-@click.option("--povm", "povm_path", type=str, default=None, help="'bell' or a POVM JSON to simulate (default: Bell analyzer).")
-@click.option("--eps", type=float, default=0.0, show_default=True, help="White noise fraction.")
-@click.option("--counts", type=int, default=10000, show_default=True, help="Events per setting pair.")
-@click.option("--indefiniteness", type=float, default=0.0, show_default=True, help="Zero-sum probability distortion amplitude.")
-@click.option("--seed", type=int, default=None, help="RNG seed (default: the --model spec's seed, else 0).")
-@click.option("--basis-map", "basis_map_path", type=str, default=None, help="Basis map JSON file.")
-@click.option("--out", "-o", type=str, default=None, help="Output file (.csv or .json; default: CSV to stdout).")
-@click.pass_context
-def simulate(ctx, model_path, povm_path, eps, counts, indefiniteness, seed, basis_map_path, out):
+def simulate(given, model_path, povm_path, eps, counts, indefiniteness, seed, basis_map_path, out):
     """Draw synthetic coincidence counts from a detector model."""
     from .simulate import DetectorModel, bell_model, draw_counts, model_from_spec
 
     if model_path is not None:
         # the spec carries the model's own fields; only --seed overrides one
-        _check_mode(ctx, "--model", {"model_path"}, {"seed", "out"})
+        _check_mode("simulate", given, "--model", {"model_path"}, {"seed", "out"})
         model, model_seed = model_from_spec(_load_json(model_path))
     else:
         model_seed = 0
@@ -255,12 +249,7 @@ def simulate(ctx, model_path, povm_path, eps, counts, indefiniteness, seed, basi
     _write_counts(draw_counts(model, used_seed), out, manifest)
 
 
-@cli.command()
-@click.option("--counts", "counts_path", type=str, required=True, help="Coincidence counts (.csv or .json).")
-@click.option("--basis-map", "basis_map_path", type=str, default=None, help="Basis map JSON (CSV input only).")
-@click.option("--margin", type=float, default=1e-5, show_default=True, help="Eigenvalue margin for the physicality correction.")
-@click.option("--out", "-o", type=str, default=None, help="Output JSON file (default: stdout).")
-def reconstruct(counts_path, basis_map_path, margin, out):
+def reconstruct(given, counts_path, basis_map_path, margin, out):
     """Linearly invert counts into a POVM and repair indefiniteness."""
     from .tomography import (
         closest_bell_labels,
@@ -293,10 +282,7 @@ def reconstruct(counts_path, basis_map_path, margin, out):
     _emit(payload, out)
 
 
-@cli.command()
-@click.option("--povm", "povm_path", type=str, required=True, help="POVM JSON (bare or reconstruct output).")
-@click.option("--out", "-o", "out_dir", type=str, required=True, help="Output directory.")
-def quasidist(povm_path, out_dir):
+def quasidist(given, povm_path, out_dir):
     """Standard forms, optimal quasidistributions, and SVG charts per element."""
     from .operators import bloch_vector
     from .quasidist import LABELS, negativity_report, optimal_quasidistribution
@@ -363,16 +349,7 @@ def quasidist(povm_path, out_dir):
         )
 
 
-@cli.command()
-@click.option("--counts", "counts_path", type=str, required=True, help="Coincidence counts (.csv or .json).")
-@click.option("--basis-map", "basis_map_path", type=str, default=None, help="Basis map JSON (CSV input only).")
-@click.option("--samples", type=int, default=10000, show_default=True, help="Monte Carlo sample count.")
-@click.option("--inflation", type=float, default=1.05, show_default=True, help="Covariance factor inflation.")
-@click.option("--seed", type=int, default=0, show_default=True, help="RNG seed.")
-@click.option("--workers", type=int, default=1, show_default=True, help="Sample shares run in parallel, one forked process per usable CPU at most.")
-@click.option("--margin", type=float, default=1e-5, show_default=True, help="Physicality margin.")
-@click.option("--out", "-o", "out_dir", type=str, default=None, help="Output directory (default: summary to stdout).")
-def errors(counts_path, basis_map_path, samples, inflation, seed, workers, margin, out_dir):
+def errors(given, counts_path, basis_map_path, samples, inflation, seed, workers, margin, out_dir):
     """Propagate counting statistics through the pipeline by resampling."""
     from .montecarlo import McConfig, propagate
     from .svg import quasidist_svg
@@ -436,20 +413,7 @@ _WITNESS_MODES = {
 }
 
 
-@cli.command()
-@click.option("--family", type=click.Choice(["ghz", "me"]), default=None, help="Probe family.")
-@click.option("-n", "n", type=int, default=None, help="Qubit number for the ghz family.")
-@click.option("-d", "d", type=int, default=None, help="Local dimension for the me family.")
-@click.option("--eps", type=float, default=0.0, show_default=True, help="White noise fraction (family mode).")
-@click.option("--povm", "povm_path", type=str, default=None, help="POVM JSON for element mode.")
-@click.option("--element", "element_label", type=str, default=None, help="Element label within the POVM.")
-@click.option("--lambda", "lambda_mode", is_flag=True, help="Cross-check the analytic bound against the numeric solver.")
-@click.option("--numeric", is_flag=True, help="Use the numeric lower bound for the verdict.")
-@click.option("--restarts", type=int, default=64, show_default=True, help="Solver restarts.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Solver seed.")
-@click.option("--out", "-o", type=str, default=None, help="Output JSON file (default: stdout).")
-@click.pass_context
-def witness(ctx, family, n, d, eps, povm_path, element_label, lambda_mode, numeric, restarts, seed, out):
+def witness(given, family, n, d, eps, povm_path, element_label, lambda_mode, numeric, restarts, seed, out):
     """Evaluate probe-state witnesses or cross-check separability bounds."""
     from .operators import lambda_operator, noisy_ghz_element, noisy_me_element
     from .witness import (
@@ -468,8 +432,8 @@ def witness(ctx, family, n, d, eps, povm_path, element_label, lambda_mode, numer
     elif family is not None:
         mode = f"--family {family}"
     else:
-        raise click.UsageError("pick a mode: --family, --povm/--element, or --lambda")
-    _check_mode(ctx, mode, *_WITNESS_MODES[mode])
+        raise _UsageError("pick a mode: --family, --povm/--element, or --lambda", f"{_PROG} witness")
+    _check_mode("witness", given, mode, *_WITNESS_MODES[mode])
     if lambda_mode:
         op = lambda_operator(n, d)
         analytic = lambda_gmax_analytic(n, d)
@@ -549,12 +513,7 @@ def witness(ctx, family, n, d, eps, povm_path, element_label, lambda_mode, numer
     _emit(payload, out)
 
 
-@cli.command()
-@click.option("--counts", "counts_path", type=str, required=True, help="Coincidence counts (.csv or .json).")
-@click.option("--basis-map", "basis_map_path", type=str, default=None, help="Basis map JSON (CSV input only).")
-@click.option("--groups", type=str, required=True, help="Merge spec, e.g. 'AA+AD,DA+DD'.")
-@click.option("--out", "-o", type=str, default=None, help="Output file (.csv or .json; default: CSV to stdout).")
-def combine(counts_path, basis_map_path, groups, out):
+def combine(given, counts_path, basis_map_path, groups, out):
     """Merge outcome groups by summing their counts."""
     from .tomography import combine_outcomes
 
@@ -565,21 +524,214 @@ def combine(counts_path, basis_map_path, groups, out):
     _write_counts(combine_outcomes(data, parsed), out, manifest)
 
 
+class _Option(NamedTuple):
+    """A command line option: its flags, the first of which messages name, the
+    parameter it sets, its help, and how its value is read."""
+
+    flags: tuple[str, ...]
+    dest: str
+    help: str
+    parse: type | None = str  # None: an on/off flag
+    default: object = None
+    required: bool = False
+    choices: tuple[str, ...] | None = None
+
+
+_COUNTS = _Option(("--counts",), "counts_path", "Coincidence counts (.csv or .json).", required=True)
+_BASIS_MAP = _Option(("--basis-map",), "basis_map_path", "Basis map JSON (CSV input only).")
+
+# every command, and its options in the order its help lists them; a command
+# is called with the set of options given, then every option's value by name
+_COMMANDS = {
+    "simulate": (simulate, (
+        _Option(("--model",), "model_path", "JSON model spec file."),
+        _Option(("--povm",), "povm_path", "'bell' or a POVM JSON to simulate (default: Bell analyzer)."),
+        _Option(("--eps",), "eps", "White noise fraction.", float, 0.0),
+        _Option(("--counts",), "counts", "Events per setting pair.", int, 10000),
+        _Option(("--indefiniteness",), "indefiniteness", "Zero-sum probability distortion amplitude.", float, 0.0),
+        _Option(("--seed",), "seed", "RNG seed (default: the --model spec's seed, else 0).", int),
+        _Option(("--basis-map",), "basis_map_path", "Basis map JSON file."),
+        _Option(("--out", "-o"), "out", "Output file (.csv or .json; default: CSV to stdout)."),
+    )),
+    "reconstruct": (reconstruct, (
+        _COUNTS,
+        _BASIS_MAP,
+        _Option(("--margin",), "margin", "Eigenvalue margin for the physicality correction.", float, 1e-5),
+        _Option(("--out", "-o"), "out", "Output JSON file (default: stdout)."),
+    )),
+    "quasidist": (quasidist, (
+        _Option(("--povm",), "povm_path", "POVM JSON (bare or reconstruct output).", required=True),
+        _Option(("--out", "-o"), "out_dir", "Output directory.", required=True),
+    )),
+    "errors": (errors, (
+        _COUNTS,
+        _BASIS_MAP,
+        _Option(("--samples",), "samples", "Monte Carlo sample count.", int, 10000),
+        _Option(("--inflation",), "inflation", "Covariance factor inflation.", float, 1.05),
+        _Option(("--seed",), "seed", "RNG seed.", int, 0),
+        _Option(("--workers",), "workers", "Sample shares run in parallel, one forked process per usable CPU at most.", int, 1),
+        _Option(("--margin",), "margin", "Physicality margin.", float, 1e-5),
+        _Option(("--out", "-o"), "out_dir", "Output directory (default: summary to stdout)."),
+    )),
+    "witness": (witness, (
+        _Option(("--family",), "family", "Probe family.", choices=("ghz", "me")),
+        _Option(("-n",), "n", "Qubit number for the ghz family.", int),
+        _Option(("-d",), "d", "Local dimension for the me family.", int),
+        _Option(("--eps",), "eps", "White noise fraction (family mode).", float, 0.0),
+        _Option(("--povm",), "povm_path", "POVM JSON for element mode."),
+        _Option(("--element",), "element_label", "Element label within the POVM."),
+        _Option(("--lambda",), "lambda_mode", "Cross-check the analytic bound against the numeric solver.", None, False),
+        _Option(("--numeric",), "numeric", "Use the numeric lower bound for the verdict.", None, False),
+        _Option(("--restarts",), "restarts", "Solver restarts.", int, 64),
+        _Option(("--seed",), "seed", "Solver seed.", int, 0),
+        _Option(("--out", "-o"), "out", "Output JSON file (default: stdout)."),
+    )),
+    "combine": (combine, (
+        _COUNTS,
+        _BASIS_MAP,
+        _Option(("--groups",), "groups", "Merge spec, e.g. 'AA+AD,DA+DD'.", required=True),
+        _Option(("--out", "-o"), "out", "Output file (.csv or .json; default: CSV to stdout)."),
+    )),
+}
+
+_PROG = "povm-entangle"
+_TOP_USAGE = f"{_PROG} [OPTIONS] COMMAND [ARGS]..."
+_METAVARS = {str: "TEXT", int: "INTEGER", float: "FLOAT"}
+
+
+class _UsageError(Exception):
+    """A command line that cannot run; main prints it under the usage line of
+    prog and returns 1."""
+
+    def __init__(self, message: str, prog: str):
+        super().__init__(message)
+        self.prog = prog
+
+
+class _Exit(Exception):
+    """Raised where argparse would exit, that is after printing --help."""
+
+    def __init__(self, status: int):
+        super().__init__(status)
+        self.status = status
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(message, self.prog)
+
+    def exit(self, status=0, message=None):
+        raise _Exit(status)
+
+
+class _Formatter(argparse.HelpFormatter):
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+
+@functools.cache
+def _parser(command: str) -> _Parser:
+    """The command's parser, built on its first use and kept for the process."""
+    fn, options = _COMMANDS[command]
+    parser = _Parser(
+        prog=f"{_PROG} {command}",
+        usage="%(prog)s [OPTIONS]",
+        description=fn.__doc__,
+        formatter_class=_Formatter,
+        add_help=False,
+        allow_abbrev=False,
+    )
+    group = parser.add_argument_group("Options")
+    for o in options:
+        # an option not given stays out of the namespace, so that a given
+        # default value can be told from a default taken
+        if o.parse is None:
+            group.add_argument(*o.flags, dest=o.dest, action="store_true", default=argparse.SUPPRESS, help=o.help)
+            continue
+        note = "  [required]" if o.required else "" if o.default is None else f"  [default: {o.default}]"
+        group.add_argument(
+            *o.flags,
+            dest=o.dest,
+            type=o.parse,
+            choices=o.choices,
+            default=argparse.SUPPRESS,
+            metavar=f"[{'|'.join(o.choices)}]" if o.choices else _METAVARS[o.parse],
+            help=o.help + note,
+        )
+    group.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+def _attached(args: list[str], options) -> list[str]:
+    """args with each value option's next argument attached to it as
+    --opt=value, so that a value starting with "-", such as --eps -1e-3, is
+    read as the value; an option with nothing after it is left to the parser."""
+    takes_value = {flag for o in options if o.parse is not None for flag in o.flags}
+    out, i = [], 0
+    while i < len(args):
+        if args[i] in takes_value and i + 1 < len(args):
+            out.append(f"{args[i]}={args[i + 1]}")
+            i += 2
+        else:
+            out.append(args[i])
+            i += 1
+    return out
+
+
+def _overview() -> str:
+    """The top-level help: usage, options, and one line per command."""
+    width = max(map(len, _COMMANDS))
+    commands = "".join(f"  {name:<{width}}  {fn.__doc__}\n" for name, (fn, _) in sorted(_COMMANDS.items()))
+    return (
+        f"Usage: {_TOP_USAGE}\n\n"
+        "  Detector tomography, quasidistributions, and entanglement witnesses.\n\n"
+        "Options:\n"
+        "  --version  Show the version and exit.\n"
+        "  --help     Show this message and exit.\n\n"
+        f"Commands:\n{commands}"
+    )
+
+
+def _run(args: list[str]) -> int:
+    if not args:
+        # no command is a usage error that shows the overview
+        sys.stderr.write(_overview())
+        return 1
+    command, rest = args[0], args[1:]
+    if command == "--help":
+        sys.stdout.write(_overview())
+        return 0
+    if command == "--version":
+        print(f"{_PROG}, version {__version__}")
+        return 0
+    if command not in _COMMANDS:
+        kind = "option" if command.startswith("-") else "command"
+        raise _UsageError(f"No such {kind} '{command}'.", _PROG)
+    fn, options = _COMMANDS[command]
+    given = vars(_parser(command).parse_args(_attached(rest, options)))
+    # checked here, after the parser has refused any unknown argument
+    missing = [o.flags[0] for o in options if o.required and o.dest not in given]
+    if missing:
+        raise _UsageError(f"Missing option '{missing[0]}'.", f"{_PROG} {command}")
+    fn(frozenset(given), **{o.dest: given.get(o.dest, o.default) for o in options})
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit code mapping."""
     try:
-        rv = cli.main(args=argv, prog_name="povm-entangle", standalone_mode=False)
-        return int(rv) if isinstance(rv, int) else 0
-    except click.exceptions.Exit as e:
-        return int(e.exit_code)
-    except click.ClickException as e:
-        e.show(file=sys.stderr)
+        return _run(sys.argv[1:] if argv is None else list(argv))
+    except _Exit as e:
+        return e.status
+    except _UsageError as e:
+        usage = _TOP_USAGE if e.prog == _PROG else f"{e.prog} [OPTIONS]"
+        sys.stderr.write(f"Usage: {usage}\nTry '{e.prog} --help' for help.\n\nError: {e}\n")
         return 1
     except ValidationError as e:
-        click.echo(f"error: {e}", err=True)
+        print(f"error: {e}", file=sys.stderr)
         return 2
     except (ConvergenceError, np.linalg.LinAlgError) as e:
-        click.echo(f"error: {e}", err=True)
+        print(f"error: {e}", file=sys.stderr)
         return 3
 
 

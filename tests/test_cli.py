@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from povm_entangle import BasisMap, CoincidenceCounts, HermitianOperator, PovmSet, bell_povm
+from povm_entangle import cli
 from povm_entangle.cli import main
 
 
@@ -573,6 +574,34 @@ class TestUsage:
         rc, out, _ = run(["--version"], capsys)
         assert rc == 0
         assert out == "povm-entangle, version 0.1.0\n"
+
+
+class TestArguments:
+    def test_option_without_its_value_shows_the_usage_line(self, capsys):
+        rc, out, err = run(["reconstruct", "--counts", "c.csv", "-o"], capsys)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("Usage: povm-entangle reconstruct [OPTIONS]\n")
+
+    def test_unknown_option_is_named_before_a_missing_one(self, capsys):
+        rc, _, err = run(["errors", "--samp", "3"], capsys)
+        assert rc == 1
+        assert "--samp" in err and "--counts" not in err
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-inf", "-0.5"])
+    def test_value_starting_with_a_dash_is_the_value(self, capsys, value):
+        # the option takes it as is, so the model's own check refuses it
+        rc, out, err = run(["simulate", "--indefiniteness", value, "--counts", "10"], capsys)
+        assert rc == 2, err
+        assert out == ""
+        assert "indefiniteness" in err
+
+    def test_each_parser_is_built_once(self, capsys):
+        cli._parser.cache_clear()
+        for _ in range(3):
+            assert run(["witness", "--lambda", "-n", "2", "-d", "2", "--restarts", "1"], capsys)[0] == 0
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 # A valid dataset (25 counts in every cell) and its malformed variants; each

@@ -50,22 +50,32 @@ def dataset(tmp_path_factory):
         (
             ["reconstruct", "--counts", "c.csv", "-o", "r2.json"],
             [PACKAGE + m for m in ("montecarlo", "witness", "simulate", "standard_form", "quasidist", "svg", "streams")]
-            + ["numpy.random", "concurrent.futures"],
+            + ["numpy.random", "concurrent.futures", "click"],
         ),
         (
             ["quasidist", "--povm", "r.json", "-o", "q"],
-            [PACKAGE + m for m in ("montecarlo", "witness", "simulate", "streams")] + ["numpy.random"],
+            [PACKAGE + m for m in ("montecarlo", "witness", "simulate", "streams")] + ["numpy.random", "click"],
         ),
         (
             ["errors", "--counts", "c.csv", "--samples", "20", "--workers", "1", "-o", "e"],
-            [PACKAGE + "witness", PACKAGE + "simulate", "concurrent.futures"],
+            [PACKAGE + "witness", PACKAGE + "simulate", "concurrent.futures", "click"],
         ),
         (
             ["errors", "--counts", "c.csv", "--samples", "20", "--workers", "2", "-o", "e2"],
-            [PACKAGE + "witness", PACKAGE + "simulate", "concurrent.futures", "multiprocessing"],
+            [PACKAGE + "witness", PACKAGE + "simulate", "concurrent.futures", "multiprocessing", "click"],
+        ),
+        (
+            ["witness", "--lambda", "-n", "2", "-d", "2"],
+            [PACKAGE + m for m in ("montecarlo", "simulate", "standard_form", "quasidist", "svg")]
+            + ["click"],
+        ),
+        (
+            ["combine", "--counts", "c.csv", "--groups", "AA+AD,DA+DD", "-o", "m.csv"],
+            [PACKAGE + m for m in ("montecarlo", "witness", "simulate", "standard_form", "quasidist", "svg", "streams")]
+            + ["numpy.random", "concurrent.futures", "click"],
         ),
     ],
-    ids=["reconstruct", "quasidist", "errors-workers-1", "errors-workers-2"],
+    ids=["reconstruct", "quasidist", "errors-workers-1", "errors-workers-2", "witness-lambda", "combine"],
 )
 def test_command_loads_only_its_layers(dataset, argv, absent):
     loaded = modules_after(argv, dataset)
