@@ -726,11 +726,19 @@ def test_solves_and_witness_sums_write_no_dense_matrix():
     assert "matrix" not in vars(probe.operator)
 
 
+# prints the command's peak RSS in bytes: on Linux VmHWM, the process's own
+# high-water mark, since ru_maxrss there also carries the peak of the process
+# that started it (here pytest's) across fork and exec
 _PEAK_RSS = """
 import resource, sys
 from povm_entangle.cli import main
 assert main(sys.argv[1:]) == 0
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+try:
+    with open("/proc/self/status") as f:
+        print(next(int(line.split()[1]) * 1024 for line in f if line.startswith("VmHWM:")))
+except OSError:
+    # KiB, except on macOS, where it counts bytes
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * (1 if sys.platform == "darwin" else 1024))
 """
 
 
@@ -741,6 +749,5 @@ def test_ghz_12_family_witness_peak_rss(tmp_path):
     out = subprocess.run(
         [sys.executable, "-c", _PEAK_RSS, *argv], capture_output=True, text=True, env=env, check=True, timeout=300
     )
-    # ru_maxrss counts KiB on Linux, bytes on macOS
-    peak = int(out.stdout.split()[-1]) * (1 if sys.platform == "darwin" else 1024)
+    peak = int(out.stdout.split()[-1])
     assert peak < 200 * 2**20
