@@ -58,11 +58,12 @@ def dataset(tmp_path_factory):
         ),
         (
             ["errors", "--counts", "c.csv", "--samples", "20", "--workers", "1", "-o", "e"],
-            [PACKAGE + "witness", PACKAGE + "simulate", "concurrent.futures", "click"],
+            [PACKAGE + "witness", PACKAGE + "simulate", "concurrent.futures", "click", "numpy.random", "secrets"],
         ),
         (
             ["errors", "--counts", "c.csv", "--samples", "20", "--workers", "2", "-o", "e2"],
-            [PACKAGE + "witness", PACKAGE + "simulate", "concurrent.futures", "multiprocessing", "click"],
+            [PACKAGE + "witness", PACKAGE + "simulate", "concurrent.futures", "multiprocessing", "click"]
+            + ["numpy.random", "secrets"],
         ),
         (
             ["witness", "--lambda", "-n", "2", "-d", "2"],
@@ -81,6 +82,12 @@ def test_command_loads_only_its_layers(dataset, argv, absent):
     loaded = modules_after(argv, dataset)
     assert PACKAGE + "tomography" in loaded
     assert [m for m in absent if m in loaded] == []
+
+
+def test_simulate_still_loads_numpy_random(dataset):
+    # its multinomial draws come from a keyed numpy Generator
+    loaded = modules_after(["simulate", "--counts", "100", "-o", "s.csv"], dataset)
+    assert {"numpy.random", "secrets"} <= loaded
 
 
 def test_every_export_is_its_home_modules_object():
