@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from itertools import chain
 from pathlib import Path
@@ -135,7 +136,7 @@ def _emit(obj: dict, out: str | None):
     if out is None:
         print(text, end="", flush=True)
     else:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _read_text(path: str) -> str:
@@ -184,7 +185,7 @@ def _write_counts(data: CoincidenceCounts, out: str | None, manifest: dict):
     elif out is None:
         print(data.to_csv(), end="", flush=True)
     else:
-        Path(out).write_text(data.to_csv())
+        Path(out).write_text(data.to_csv(), encoding="utf-8")
 
 
 def _read_povm(path: str) -> PovmSet:
@@ -208,10 +209,17 @@ def _check_mode(command: str, given: frozenset[str], mode: str, needs: set[str],
 
 def _file_stems(labels) -> dict[str, str]:
     """Each element label's part of its output file names; labels that would
-    share one are refused before any file is written."""
+    share one, or that cannot name a file (a NUL byte, or a character the
+    file system's encoding lacks), are refused before any file is written."""
     owner: dict[str, str] = {}
     for label in labels:
         stem = label.replace("/", "_").replace("\\", "_")
+        try:
+            os.fsencode(stem)
+        except UnicodeEncodeError:
+            raise ValidationError(f"label {label!r} cannot name a file in the file system's encoding") from None
+        if "\0" in stem:
+            raise ValidationError(f"label {label!r} holds a NUL byte and cannot name a file")
         if owner.setdefault(stem, label) != label:
             raise ValidationError(f"labels {owner[stem]!r} and {label!r} would share the file name {stem!r}")
     return {label: stem for stem, label in owner.items()}
@@ -322,7 +330,7 @@ def quasidist(given, povm_path, out_dir):
                 "grid": tilde.grid.tolist(),
             },
         }
-        Path(outp / fname).write_text(_canonical(payload))
+        Path(outp / fname).write_text(_canonical(payload), encoding="utf-8")
         footer = tuple(
             "A %s: (%.4f, %.4f, %.4f)" % ((LABELS[k],) + tuple(bloch_a[k])) for k in range(6)
         ) + tuple(
@@ -334,7 +342,7 @@ def quasidist(given, povm_path, out_dir):
             q=qdist.q,
             footer_lines=footer,
         )
-        Path(outp / f"element_{stems[label]}.svg").write_text(svg)
+        Path(outp / f"element_{stems[label]}.svg").write_text(svg, encoding="utf-8")
         summary["elements"][label] = {
             "q": qdist.q,
             "max_negativity": report.max_negativity,
@@ -342,7 +350,7 @@ def quasidist(given, povm_path, out_dir):
             "verdict": report.verdict,
             "file": fname,
         }
-    Path(outp / "summary.json").write_text(_canonical(summary))
+    Path(outp / "summary.json").write_text(_canonical(summary), encoding="utf-8")
     if summary["failed"]:
         raise ConvergenceError(
             "standard form failed for element(s): " + ", ".join(summary["failed"])
@@ -383,14 +391,14 @@ def errors(given, counts_path, basis_map_path, samples, inflation, seed, workers
     }
     for e in report.elements:
         fname = f"errors_{stems[e.label]}.json"
-        Path(outp / fname).write_text(_canonical({"manifest": manifest, **e.to_dict()}))
+        Path(outp / fname).write_text(_canonical({"manifest": manifest, **e.to_dict()}), encoding="utf-8")
         svg = quasidist_svg(
             e.grid_reference,
             title=f"Quasidistribution with error bars: element {e.label}",
             q=e.q_reference,
             sigma=e.grid_std,
         )
-        Path(outp / f"errors_{stems[e.label]}.svg").write_text(svg)
+        Path(outp / f"errors_{stems[e.label]}.svg").write_text(svg, encoding="utf-8")
         summary["elements"][e.label] = {
             "q_mean": e.q_mean,
             "q_std": e.q_std,
@@ -401,7 +409,7 @@ def errors(given, counts_path, basis_map_path, samples, inflation, seed, workers
             ),
             "file": fname,
         }
-    Path(outp / "summary.json").write_text(_canonical(summary))
+    Path(outp / "summary.json").write_text(_canonical(summary), encoding="utf-8")
 
 
 # each witness mode's options: those it needs, then the others it reads

@@ -68,6 +68,9 @@ class McConfig:
     def __post_init__(self):
         if self.sample_size < 2:
             raise ValidationError(f"need at least 2 samples, got {self.sample_size}")
+        # draws are keyed by the sample's low 32 bits, so sample 2^32 would repeat sample 0
+        if self.sample_size > 1 << 32:
+            raise ValidationError(f"at most 2^32 samples, got {self.sample_size}")
         if not (math.isfinite(self.inflation) and self.inflation >= 1.0):
             raise ValidationError(f"inflation must be finite and >= 1, got {self.inflation}")
         if self.workers < 1:

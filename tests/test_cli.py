@@ -1,13 +1,18 @@
 """End-to-end command line checks: workflows, determinism, and exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import povm_entangle
 from povm_entangle import BasisMap, CoincidenceCounts, HermitianOperator, PovmSet, bell_povm
 from povm_entangle import cli
 from povm_entangle.cli import main
@@ -355,6 +360,19 @@ class TestExitCodes:
         rc, _, err = run(["errors", "--counts", str(bell_csv), "--samples", "10", "--inflation", value], capsys)
         self.assert_invalid_input(rc, err)
         assert "inflation" in err
+
+    def test_more_samples_than_draw_keys_is_two(self, capsys, bell_csv, monkeypatch):
+        # sample 2^32 would draw sample 0's stream again; refused before any draw
+        from povm_entangle import montecarlo
+
+        def no_draws(*args):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(montecarlo, "keyed_normals", no_draws)
+        rc, out, err = run(["errors", "--counts", str(bell_csv), "--samples", "4294967297"], capsys)
+        self.assert_invalid_input(rc, err)
+        assert "2^32" in err
+        assert out == ""
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["criterion8", "noisy"])
     @pytest.mark.parametrize("command", ["reconstruct", "errors"])
@@ -809,3 +827,61 @@ class TestMalformedCounts:
         path.write_text(json.dumps(body))
         for command in COUNTS_COMMANDS:
             exits_two([command[0], "--counts", str(path), *command[1:]], capsys)
+
+
+# file names in the C locale with UTF-8 mode and locale coercion off: the
+# file system encoding is then ASCII
+C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+SRC = str(Path(povm_entangle.__file__).parents[1])
+
+
+def run_process(argv, cwd, env=None):
+    """The CLI in a fresh interpreter: its exit code, stdout and stderr."""
+    full = {**os.environ, "PYTHONPATH": SRC, **(env or {})}
+    done = subprocess.run(
+        [sys.executable, "-m", "povm_entangle.cli", *argv], capture_output=True, cwd=cwd, env=full, timeout=120
+    )
+    return done.returncode, done.stdout.decode("utf-8", "replace"), done.stderr.decode("utf-8", "replace")
+
+
+def labelled_input(tmp_path, command, label):
+    """The input file of `command` with outcome labels (label, AD, DA, DD)."""
+    labels = (label, "AD", "DA", "DD")
+    if command == "quasidist":
+        path = tmp_path / "povm.json"
+        path.write_text(json.dumps(PovmSet(labels, bell_povm().elements).to_dict()), encoding="utf-8")
+        return ["quasidist", "--povm", str(path)]
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps(CoincidenceCounts(labels, VALID.counts, VALID.basis_map).to_json_dict()), encoding="utf-8")
+    return [command, "--counts", str(path)] + (["--samples", "10"] if command == "errors" else [])
+
+
+class TestFileNames:
+    @pytest.mark.parametrize("command", ["quasidist", "errors"])
+    @pytest.mark.parametrize(
+        "label, env", [("A\x00A", None), ("\u00c4A", C_LOCALE)], ids=["nul-byte", "not-in-the-fs-encoding"]
+    )
+    def test_a_label_that_cannot_name_a_file_is_two(self, tmp_path, command, label, env):
+        out_dir = tmp_path / "out"
+        rc, out, err = run_process([*labelled_input(tmp_path, command, label), "-o", str(out_dir)], tmp_path, env)
+        assert rc == 2, err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "label, env", [("A\x00A", None), ("\u00c4A", C_LOCALE)], ids=["nul-byte", "not-in-the-fs-encoding"]
+    )
+    def test_reconstruct_keeps_such_labels(self, tmp_path, label, env):
+        out = tmp_path / "rec.json"
+        rc, _, err = run_process([*labelled_input(tmp_path, "reconstruct", label), "-o", str(out)], tmp_path, env)
+        assert rc == 0, err
+        assert json.loads(out.read_text(encoding="utf-8"))["corrected_povm"]["labels"][0] == label
+
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        povm = labelled_input(tmp_path, "quasidist", "\u00c4A")[2]
+        out = tmp_path / "counts.csv"
+        rc, _, err = run_process(["simulate", "--povm", povm, "--counts", "100", "-o", str(out)], tmp_path, C_LOCALE)
+        assert rc == 0, err
+        assert out.read_bytes().decode("utf-8").count("\u00c4A") == 36

@@ -58,6 +58,10 @@ def test_mc_config_validation():
             McConfig(inflation=inflation)
     with pytest.raises(ValidationError):
         McConfig(workers=0)
+    # a draw is keyed by its sample's low 32 bits
+    McConfig(sample_size=2**32)
+    with pytest.raises(ValidationError, match="2\\^32"):
+        McConfig(sample_size=2**32 + 1)
 
 
 def test_counting_covariance_frozen():
