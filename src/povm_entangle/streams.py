@@ -26,14 +26,7 @@ if TYPE_CHECKING:
 
 _MASK64 = (1 << 64) - 1
 
-# Stacks of at least this many rows take the stacked pass; smaller ones
-# reset one Philox per row.  With `numpy.random` already loaded, 4 normals
-# per row took 0.53-0.55 ms stacked against 0.30 ms per row at 128 rows,
-# 0.58-0.60 against 0.57-0.59 ms at 256 and 0.60-0.63 against 0.70-0.73 ms
-# at 320 (2-vCPU VM, numpy 2.4): the stacked pass has about 0.5 ms of fixed
-# cost, two Philox passes of some 350 small array operations each.  A
-# process whose stacks are all this large never imports `numpy.random`
-# (11-18 ms).
+# the crossover of `keyed_normals`, measured as its docstring says
 _STACK_ROWS = 256
 
 # Philox4x64-10: each round's two multipliers, with their 32-bit halves,
@@ -225,8 +218,16 @@ def keyed_normals(seed: int, indices, size: int) -> np.ndarray:
     """Standard normals, one row of `size` per index.
 
     Row r equals keyed_rng(seed, indices[r]).standard_normal(size) bit for
-    bit.  A stack of _STACK_ROWS rows or more is drawn by `_stacked`;
-    a smaller one by `_reset_loop`.
+    bit.  A stack of _STACK_ROWS = 256 rows or more is drawn by `_stacked`,
+    a smaller one by `_reset_loop`.  That is where their costs cross: with
+    `numpy.random` already loaded, 4 normals per row took 0.53-0.55 ms
+    stacked against 0.30 ms per row at 128 rows, 0.58-0.60 against
+    0.57-0.59 ms at 256 and 0.60-0.63 against 0.70-0.73 ms at 320 (2-vCPU
+    VM, numpy 2.4).  The stacked pass's fixed cost, about 0.5 ms, is two
+    Philox passes of some 350 small array operations each, the second over
+    the rows with a draw outside the ziggurat's fast region.  A process
+    whose stacks all reach the crossover never imports `numpy.random`
+    (11-18 ms).
     """
     if len(indices) < _STACK_ROWS:
         return _reset_loop(seed, indices, size)
