@@ -41,12 +41,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -323,8 +324,8 @@ def quasidist(given, povm_path, out_dir):
             "quasidistribution": qdist.to_dict(),
             "negativity": report.to_dict(),
             "tilde": {
-                "states_a": [[[v.real, v.imag] for v in s] for s in tilde.states_a],
-                "states_b": [[[v.real, v.imag] for v in s] for s in tilde.states_b],
+                "states_a": [[[v.real, v.imag] for v in s] for s in tilde.states_a.tolist()],
+                "states_b": [[[v.real, v.imag] for v in s] for s in tilde.states_b.tolist()],
                 "bloch_a": [v.tolist() for v in bloch_a],
                 "bloch_b": [v.tolist() for v in bloch_b],
                 "grid": tilde.grid.tolist(),
@@ -743,5 +744,20 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def process_main() -> NoReturn:
+    """Process entry of `python -m povm_entangle.cli` and the `povm-entangle`
+    script: runs main, then exits with its code.
+
+    Once main has returned, the heap is frozen, so the interpreter's
+    finalization skips the cyclic collector's walks over the objects numpy
+    and the package leave tracked; modules are still cleared, objects freed
+    by reference count, stdout and stderr flushed and atexit handlers run.
+    main leaves the collector alone, since its callers go on running.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    process_main()

@@ -1,10 +1,12 @@
 """End-to-end command line checks: workflows, determinism, and exit codes."""
 
+import ast
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 import povm_entangle
 from povm_entangle import BasisMap, CoincidenceCounts, HermitianOperator, PovmSet, bell_povm
-from povm_entangle import cli
+from povm_entangle import cli, witness
 from povm_entangle.cli import main
 
 
@@ -100,6 +102,24 @@ class TestWorkflow:
             assert entry["verdict"] == "entangled"
             assert (qdir / entry["file"]).exists()
             assert (qdir / f"element_{label}.svg").exists()
+
+    def test_quasidist_writes_without_the_stdlib_encoder(self, tmp_path, capsys, bell_csv, monkeypatch):
+        # a numpy scalar fails _encode's exact-type test and goes to json.dumps,
+        # the stdlib's pure-Python encoder
+        rec = tmp_path / "rec.json"
+        assert run(["reconstruct", "--counts", str(bell_csv), "-o", str(rec)], capsys)[0] == 0
+        handed = []
+        dumps = json.dumps
+
+        def spy(obj, *args, **kwargs):
+            if sys._getframe(1).f_code is cli._encode.__code__:
+                handed.append(obj)
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", spy)
+        rc, _, err = run(["quasidist", "--povm", str(rec), "-o", str(tmp_path / "q")], capsys)
+        assert rc == 0, err
+        assert handed == []
 
     def test_witness_element_mode_on_reconstruction(self, tmp_path, capsys, bell_csv):
         rec = tmp_path / "rec.json"
@@ -372,6 +392,20 @@ class TestExitCodes:
         rc, out, err = run(["errors", "--counts", str(bell_csv), "--samples", "4294967297"], capsys)
         self.assert_invalid_input(rc, err)
         assert "2^32" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("restarts", [witness.MAX_RESTARTS + 1, 10**11], ids=["cap+1", "1e11"])
+    def test_restarts_above_the_cap_is_two(self, capsys, monkeypatch, restarts):
+        # refused before the starts are drawn, which would hold every restart's state at once
+        def no_draws(*args):
+            raise AssertionError("drew starts")
+
+        monkeypatch.setattr(witness, "keyed_normals", no_draws)
+        t0 = time.perf_counter()
+        rc, out, err = run(["witness", "--family", "ghz", "-n", "3", "--numeric", "--restarts", str(restarts)], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        self.assert_invalid_input(rc, err)
+        assert err.count("\n") == 1 and f"at most {witness.MAX_RESTARTS} restarts" in err
         assert out == ""
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["criterion8", "noisy"])
@@ -885,3 +919,59 @@ class TestFileNames:
         rc, _, err = run_process(["simulate", "--povm", povm, "--counts", "100", "-o", str(out)], tmp_path, C_LOCALE)
         assert rc == 0, err
         assert out.read_bytes().decode("utf-8").count("\u00c4A") == 36
+
+
+# launches the CLI module as `python -m` does, or calls main in process, and
+# reports the freeze count an exit handler sees
+_FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stderr.write(f"frozen {gc.get_freeze_count()}\\n"))
+how = sys.argv.pop(1)
+if how == "runpy":
+    runpy.run_module("povm_entangle.cli", run_name="__main__", alter_sys=True)
+from povm_entangle import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("code", [0, 1, 2, 3])
+    def test_exit_code_and_stderr_are_mains(self, tmp_path, capsys, code):
+        argv = {
+            0: ["simulate", "--counts", "100", "-o", str(tmp_path / "c.csv")],
+            1: ["reconstruct", "--no-such-option"],
+            2: ["reconstruct", "--counts", str(tmp_path / "missing.csv")],
+            3: ["quasidist", "--povm", str(mixed_povm_file(tmp_path)), "-o", str(tmp_path / "q")],
+        }[code]
+        rc, _, err = run(argv, capsys)
+        assert rc == code
+        assert run_process(argv, tmp_path)[::2] == (rc, err)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["reconstruct"], ["errors", "--samples", "20"]], ids=["reconstruct", "errors"])
+    def test_stdout_to_a_pipe_is_mains(self, tmp_path, capsys, bell_csv, command):
+        argv = [*command, "--counts", str(bell_csv)]
+        rc, out, err = run(argv, capsys)
+        assert rc == 0, err
+        assert run_process(argv, tmp_path)[:2] == (0, out)
+
+    @pytest.mark.parametrize("how, frozen", [("runpy", True), ("main", False)])
+    def test_only_the_process_entry_freezes_the_heap(self, tmp_path, how, frozen):
+        full = {**os.environ, "PYTHONPATH": SRC}
+        done = subprocess.run(
+            [sys.executable, "-c", _FREEZE_PROBE, how, "--version"],
+            capture_output=True, text=True, cwd=tmp_path, env=full, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        count = int(re.fullmatch(r"frozen (\d+)\n", done.stderr)[1])
+        assert (count > 0) == frozen
+
+    def test_the_script_is_the_main_blocks_entry(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        root = Path(__file__).resolve().parents[1]
+        scripts = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]
+        module = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        [block] = [n for n in module.body if isinstance(n, ast.If) and ast.unparse(n.test) == "__name__ == '__main__'"]
+        [call] = [n.value for n in block.body if isinstance(n, ast.Expr)]
+        assert scripts == {"povm-entangle": f"povm_entangle.cli:{call.func.id}"}
+        assert callable(getattr(cli, call.func.id))

@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("ideal_bell_quasidist.py", ["--out", "charts"]),
         ("noise_threshold_scan.py", []),
         ("pipeline_demo.py", ["--samples", "20", "--out", "demo"]),
+        ("exit_time.py", ["--repeats", "2"]),
     ],
 )
 def test_script_runs(tmp_path, script, args):
