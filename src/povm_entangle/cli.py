@@ -34,6 +34,15 @@ a process compiles and executes only the modules its command uses.
 `reconstruct` never loads the Monte Carlo, witness or simulator modules,
 nor `numpy.random`.
 
+Exit: `process_main`, the entry of `python -m povm_entangle.cli` and of the
+`povm-entangle` script, freezes the heap (`gc.freeze`) once `main` has
+returned.  The interpreter's finalization would otherwise run full cyclic
+collections over the some 22 000 objects numpy and the package leave
+tracked, about 20 ms a process, more than most commands' own work; it still
+clears modules, frees objects by reference count, flushes stdout and stderr
+and runs atexit handlers.  `main` itself leaves the collector alone, since
+its in-process callers (tests, scripts, benchmarks) go on running.
+
 Exit codes: 0 success, 1 usage, 2 invalid data, 3 numeric failure.
 """
 
