@@ -71,6 +71,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         counts = ["--counts", "c.csv"]
+        # in chain order: each command reads what the one before wrote
         chain = {
             "simulate": ["simulate", "--eps", "0.1", "--counts", "1000", "--seed", "1", "-o", "c.csv"],
             "reconstruct": ["reconstruct", *counts, "-o", "r.json"],

@@ -945,8 +945,9 @@ class TestProcessEntry:
         }[code]
         rc, _, err = run(argv, capsys)
         assert rc == code
-        assert run_process(argv, tmp_path)[::2] == (rc, err)
-        assert "Traceback" not in err
+        proc_rc, _, proc_err = run_process(argv, tmp_path)
+        assert (proc_rc, proc_err) == (rc, err)
+        assert "Traceback" not in proc_err
 
     @pytest.mark.parametrize("command", [["reconstruct"], ["errors", "--samples", "20"]], ids=["reconstruct", "errors"])
     def test_stdout_to_a_pipe_is_mains(self, tmp_path, capsys, bell_csv, command):

@@ -297,8 +297,6 @@ def test_solver_determinism_and_flags(monkeypatch):
     assert all(np.array_equal(x, y) for x, y in zip(a.states, b.states))
     with pytest.raises(ValidationError):
         separability_eigenvalue_numeric(op, restarts=0)
-    with pytest.raises(ValidationError, match=f"at most {witness.MAX_RESTARTS} restarts"):
-        separability_eigenvalue_numeric(op, restarts=witness.MAX_RESTARTS + 1)
     monkeypatch.setattr(witness, "_MAX_SWEEPS", 1)
     short = separability_eigenvalue_numeric(op, restarts=2)
     assert not short.converged
