@@ -15,23 +15,15 @@ live restart and solves the conditioned problems with one batched
 eigensolve.  The live restarts' states sit in contiguous (live, d_i) stacks;
 a restart that converges is written back and the stacks are compacted, so
 no half-step gathers or scatters the states of finished restarts.
-Conditioning takes one of two paths, chosen once per solve from the
-operator itself.  An operator with at most 2 D nonzero entries (lambda has
-d(d - 1), the GHZ probe D + 2, the ME probe 2 D - d) is conditioned through
-its (row, column, value) triples: each entry is weighted by the other
-parties' factors conj(a_i[r_i]) a_i[c_i] at its row and column digits and
-added into the d_j x d_j bin of its party-j digits, (n - 1) nnz
-multiply-adds per restart.  Each party's factors are kept as a (live, nnz)
-stack and gathered again only after that party is solved.  Any other
-operator is contracted with the other parties' product states directly, one
-matrix product over the larger of the two outer factors first, D^2
-multiply-adds per restart and never a product with the 1_{d_j} factor;
-real-stored operators run that product in real arithmetic on the product
-states' stacked real and imaginary parts.  On random sparse operators at
-D = 1024 the two paths break even near 2 nonzeros per row for ten qubits
-and near 3 to 4 for five ququarts, so the 2 D rule keeps the entry path
-where it does not lose.  Each restart drops out on its own convergence, so
-its sweeps are those it would take alone.
+The operator is conditioned through its (row, column, value) triples
+(lambda has d(d - 1) of them, the GHZ probe D + 2, the ME probe 2 D - d):
+each entry is weighted by the other parties' factors conj(a_i[r_i]) a_i[c_i]
+at its row and column digits and added into the d_j x d_j bin of its
+party-j digits, (n - 1) nnz multiply-adds per restart.  Each party's
+factors are kept as a (live, nnz) stack and gathered again only after that
+party is solved.  No restart's arithmetic depends on another's, and each
+restart drops out on its own convergence, so its sweeps are those it would
+take alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -46,11 +38,10 @@ from .errors import ValidationError
 from .operators import HermitianOperator, _lookup, lambda_operator, min_eigenvalue
 from .streams import keyed_normals
 
-# A chunk of restarts conditioned on all parties but j leaves an intermediate
-# (dense path) or weights and tables (entry path) of at most
-# max(D^2, _FRAME_FLOOR) complex entries: no more than the operator itself,
-# whatever the restart count, while small operators still advance thousands
-# of restarts per step.
+# A chunk of restarts conditioned on all parties but j keeps factors,
+# weights and tables of at most max(D^2, _FRAME_FLOOR) complex entries: no
+# more than the operator itself, whatever the restart count, while small
+# operators still advance thousands of restarts per step.
 _FRAME_FLOOR = 1 << 16
 # a restart has converged once a sweep moves its value by less than this,
 # and stops unconverged after this many sweeps
@@ -190,68 +181,6 @@ def _random_starts(dims: tuple[int, ...], seed: int, indices) -> list[np.ndarray
     return states
 
 
-def _kron_rows(factors: list[np.ndarray], rows: int) -> np.ndarray:
-    out = np.ones((rows, 1), dtype=complex)
-    for f in factors:
-        out = (out[:, :, None] * f[:, None, :]).reshape(rows, -1)
-    return out
-
-
-def _conditioned(matrix: np.ndarray, states: list[np.ndarray], j: int) -> np.ndarray:
-    """F_a^dag op F_a for every row a, as an (A, d_j, d_j) array.
-
-    `states` holds one (A, d_i) array per party, and
-    F_a = a_1 (x) ... (x) 1_{d_j} (x) ... (x) a_n.  The frames are never
-    formed.  With L and R the dimensions before and after party j, and
-    left[A, L], right[A, R] the rows' product states there:
-
-    1. one product of the operator with the larger of the two, where it is
-       an outer factor of the stored matrix (right on the columns' last
-       factor, or conj(left) on the rows' first): D^2 A multiply-adds,
-       leaving D^2 A / max(L, R) entries;
-    2. the intermediate's other outer factor (the rows' L, or the columns'
-       R), one product per row, leaving an (A, d_j, R, L, d_j) rest;
-    3. conj(right) (x) left on the rest's (R, L) axes, one batched product.
-
-    A real `matrix` takes step 1 in real arithmetic, on the product states'
-    real and imaginary rows stacked, and step 2 on a real weight block that
-    recombines them, so nothing complex touches the intermediate.
-    """
-    a, dj = states[j].shape
-    left = _kron_rows(states[:j], a)
-    right = _kron_rows(states[j + 1 :], a)
-    nl, nr = left.shape[1], right.shape[1]
-    n = matrix.shape[0] * dj  # entries of the (d_j, R, L, d_j) rest, per row
-    if nr >= nl:
-        # contract the column's R factor, then the row's L factor
-        lc = left.conj()
-        if np.isrealobj(matrix):
-            ri = np.stack([right.real, right.imag], axis=1).reshape(2 * a, nr)
-            t = (ri @ matrix.reshape(-1, nr).T).reshape(a, 2 * nl, n)
-            # lc (t_re + i t_im) = t_re (lc_re, lc_im) + t_im (-lc_im, lc_re)
-            w = np.stack([lc, 1j * lc], axis=1).view(float).reshape(a, 2 * nl, 2)
-            x = (t.transpose(0, 2, 1) @ w).view(complex)
-        else:
-            t = (right @ matrix.reshape(-1, nr).T).reshape(a, nl, n)
-            x = lc[:, None, :] @ t
-    else:
-        # contract the row's L factor, then the column's R factor
-        if np.isrealobj(matrix):
-            li = np.stack([left.real, left.imag], axis=1).reshape(2 * a, nl)
-            t = (li @ matrix.reshape(nl, -1)).reshape(a, 2, n, nr)
-            # (t_re - i t_im) right = t_re (r_re, r_im) + t_im (r_im, -r_re)
-            w = np.stack([right, -1j * right], axis=1).view(float).reshape(a, 2, nr, 2)
-            x = t[:, 0] @ w[:, 0]
-            x += t[:, 1] @ w[:, 1]
-            x = x.view(complex)
-        else:
-            t = (left.conj() @ matrix.reshape(nl, -1)).reshape(a, n, nr)
-            x = t @ right[:, :, None]
-    # what is left: sum over r and l' of conj(right[r]) left[l'] x[s, r, l', s']
-    w = (right.conj()[:, :, None] * left[:, None, :]).reshape(a, 1, 1, nr * nl)
-    return (w @ x.reshape(a, dj, nr * nl, dj)).reshape(a, dj, dj)
-
-
 class _Entries(NamedTuple):
     """An operator's nonzero entries, with each party's (row, column) digit pair."""
 
@@ -259,22 +188,17 @@ class _Entries(NamedTuple):
     pairs: np.ndarray  # (n, nnz): r_i d_i + c_i for an entry at row r, column c
 
 
-def _sparse_entries(op: HermitianOperator) -> _Entries | None:
-    """The operator's nonzero entries when it has at most 2 D, else None.
+def _sparse_entries(op: HermitianOperator) -> _Entries:
+    """The operator's nonzero entries.
 
     They are read from the operator's support; only an operator built from
     a dense matrix is scanned for them.
     """
     if op.support is None:
-        nonzero = op.matrix != 0
-        if np.count_nonzero(nonzero) > 2 * op.dim:
-            return None
-        flat = np.flatnonzero(nonzero)
+        flat = np.flatnonzero(op.matrix)
         values = op.matrix.ravel()[flat]
     else:
         flat, values = op.support
-        if values.size > 2 * op.dim:
-            return None
     # flat = r D + c, so its digits over dims + dims are r's digits, then c's
     dims = op.parties
     digits = np.unravel_index(flat, dims + dims)
@@ -313,20 +237,17 @@ def _entry_conditioned(entries: _Entries, factors: list[np.ndarray], j: int, dj:
 
 
 def _half_step(
-    operand: np.ndarray | _Entries, states: list[np.ndarray], j: int, factors: list[np.ndarray] | None = None
+    entries: _Entries, states: list[np.ndarray], j: int, factors: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenpair of the operator conditioned on every party but j, per row.
 
-    `states` holds one (A, d_i) array per party, and `operand` is either the
-    stored matrix or its `_Entries`, which come with the rows' `_gathered`
-    `factors`.  The conditioned operators F_r^dag op F_r of all A rows come
-    from `_conditioned` or `_entry_conditioned`, neither of which multiplies
-    by the 1_{d_j} factor of the frames F_r; one batched eigensolve follows.
+    `states` holds one (A, d_i) array per party and `factors` the rows'
+    `_gathered` factors of the operator's `entries`.  The conditioned
+    operators F_r^dag op F_r of all A rows come from `_entry_conditioned`,
+    which never multiplies by the 1_{d_j} factor of the frames F_r; one
+    batched eigensolve follows.
     """
-    if isinstance(operand, _Entries):
-        m = _entry_conditioned(operand, factors, j, states[j].shape[1])
-    else:
-        m = _conditioned(operand, states, j)
+    m = _entry_conditioned(entries, factors, j, states[j].shape[1])
     w, vecs = np.linalg.eigh((m + m.conj().transpose(0, 2, 1)) / 2)
     v = vecs[:, :, -1]
     lead = v[np.arange(v.shape[0]), np.abs(v).argmax(axis=1)]
@@ -345,39 +266,34 @@ def separability_eigenvalue_numeric(
     operator conditioned on the others, so the objective never decreases. The
     first starts sweep the uniform-support family, the rest are random, each
     from a deterministic Philox stream keyed by (seed, restart) and all
-    drawn in one call.  The operator picks how a half-step on party j
-    conditions it on the other parties:
+    drawn in one call.  A half-step on party j conditions the operator on
+    the other parties through its nonzero entries, read from the operator's
+    support (an operator built from a dense matrix is scanned once per
+    solve).  Each party's factors conj(a_i[r_i]) a_i[c_i] at the entries are
+    kept per restart and only the party just solved has its factors
+    gathered again, so a half-step costs (n - 1) nnz multiply-adds per
+    restart and one scatter-add, then one batched eigensolve.  Lambda and
+    the GHZ and ME probes have at most 2 D entries.  A dense operator has
+    D^2 and pays for them: on random real symmetric operators on ququarts
+    (one BLAS thread, 2-vCPU VM) a solve takes 0.21 s at D = 64 and 6-7 s
+    at D = 256 with 12 restarts, and 28 s and 260 MB of resident memory at
+    D = 1024 with 64 restarts capped at 2 sweeps, where contracting the
+    operator with the product states as one matrix product took 0.03 s,
+    0.09 s, and 0.13 s and 71 MB.  No command, script or benchmark passes
+    a dense operator.
 
-    - with at most 2 D nonzero entries (lambda, GHZ and ME probes), through
-      those entries, read from the operator's support (an operator built
-      from a dense matrix is scanned once per solve).  Each party's factors
-      conj(a_i[r_i]) a_i[c_i] at the entries are kept per restart and only
-      the party just solved has its factors gathered again, so a half-step
-      costs (n - 1) nnz multiply-adds per restart and one scatter-add;
-    - otherwise, one matrix product of the operator with the product states
-      of the parties on the larger side of j, D^2 multiply-adds per
-      restart, then small per-restart products.  With L and R the
-      dimensions before and after j, a restart's intermediate holds
-      D^2 / max(L, R) entries.  The product follows the stored dtype: a
-      real-stored operator takes it as a real one on the states' real and
-      imaginary parts, which halves its arithmetic; a complex-stored one
-      keeps the complex product, even when its imaginary part is zero.
-
-    At D = 1024 the entry path takes 0.06-0.1 ms where the dense one takes
-    1.6-1.9 ms on lambda (12 restarts, one half-step), and the two break
-    even near 2 to 4 nonzeros per row.  Either way one batched eigensolve
-    follows.  The restarts are solved in blocks whose kept factors and
-    weights, or intermediates, hold no more entries than the operator (or
-    2^16, whichever is more).  A block advances only its live restarts, as
-    contiguous (live, d_i) stacks: a restart leaves after the first sweep
-    that moves its value by less than _SOLVER_TOL, when its state and value
-    are written back and the stacks are compacted, and the restarts still
-    live after _MAX_SWEEPS are written back at the end.  On the entry path
-    no restart's arithmetic depends on the others, so neither the blocks nor
-    the leaving restarts change any bit of its path; on the dense path the
-    matrix products may round differently with the number of rows.  The
-    best restart is the first to reach the largest value.  The result is a
-    certified lower bound on the separability eigenvalue.
+    The restarts are solved in blocks whose kept factors and weights hold
+    no more entries than the operator (or 2^16, whichever is more), and one
+    restart per block when a single restart's hold more.  A block advances
+    only its live restarts, as contiguous (live, d_i) stacks: a restart
+    leaves after the first sweep that moves its value by less than
+    _SOLVER_TOL, when its state and value are written back and the stacks
+    are compacted, and the restarts still live after _MAX_SWEEPS are
+    written back at the end.  No restart's arithmetic depends on the
+    others, so neither the blocks nor the leaving restarts change any bit
+    of its path.  The best restart is the first to reach the largest
+    value.  The result is a certified lower bound on the separability
+    eigenvalue.
     """
     if restarts < 1:
         raise ValidationError(f"need at least 1 restart, got {restarts}")
@@ -387,20 +303,10 @@ def separability_eigenvalue_numeric(
     first = [s[:restarts] for s in _structured_starts(dims)]
     drawn = _random_starts(dims, seed, range(len(first[0]), restarts))
     states = [np.concatenate(pair) for pair in zip(first, drawn)]
-    cap = max(op.dim**2, _FRAME_FLOOR)
     entries = _sparse_entries(op)
-    if entries is None:
-        operand = op.matrix
-        # a row conditioned on all parties but j leaves D^2 / max(L, R) entries
-        block = min(
-            cap * max(math.prod(dims[:j]), math.prod(dims[j + 1 :])) // op.dim**2
-            for j in range(len(dims))
-        )
-    else:
-        operand = entries
-        # a row's kept factors and weights hold (n + 1) nnz entries, its
-        # digit-pair tables and conditioned matrix d_i^2 each
-        block = cap // ((len(dims) + 1) * max(entries.values.size, max(dims) ** 2))
+    # a row's kept factors and weights hold (n + 1) nnz entries, its
+    # digit-pair tables and conditioned matrix d_i^2 each
+    block = max(op.dim**2, _FRAME_FLOOR) // ((len(dims) + 1) * max(entries.values.size, max(dims) ** 2))
     block = max(block, 1)
     val = np.full(restarts, -np.inf)
     converged = np.zeros(restarts, dtype=bool)
@@ -408,13 +314,12 @@ def separability_eigenvalue_numeric(
     for lo in range(0, restarts, block):
         ids = np.arange(lo, min(lo + block, restarts))
         live = [s[ids] for s in states]
-        factors = None if entries is None else [_gathered(entries, s, i) for i, s in enumerate(live)]
+        factors = [_gathered(entries, s, i) for i, s in enumerate(live)]
         prev = np.full(ids.size, -np.inf)
         for _ in range(_MAX_SWEEPS):
             for j in range(len(dims)):
-                value, live[j] = _half_step(operand, live, j, factors)
-                if factors is not None:
-                    factors[j] = _gathered(entries, live[j], j)
+                value, live[j] = _half_step(entries, live, j, factors)
+                factors[j] = _gathered(entries, live[j], j)
             if track_history:
                 for r, v in zip(ids.tolist(), value.tolist()):
                     history[r].append(v)
@@ -428,8 +333,7 @@ def separability_eigenvalue_numeric(
                     s[left] = x[done]
                 keep = ~done
                 ids, prev, live = ids[keep], prev[keep], [x[keep] for x in live]
-                if factors is not None:
-                    factors = [f[keep] for f in factors]
+                factors = [f[keep] for f in factors]
                 if not ids.size:
                     break
         # restarts stopped by _MAX_SWEEPS

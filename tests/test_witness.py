@@ -1,6 +1,5 @@
 """Probe-state witnesses, noise thresholds, and the separability solver."""
 
-import math
 import os
 import subprocess
 import sys
@@ -88,8 +87,7 @@ def frames_conditioned(matrix, states, j):
     """F_r^dag op F_r through the frames F_r = a_1 (x) ... (x) 1_{d_j} (x) ... (x) a_n.
 
     The frames of all rows form one D x (A d_j) matrix, multiplied by the
-    operator in full: d_j times the work of the solver's contraction, kept as
-    its oracle.
+    operator in full, kept as the oracle of the solver's conditioning.
     """
     a, dj = states[j].shape
     left = kron_rows(states[:j], a).T
@@ -345,46 +343,6 @@ def test_solver_chunks_bound_frames(monkeypatch):
     assert_same_paths(chunked.history, whole.history)
 
 
-@pytest.mark.parametrize(
-    "op",
-    [
-        lambda_operator(3, 3),
-        random_real_symmetric(np.random.default_rng(3), (3, 3, 3)),
-        random_real_symmetric(np.random.default_rng(6), (2, 3, 4)),
-    ],
-    ids=["lambda_3_3", "real_symmetric_3_3_3", "real_symmetric_2_3_4"],
-)
-def test_half_step_real_product_matches_complex(op):
-    # a stored matrix, lambda's too, takes the dense path
-    states = random_rows(np.random.default_rng(11), op.parties, 7)
-    assert op.matrix.dtype == np.float64
-    as_complex = op.matrix.astype(complex)
-    for j in range(len(op.parties)):
-        val_r, vec_r = witness._half_step(op.matrix, states, j)
-        val_c, vec_c = witness._half_step(as_complex, states, j)
-        assert np.max(np.abs(val_r - val_c)) < 1e-12
-        assert np.max(np.abs(vec_r - vec_c)) < 1e-12
-
-
-@pytest.mark.parametrize(
-    "op",
-    [random_real_symmetric(np.random.default_rng(3), (3, 3, 3)), random_hermitian(np.random.default_rng(5), (2, 3))],
-    ids=["real", "complex"],
-)
-def test_solver_passes_the_stored_matrix(monkeypatch, op):
-    # the operator's stored dtype picks the product; the solver makes no copy
-    seen = []
-    half_step = witness._half_step
-
-    def spy(matrix, states, j, factors):
-        seen.append(matrix is op.matrix)
-        return half_step(matrix, states, j, factors)
-
-    monkeypatch.setattr(witness, "_half_step", spy)
-    separability_eigenvalue_numeric(op, restarts=3, seed=1)
-    assert seen and all(seen)
-
-
 def test_solver_mixed_party_dimensions():
     op = random_hermitian(np.random.default_rng(5), (2, 3, 4))
     res = separability_eigenvalue_numeric(op, restarts=12, seed=9, track_history=True)
@@ -430,56 +388,6 @@ ORACLE_OPERATORS = {
 }
 
 
-@pytest.mark.parametrize("rows", [1, 12, 37])
-@pytest.mark.parametrize("name", sorted(ORACLE_OPERATORS))
-def test_conditioned_matches_frames_product(name, rows):
-    op = ORACLE_OPERATORS[name]
-    states = random_rows(np.random.default_rng(rows), op.parties, rows)
-    for j in range(len(op.parties)):
-        got = witness._conditioned(op.matrix, states, j)
-        expect = frames_conditioned(op.matrix, states, j)
-        assert got.shape == (rows, op.parties[j], op.parties[j])
-        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
-
-
-DENSE_5_4 = random_real_symmetric(np.random.default_rng(54), (4,) * 5)
-
-
-@pytest.mark.parametrize("floor", [1, witness._FRAME_FLOOR])
-@pytest.mark.parametrize(
-    "op",
-    [
-        lambda_operator(5, 4),
-        lambda_operator(3, 3),
-        DENSE_5_4,
-        random_real_symmetric(np.random.default_rng(3), (3, 3, 3)),
-        random_hermitian(np.random.default_rng(5), (2, 3, 4)),
-    ],
-    ids=["lambda_5_4", "lambda_3_3", "real_symmetric_4_4_4_4_4", "real_symmetric_3_3_3", "random_2_3_4"],
-)
-def test_solver_chunks_bound_the_intermediate(monkeypatch, op, floor):
-    # conditioning A rows on all parties but j leaves A D^2 / max(L, R)
-    # entries; lambda takes the dense path here only because it is forced
-    dims = op.parties
-    sizes = {j: [] for j in range(len(dims))}
-    half_step = witness._half_step
-
-    def spy(matrix, states, j, factors):
-        assert matrix is op.matrix
-        outer = max(math.prod(dims[:j]), math.prod(dims[j + 1 :]))
-        sizes[j].append(states[j].shape[0] * op.dim**2 // outer)
-        return half_step(matrix, states, j, factors)
-
-    monkeypatch.setattr(witness, "_FRAME_FLOOR", floor)
-    monkeypatch.setattr(witness, "_half_step", spy)
-    monkeypatch.setattr(witness, "_sparse_entries", lambda op: None)
-    monkeypatch.setattr(witness, "_MAX_SWEEPS", 3)
-    separability_eigenvalue_numeric(op, restarts=64, seed=2)
-    for j, seen in sizes.items():
-        assert seen, j
-        assert max(seen) <= max(op.dim**2, floor)
-
-
 def peak_bytes(op, **kwargs):
     tracemalloc.start()
     try:
@@ -490,16 +398,16 @@ def peak_bytes(op, **kwargs):
 
 
 def test_solver_memory_is_bounded_by_the_chunk_rule(monkeypatch):
-    # a 64-restart solve at D = 1024: the largest intermediate holds at most
-    # D^2 complex entries, and the (A, d_j, R, L, d_j) rest is no larger;
-    # every sweep makes the same ones, so two show the peak
-    op = DENSE_5_4
+    # a 64-restart solve of a dense operator at D = 64: a block's kept
+    # factors, weights and tables hold at most max(D^2, 2^16) complex
+    # entries each; every sweep makes the same ones, so two show the peak
+    op = random_real_symmetric(np.random.default_rng(64), (4, 4, 4))
     monkeypatch.setattr(witness, "_MAX_SWEEPS", 2)
-    assert peak_bytes(op, restarts=64, seed=0) <= 2 * 16 * op.dim**2
+    assert peak_bytes(op, restarts=64, seed=0) <= 2 * 16 * max(op.dim**2, witness._FRAME_FLOOR)
 
 
 def test_entry_solver_memory_is_bounded_by_the_chunk_rule():
-    # the same solve of lambda (5, 4) on the entry path, to convergence
+    # a 64-restart solve of lambda (5, 4) at D = 1024, to convergence
     op = lambda_operator(5, 4)
     assert peak_bytes(op, restarts=64, seed=0) <= 2 * 16 * op.dim**2
 
@@ -509,7 +417,7 @@ PROBES = {
     **{f"me{d}": me_probe(d).operator for d in (3, 4, 5)},
 }
 ENTRY_OPERATORS = {
-    **{name: op for name, op in ORACLE_OPERATORS.items() if name.startswith("lambda")},
+    **ORACLE_OPERATORS,
     **PROBES,
     **{
         f"sparse_{'_'.join(map(str, dims))}": random_sparse_hermitian(np.random.default_rng(len(dims)), dims)
@@ -534,28 +442,23 @@ def test_entry_conditioned_matches_frames_product(name, rows):
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
-def test_the_operator_picks_the_path():
-    # at most 2 D nonzero entries take the entry path, any more the dense one
-    for name, op in ORACLE_OPERATORS.items():
-        entries = witness._sparse_entries(op)
-        assert (entries is None) == (not name.startswith("lambda")), name
+def test_every_operator_yields_its_nonzero_entries():
     for name, op in ENTRY_OPERATORS.items():
-        entries = witness._sparse_entries(op)
-        assert entries is not None, name
-        assert entries.values.size == np.count_nonzero(op.matrix), name
+        assert witness._sparse_entries(op).values.size == np.count_nonzero(op.matrix), name
     n, d = 4, 3
     assert witness._sparse_entries(lambda_operator(n, d)).values.size == d * (d - 1)
     assert witness._sparse_entries(ghz_probe(5).operator).values.size == 2**5 + 2
     assert witness._sparse_entries(me_probe(5).operator).values.size == 2 * 25 - 5
-    # the bound itself: the diagonal and D / 2 mirrored pairs is 2 D, one pair more is not
-    at_bound = np.eye(6)
-    at_bound[[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]] = 0.5
-    assert witness._sparse_entries(HermitianOperator(at_bound.copy(), (2, 3))).values.size == 12
-    at_bound[[0, 1], [1, 0]] = 0.25
-    assert witness._sparse_entries(HermitianOperator(at_bound.copy(), (2, 3))) is None
-    # the same rule on an operator's support
-    flat = np.flatnonzero(at_bound)
-    assert witness._sparse_entries(HermitianOperator.from_entries(flat, at_bound.ravel()[flat], (2, 3))) is None
+    # the diagonal and D / 2 mirrored pairs make 2 D entries, one pair more 2 D + 2
+    mirrored = np.eye(6)
+    mirrored[[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]] = 0.5
+    assert witness._sparse_entries(HermitianOperator(mirrored.copy(), (2, 3))).values.size == 12
+    mirrored[[0, 1], [1, 0]] = 0.25
+    assert witness._sparse_entries(HermitianOperator(mirrored.copy(), (2, 3))).values.size == 14
+    # the same count from an operator's support
+    flat = np.flatnonzero(mirrored)
+    support_built = HermitianOperator.from_entries(flat, mirrored.ravel()[flat], (2, 3))
+    assert witness._sparse_entries(support_built).values.size == 14
 
 
 ENTRY_BUILT = {
@@ -603,24 +506,6 @@ def test_entry_built_operators_skip_the_dense_scan(monkeypatch, tmp_path):
         HermitianOperator(np.eye(4), (2, 2))
 
 
-PARITY_OPERATORS = {
-    **{f"lambda_{n}_{d}": lambda_operator(n, d) for n in (2, 3, 4) for d in (2, 3, 4)},
-    **{f"lambda_{n}_{d}": lambda_operator(n, d) for n, d in [(6, 3), (5, 4), (10, 2)]},
-    **PROBES,
-}
-
-
-@pytest.mark.parametrize("name", list(PARITY_OPERATORS))
-def test_entry_path_matches_the_dense_path(monkeypatch, name):
-    op = PARITY_OPERATORS[name]
-    fast = separability_eigenvalue_numeric(op, restarts=12, seed=0, track_history=True)
-    monkeypatch.setattr(witness, "_sparse_entries", lambda op: None)
-    dense = separability_eigenvalue_numeric(op, restarts=12, seed=0, track_history=True)
-    assert abs(fast.gmax - dense.gmax) <= 1e-12
-    assert fast.converged == dense.converged
-    assert [len(h) for h in fast.history] == [len(h) for h in dense.history]
-
-
 @pytest.mark.parametrize("floor", [1, witness._FRAME_FLOOR])
 @pytest.mark.parametrize(
     "name", ["lambda_5_4", "lambda_3_3", "ghz3", "me3", "sparse_2_3_4", "projector_2_8"]
@@ -658,7 +543,6 @@ def solve_each_restart_alone(op, restarts, seed):
     rules.
     """
     entries = witness._sparse_entries(op)
-    operand = op.matrix if entries is None else entries
     dims = op.parties
     first = [s[:restarts] for s in witness._structured_starts(dims)]
     drawn = witness._random_starts(dims, seed, range(len(first[0]), restarts))
@@ -669,10 +553,8 @@ def solve_each_restart_alone(op, restarts, seed):
         history, converged, prev = [], False, -np.inf
         for _ in range(witness._MAX_SWEEPS):
             for j in range(len(dims)):
-                factors = None
-                if entries is not None:
-                    factors = [witness._gathered(entries, s, i) for i, s in enumerate(states)]
-                value, states[j] = witness._half_step(operand, states, j, factors)
+                factors = [witness._gathered(entries, s, i) for i, s in enumerate(states)]
+                value, states[j] = witness._half_step(entries, states, j, factors)
             history.append(float(value[0]))
             converged = abs(history[-1] - prev) < witness._SOLVER_TOL
             prev = history[-1]
@@ -693,11 +575,14 @@ def same_bits(res, expect):
 
 
 @pytest.mark.parametrize("sweeps", [3, witness._MAX_SWEEPS])
-@pytest.mark.parametrize("name", ["lambda_3_3", "ghz3", "me3", "sparse_2_3_4", "sparse_2_5_2_3", "projector_2_8"])
+@pytest.mark.parametrize(
+    "name",
+    ["lambda_3_3", "ghz3", "me3", "sparse_2_3_4", "sparse_2_5_2_3", "projector_2_8", "complex_3_2", "complex_2_3_4"],
+)
 def test_live_stacks_keep_every_bit(monkeypatch, name, sweeps):
-    # entry path, blocks forced by the floor, restarts leaving as they
-    # converge or at the sweep cap: every bit of the result is the
-    # unchunked solve's, and each restart's path is the one it takes alone
+    # blocks forced by the floor, restarts leaving as they converge or at
+    # the sweep cap, on sparse and dense operators: every bit of the result
+    # is the unchunked solve's, and each restart's path is the one it takes alone
     op = ENTRY_OPERATORS[name]
     uncapped = separability_eigenvalue_numeric(op, restarts=64, seed=2, track_history=True)
     monkeypatch.setattr(witness, "_MAX_SWEEPS", sweeps)
