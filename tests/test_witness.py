@@ -343,6 +343,58 @@ def test_solver_chunks_bound_frames(monkeypatch):
     assert_same_paths(chunked.history, whole.history)
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda_operator(3, 3),
+        random_real_symmetric(np.random.default_rng(3), (3, 3, 3)),
+        random_real_symmetric(np.random.default_rng(6), (2, 3, 4)),
+        random_real_symmetric(np.random.default_rng(64), (4, 4, 4)),
+    ],
+    ids=["lambda_3_3", "real_symmetric_3_3_3", "real_symmetric_2_3_4", "real_symmetric_4_4_4"],
+)
+def test_half_step_real_entries_match_complex(op):
+    # a real operator keeps real entries; its complex copy steps the same
+    states = random_rows(np.random.default_rng(11), op.parties, 7)
+    real = witness._sparse_entries(op)
+    as_complex = witness._sparse_entries(HermitianOperator(op.matrix.astype(complex), op.parties))
+    assert real.values.dtype == np.float64
+    assert np.array_equal(real.pairs, as_complex.pairs)
+    factors = [witness._gathered(real, s, i) for i, s in enumerate(states)]
+    for j in range(len(op.parties)):
+        val_r, vec_r = witness._half_step(real, states, j, factors)
+        val_c, vec_c = witness._half_step(as_complex, states, j, factors)
+        assert np.max(np.abs(val_r - val_c)) < 1e-12
+        assert np.max(np.abs(vec_r - vec_c)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "op",
+    [random_real_symmetric(np.random.default_rng(3), (3, 3, 3)), random_hermitian(np.random.default_rng(5), (2, 3))],
+    ids=["real", "complex"],
+)
+def test_solver_scans_the_operator_once(monkeypatch, op):
+    # a dense-built operator is scanned once per solve, in its stored dtype,
+    # and every half-step takes those same entries
+    scanned, seen = [], []
+    sparse_entries, half_step = witness._sparse_entries, witness._half_step
+
+    def scan(operator):
+        scanned.append(sparse_entries(operator))
+        return scanned[-1]
+
+    def spy(entries, states, j, factors):
+        seen.append(entries is scanned[0])
+        return half_step(entries, states, j, factors)
+
+    monkeypatch.setattr(witness, "_sparse_entries", scan)
+    monkeypatch.setattr(witness, "_half_step", spy)
+    separability_eigenvalue_numeric(op, restarts=3, seed=1)
+    assert len(scanned) == 1
+    assert scanned[0].values.dtype == op.matrix.dtype
+    assert seen and all(seen)
+
+
 def test_solver_mixed_party_dimensions():
     op = random_hermitian(np.random.default_rng(5), (2, 3, 4))
     res = separability_eigenvalue_numeric(op, restarts=12, seed=9, track_history=True)
@@ -534,6 +586,81 @@ def test_entry_solver_chunks_bound_the_weights(monkeypatch, name, floor):
     assert_same_paths(chunked.history, whole.history)
 
 
+@pytest.mark.parametrize("floor", [1, witness._FRAME_FLOOR])
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda_operator(5, 4),
+        lambda_operator(3, 3),
+        random_real_symmetric(np.random.default_rng(64), (4, 4, 4)),
+        random_real_symmetric(np.random.default_rng(3), (3, 3, 3)),
+        random_hermitian(np.random.default_rng(5), (2, 3, 4)),
+        ENTRY_OPERATORS["ghz3"],
+        ENTRY_OPERATORS["me3"],
+        ENTRY_OPERATORS["sparse_2_3_4"],
+        ENTRY_OPERATORS["projector_2_8"],
+    ],
+    ids=[
+        "lambda_5_4",
+        "lambda_3_3",
+        "real_symmetric_4_4_4",
+        "real_symmetric_3_3_3",
+        "random_2_3_4",
+        "ghz3",
+        "me3",
+        "sparse_2_3_4",
+        "projector_2_8",
+    ],
+)
+def test_solver_blocks_bound_the_kept_factors(monkeypatch, op, floor):
+    # a block of A rows keeps n nnz factors and nnz weights per row, and
+    # A d_i^2 entries per table: (n + 1) A max(nnz, d_i^2) in all, at most
+    # max(D^2, floor) unless the block is a single restart
+    dims = op.parties
+    cap = max(op.dim**2, floor)
+    seen = {j: [] for j in range(len(dims))}
+    half_step = witness._half_step
+
+    def spy(entries, states, j, factors):
+        rows = states[j].shape[0]
+        assert [f.shape for f in factors] == [(rows, entries.values.size)] * len(dims)
+        kept = sum(f.size for f in factors) + rows * entries.values.size
+        seen[j].append(rows == 1 or max(kept, (len(dims) + 1) * rows * max(dims) ** 2) <= cap)
+        return half_step(entries, states, j, factors)
+
+    monkeypatch.setattr(witness, "_FRAME_FLOOR", floor)
+    monkeypatch.setattr(witness, "_half_step", spy)
+    monkeypatch.setattr(witness, "_MAX_SWEEPS", 3)
+    separability_eigenvalue_numeric(op, restarts=64, seed=2)
+    for j, ok in seen.items():
+        assert ok and all(ok), j
+
+
+PARITY_OPERATORS = {
+    **{f"lambda_{n}_{d}": lambda_operator(n, d) for n in (2, 3, 4) for d in (2, 3, 4)},
+    **{f"lambda_{n}_{d}": lambda_operator(n, d) for n, d in [(6, 3), (5, 4), (10, 2)]},
+    **PROBES,
+    "ghz_probe_10": ghz_probe(10).operator,
+    "me_probe_32": me_probe(32).operator,
+}
+
+
+@pytest.mark.parametrize("name", list(PARITY_OPERATORS))
+def test_dense_built_operators_solve_like_entry_built(name):
+    # the same matrix, built dense and scanned for its entries, takes every
+    # bit of the entry-built operator's solve
+    op = PARITY_OPERATORS[name]
+    assert op.support is not None
+    fast = separability_eigenvalue_numeric(op, restarts=12, seed=0, track_history=True)
+    dense = separability_eigenvalue_numeric(
+        HermitianOperator(op.matrix, op.parties), restarts=12, seed=0, track_history=True
+    )
+    assert fast.gmax == dense.gmax
+    assert fast.converged == dense.converged
+    assert [s.tobytes() for s in fast.states] == [s.tobytes() for s in dense.states]
+    assert fast.history == dense.history
+
+
 def solve_each_restart_alone(op, restarts, seed):
     """(gmax, states, converged, history) with every restart run as a one-row stack.
 
@@ -577,7 +704,18 @@ def same_bits(res, expect):
 @pytest.mark.parametrize("sweeps", [3, witness._MAX_SWEEPS])
 @pytest.mark.parametrize(
     "name",
-    ["lambda_3_3", "ghz3", "me3", "sparse_2_3_4", "sparse_2_5_2_3", "projector_2_8", "complex_3_2", "complex_2_3_4"],
+    [
+        "lambda_3_3",
+        "ghz3",
+        "me3",
+        "sparse_2_3_4",
+        "sparse_2_5_2_3",
+        "projector_2_8",
+        "complex_3_2",
+        "complex_2_3_4",
+        "real_3_2",
+        "real_2_3_4",
+    ],
 )
 def test_live_stacks_keep_every_bit(monkeypatch, name, sweeps):
     # blocks forced by the floor, restarts leaving as they converge or at
