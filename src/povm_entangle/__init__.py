@@ -28,8 +28,9 @@ _EXPORTS = {
     "operators": (
         "HermitianOperator", "PovmSet", "bell_povm", "bloch_vector", "ghz_state",
         "lambda_operator", "me_state", "min_eigenvalue", "noisy_ghz_element",
-        "noisy_me_element", "partial_transpose", "pauli_eigenstate", "pauli_expand",
+        "noisy_me_element", "partial_transpose", "pauli_expand",
     ),
+    "pauli": ("pauli_eigenstate",),
     "quasidist": (
         "LABELS", "NegativityReport", "QuasiDistribution", "negativity_report",
         "optimal_quasidistribution", "quasidistribution_from_pi",

@@ -27,12 +27,15 @@ even at its default value, and a value option takes the next argument as
 is, even when it starts with "-".  A usage error prints the usage line and
 returns 1; `main` returns an exit code and never raises `SystemExit`.
 
-Start-up: this module imports only what every command shares (the error
-classes, the counts and basis-map readers, `PovmSet` and the standard
-library's `argparse`); each command imports its own layers when it runs, so
-a process compiles and executes only the modules its command uses.
+Start-up: this module imports only what every command shares (numpy, the
+error classes and the standard library's `argparse`).  Each command imports
+its own layers when it runs, and so do the readers: the counts and
+basis-map readers import `tomography`, the POVM reader the operator layer.
+A process so compiles and executes only the modules its command uses.
 `reconstruct` never loads the Monte Carlo, witness or simulator modules,
-nor `numpy.random`.
+nor `numpy.random`; `errors` on data the closed form covers loads neither
+the operator layer nor the standard form; `quasidist` and `witness` load
+no `tomography`.
 
 Exit: `process_main`, the entry of `python -m povm_entangle.cli` and of the
 `povm-entangle` script, freezes the heap (`gc.freeze`) once `main` has
@@ -56,14 +59,17 @@ import os
 import sys
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple, NoReturn
+from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 import numpy as np
 
 from . import __version__
 from .errors import ConvergenceError, ValidationError
-from .operators import PovmSet
-from .tomography import BasisMap, CoincidenceCounts
+
+if TYPE_CHECKING:
+    from .operators import PovmSet
+    from .tomography import BasisMap, CoincidenceCounts
+
 
 def _manifest(command: str, **params) -> dict:
     return {
@@ -175,10 +181,14 @@ def _load_json(path: str) -> dict:
 def _read_basis_map(path: str | None) -> BasisMap | None:
     if path is None:
         return None
+    from .tomography import BasisMap
+
     return BasisMap.from_dict(_load_json(path))
 
 
 def _read_counts(path: str, basis_map: BasisMap | None = None) -> CoincidenceCounts:
+    from .tomography import CoincidenceCounts
+
     if path.endswith(".json"):
         if basis_map is not None:
             raise ValidationError(
@@ -200,6 +210,8 @@ def _write_counts(data: CoincidenceCounts, out: str | None, manifest: dict):
 
 def _read_povm(path: str) -> PovmSet:
     """A bare POVM record, or the corrected POVM of reconstruct's output."""
+    from .operators import PovmSet
+
     d = _load_json(path)
     return PovmSet.from_dict(d.get("corrected_povm", d))
 
@@ -238,6 +250,7 @@ def _file_stems(labels) -> dict[str, str]:
 def simulate(given, model_path, povm_path, eps, counts, indefiniteness, seed, basis_map_path, out):
     """Draw synthetic coincidence counts from a detector model."""
     from .simulate import DetectorModel, bell_model, draw_counts, model_from_spec
+    from .tomography import BasisMap
 
     if model_path is not None:
         # the spec carries the model's own fields; only --seed overrides one

@@ -9,7 +9,9 @@ diagonal pi, and pi follows from the Lorentz singular values of each
 repaired element's correlation matrix (`_lorentz_pi`).  Samples run stacked
 along one axis, in blocks of at most _BLOCK; the reference pass is a block
 of one.  Elements outside the closed form's reach go through
-`to_standard_form` one at a time.  Cell-wise spreads over the samples give
+`to_standard_form` one at a time; the operator and standard-form layers are
+imported there, on the first such element, so a run that never leaves the
+closed form loads neither.  Cell-wise spreads over the samples give
 the error bars and negativity significances.
 
 Draws are keyed by (seed, setting pair, sample index) on a counter-based
@@ -28,9 +30,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .operators import HermitianOperator
-from .quasidist import _none_where, grids_from_pi, optimal_quasidistribution
-from .standard_form import _lorentz_pi, to_standard_form
+from .quasidist import _lorentz_pi, _none_where, grids_from_pi
 from .streams import keyed_normals
 from .tomography import (
     CoincidenceCounts,
@@ -174,6 +174,10 @@ def _quasi_batch(
     q, grids = grids_from_pi(pi)
     failed = np.zeros(n, dtype=bool)
     if not closed.all():
+        from .operators import HermitianOperator
+        from .quasidist import optimal_quasidistribution
+        from .standard_form import to_standard_form
+
         mats = keep * mats + p[:, None, None, None] * (np.eye(4) / m)
     for s, k in zip(*np.nonzero(~closed)):
         if failed[s]:

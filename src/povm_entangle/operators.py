@@ -20,32 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .pauli import _PAULI_KRONS, _SQ2, PAULIS, _frozen
 
 HERMITICITY_TOL = 1e-12
 COMPLETENESS_TOL = 1e-9
 DIMENSION_GUARD = 4096
 # rows per block of the Hermiticity check: 1 MB per complex temporary at D = 1024
 _HERMITICITY_BLOCK = 64
-
-SIGMA_0 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = np.stack([SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z])
-
-# Column order of the single-qubit outcome grid used throughout: one pair of
-# projectors per Pauli axis, plus sign before minus sign.
-QUASI_AXES = (("x", 1), ("x", -1), ("y", 1), ("y", -1), ("z", 1), ("z", -1))
-
-_SQ2 = math.sqrt(2.0)
-_EIGENSTATES = {
-    ("z", 1): np.array([1, 0], dtype=complex),
-    ("z", -1): np.array([0, 1], dtype=complex),
-    ("x", 1): np.array([1, 1], dtype=complex) / _SQ2,
-    ("x", -1): np.array([1, -1], dtype=complex) / _SQ2,
-    ("y", 1): np.array([1, 1j], dtype=complex) / _SQ2,
-    ("y", -1): np.array([1, -1j], dtype=complex) / _SQ2,
-}
 
 # Two-qubit Bell vectors, labeled by the Pauli axis singled out in the
 # correlation pattern of the matching projector.
@@ -56,25 +37,11 @@ _BELL_VECTORS = {
     "z": np.array([0, 1, 1, 0], dtype=complex) / _SQ2,
 }
 
-# kron(sigma_w, sigma_v) for all 16 axis pairs, indexed [w, v], as one
-# broadcast product: entry [w, v, 2i + k, 2j + l] is sigma_w[i, j] sigma_v[k, l]
-_PAULI_KRONS = (PAULIS[:, None, :, None, :, None] * PAULIS[None, :, None, :, None, :]).reshape(4, 4, 4, 4)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
-
 
 def _check_dimension(dim: int) -> None:
     """Raise ValidationError when a total dimension exceeds DIMENSION_GUARD."""
     if dim > DIMENSION_GUARD:
         raise ValidationError(f"total dimension {dim} exceeds the {DIMENSION_GUARD} guard")
-
-
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + np.swapaxes(m, -1, -2).conj()) / 2
 
 
 def _hermiticity_deviation(m: np.ndarray) -> float:
@@ -322,14 +289,6 @@ class PovmSet:
         return cls(labels, elements)
 
 
-def pauli_eigenstate(axis: str, sign: int) -> np.ndarray:
-    """Unit eigenvector of sigma_axis with eigenvalue sign (+1 or -1)."""
-    try:
-        return _EIGENSTATES[(axis, int(sign))].copy()
-    except KeyError:
-        raise ValidationError(f"unknown Pauli eigenstate ({axis!r}, {sign})") from None
-
-
 def bloch_vector(state: np.ndarray) -> np.ndarray:
     """Real (x, y, z) expectation values of a single-qubit pure state."""
     v = np.asarray(state, dtype=complex).reshape(2)
@@ -362,11 +321,6 @@ def pauli_expand(op) -> np.ndarray:
     # a contiguous copy: small matmuls on the strided .real view can round
     # differently
     return c.real.copy()
-
-
-def pauli_matrices(c: np.ndarray) -> np.ndarray:
-    """Hermitian sum_wv c[..., w, v] sigma_w (x) sigma_v of stacked real coefficients."""
-    return _hermitize(np.einsum("...wv,wvij->...ij", c, _PAULI_KRONS))
 
 
 def ghz_state(n: int) -> np.ndarray:

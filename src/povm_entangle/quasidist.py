@@ -6,17 +6,26 @@ cross-axis cells vanish, and the same-axis cell (w s_a, w s_b) holds
 q/3 + |pi_w| + s_a s_b pi_w with q = pi_0 - |pi_x| - |pi_y| - |pi_z|.
 Negativity anywhere, equivalently q < 0, certifies that the operator is
 entangled; q >= 0 gives an explicit separable decomposition.
+
+For most elements pi itself is closed form too: `_lorentz_pi` reads it off
+the Lorentz singular values of stacked Pauli coefficient matrices, and marks
+the elements it must leave to `standard_form.to_standard_form`.  This module
+imports the standard form only for type checking, so the stacked Monte
+Carlo path loads no filter code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ValidationError
-from .operators import QUASI_AXES, _frozen
-from .standard_form import StandardForm
+from .pauli import QUASI_AXES, _frozen
+
+if TYPE_CHECKING:
+    from .standard_form import StandardForm
 
 LABELS = tuple(f"{axis}{'+' if sign > 0 else '-'}" for axis, sign in QUASI_AXES)
 
@@ -26,6 +35,23 @@ _SAME_AXIS = _AXIS_OF[:, None] == _AXIS_OF[None, :]
 _SIGN_PRODUCTS = np.outer(_SIGNS, _SIGNS)
 # the verdict is entangled exactly when q < -_VERDICT_TOL
 _VERDICT_TOL = 1e-9
+
+# the Minkowski metric of the Lorentz action of local filters on Pauli
+# coefficient matrices
+_ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+# _lorentz_pi leaves elements whose smallest squared Lorentz singular value
+# is this small to to_standard_form, whose filter sweeps floor the reduced
+# operators' eigenvalues here
+_EIG_FLOOR = 1e-12
+# closed-form pi is left to to_standard_form where the squared Lorentz
+# singular values are not real to this share of the largest, where the top
+# two are this close, or where the filters are this strong: |r|^2 over the
+# sum of the squared singular values is 1 for a standard form and grows with
+# the filters, and the closed form's error with it (below 1e-14 up to 10,
+# 1e-8 past 100)
+_REAL_TOL = 1e-12
+_GAP_TOL = 1e-6
+_BOOST_TOL = 10.0
 
 
 def _none_where(grid: np.ndarray, missing: np.ndarray) -> list:
@@ -77,6 +103,39 @@ def grids_from_pi(pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = pi[..., 1 + _AXIS_OF, None]
     cells = q[..., None, None] / 3 + np.abs(w) + _SIGN_PRODUCTS * w
     return q, np.where(_SAME_AXIS, cells, 0.0)
+
+
+def _lorentz_pi(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form pi of stacked Pauli coefficient matrices r[..., 4, 4], and where it holds.
+
+    Local filters act on r as Lorentz transformations, so the eigenvalues of
+    r eta r^T eta, eta = diag(1, -1, -1, -1), are the squared Lorentz singular
+    values s0^2 >= s1^2 >= s2^2 >= s3^2, and det r = s0 s1 s2 s3 up to sign
+    (Verstraete, Dehaene, De Moor, PRA 64, 010101(R) (2001)).  The standard
+    form of an element with trace t is then
+    pi = (t/4) (1, s1/s0, s2/s0, sign(det r) s3/s0), with s3 taken from
+    det r rather than from its small eigenvalue.  The mask is False, and
+    pi zero, where to_standard_form must decide: non-finite entries or a
+    nonpositive trace, eigenvalues that are not real, s3^2 at or below
+    _EIG_FLOOR at unit trace, s0 ~ s1 (rank-deficient elements), and strong
+    filters, which make the eigenproblem ill-conditioned.
+    """
+    t = 4 * r[..., 0, 0]
+    ok = np.isfinite(r).all(axis=(-2, -1)) & (t > 0)
+    unit = np.where(ok[..., None, None], r, 0.0) / np.where(ok, t, 1.0)[..., None, None]
+    ev = np.linalg.eigvals(unit @ _ETA @ np.swapaxes(unit, -1, -2) @ _ETA)
+    sq = -np.sort(-ev.real, axis=-1)
+    ok &= np.abs(ev.imag).max(axis=-1) <= _REAL_TOL * sq[..., 0]
+    ok &= sq[..., 3] > _EIG_FLOOR
+    ok &= sq[..., 0] - sq[..., 1] > _GAP_TOL * sq[..., 0]
+    ok &= (unit**2).sum(axis=(-2, -1)) <= _BOOST_TOL * sq.sum(axis=-1)
+    s = np.sqrt(np.where(ok[..., None], sq[..., :3], 1.0))
+    # sign(det r) s3 = det r / (s0 s1 s2): the square root of the smallest
+    # eigenvalue would carry an absolute error of about eps / s3
+    s3 = np.linalg.det(unit) / s.prod(axis=-1)
+    ratios = np.concatenate([s[..., 1:], s3[..., None]], axis=-1) / s[..., :1]
+    pi = np.concatenate([np.ones_like(t)[..., None], ratios], axis=-1) * (t / 4)[..., None]
+    return np.where(ok[..., None], pi, 0.0), ok
 
 
 def quasidistribution_from_pi(pi, source_trace: float | None = None) -> QuasiDistribution:

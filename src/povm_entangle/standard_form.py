@@ -23,41 +23,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .operators import (
-    PAULIS,
-    QUASI_AXES,
-    HermitianOperator,
-    _frozen,
-    _hermitize,
-    pauli_eigenstate,
-    pauli_expand,
-)
+from .operators import HermitianOperator, pauli_expand
+from .pauli import PAULIS, QUASI_AXES, _frozen, _hermitize, pauli_eigenstate
+from .quasidist import _EIG_FLOOR, _ETA
 
 _I2 = np.eye(2, dtype=complex)
-_ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
 # accumulated filters this large mean the iteration is running away, not
 # converging; bail out before float overflow starts emitting warnings
 _FILTER_CAP = 1e60
 # local terms count as removed below this Bloch residual; the final Pauli
 # coefficients may sit this far from diagonal; the filter sweeps floor the
-# reduced operators' eigenvalues here, and _lorentz_pi leaves elements whose
-# smallest squared Lorentz singular value is this small to the sweeps
+# reduced operators' eigenvalues at _EIG_FLOOR, the floor below which the
+# closed form (`quasidist._lorentz_pi`) leaves an element to the sweeps
 _BLOCH_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
-_EIG_FLOOR = 1e-12
 # the filter sweeps give up after this many; most elements need at most one
 _MAX_SWEEPS = 10000
-
-# closed-form pi is left to to_standard_form where the squared Lorentz
-# singular values are not real to this share of the largest, where the top
-# two are this close, or where the filters are this strong: |r|^2 over the
-# sum of the squared singular values is 1 for a standard form and grows with
-# the filters, and the closed form's error with it (below 1e-14 up to 10,
-# 1e-8 past 100)
-_REAL_TOL = 1e-12
-_GAP_TOL = 1e-6
-_BOOST_TOL = 10.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,39 +142,6 @@ def _lorentz_filter(r: np.ndarray) -> np.ndarray:
         y = _ETA @ x / np.sqrt(x @ _ETA @ x)
         y[0] += 1.0
         return np.einsum("m,mij->ij", y, PAULIS) / np.sqrt(2 * y[0])
-
-
-def _lorentz_pi(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form pi of stacked Pauli coefficient matrices r[..., 4, 4], and where it holds.
-
-    Local filters act on r as Lorentz transformations, so the eigenvalues of
-    r eta r^T eta, eta = diag(1, -1, -1, -1), are the squared Lorentz singular
-    values s0^2 >= s1^2 >= s2^2 >= s3^2, and det r = s0 s1 s2 s3 up to sign
-    (Verstraete, Dehaene, De Moor, PRA 64, 010101(R) (2001)).  The standard
-    form of an element with trace t is then
-    pi = (t/4) (1, s1/s0, s2/s0, sign(det r) s3/s0), with s3 taken from
-    det r rather than from its small eigenvalue.  The mask is False, and
-    pi zero, where to_standard_form must decide: non-finite entries or a
-    nonpositive trace, eigenvalues that are not real, s3^2 at or below
-    _EIG_FLOOR at unit trace, s0 ~ s1 (rank-deficient elements), and strong
-    filters, which make the eigenproblem ill-conditioned.
-    """
-    t = 4 * r[..., 0, 0]
-    ok = np.isfinite(r).all(axis=(-2, -1)) & (t > 0)
-    unit = np.where(ok[..., None, None], r, 0.0) / np.where(ok, t, 1.0)[..., None, None]
-    ev = np.linalg.eigvals(unit @ _ETA @ np.swapaxes(unit, -1, -2) @ _ETA)
-    sq = -np.sort(-ev.real, axis=-1)
-    ok &= np.abs(ev.imag).max(axis=-1) <= _REAL_TOL * sq[..., 0]
-    ok &= sq[..., 3] > _EIG_FLOOR
-    ok &= sq[..., 0] - sq[..., 1] > _GAP_TOL * sq[..., 0]
-    ok &= (unit**2).sum(axis=(-2, -1)) <= _BOOST_TOL * sq.sum(axis=-1)
-    s = np.sqrt(np.where(ok[..., None], sq[..., :3], 1.0))
-    # sign(det r) s3 = det r / (s0 s1 s2): the square root of the smallest
-    # eigenvalue would carry an absolute error of about eps / s3
-    s3 = np.linalg.det(unit) / s.prod(axis=-1)
-    ratios = np.concatenate([s[..., 1:], s3[..., None]], axis=-1) / s[..., :1]
-    pi = np.concatenate([np.ones_like(t)[..., None], ratios], axis=-1) * (t / 4)[..., None]
-    return np.where(ok[..., None], pi, 0.0), ok
 
 
 def _filtered(rho: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, float]:

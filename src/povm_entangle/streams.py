@@ -28,6 +28,10 @@ _MASK64 = (1 << 64) - 1
 
 # the crossover of `keyed_normals`, measured as its docstring says
 _STACK_ROWS = 256
+# most Philox words (2 MiB) one pass of `_stacked` draws at once: a pass's
+# temporaries then stay near 11 MiB at 4 normals a row and 30 MiB at 256,
+# and a Monte Carlo block of 1024 samples (36 864 rows of 4) is one pass
+_CHUNK_WORDS = 1 << 18
 
 # Philox4x64-10: each round's two multipliers, with their 32-bit halves,
 # and the increments of the key's two words between rounds
@@ -265,13 +269,23 @@ def _reset_loop(seed: int, indices, size: int) -> np.ndarray:
 
 
 def _stacked(seed: int, keys: np.ndarray, size: int) -> np.ndarray:
-    """keyed_normals for uint64 keys, every row's words from one Philox pass."""
+    """keyed_normals for uint64 keys, each chunk of rows from one Philox pass.
+
+    A chunk's rows hold at most _CHUNK_WORDS words between them, so the
+    pass's temporaries stay bounded however many rows are drawn.  No row's
+    draws depend on another's, so the chunks change no bit.
+    """
     blocks = -(-size // 4)
-    return _ziggurat(
-        _philox_words(seed, keys, 1, blocks),
-        size,
-        lambda rows, block: _philox_words(seed, keys[rows], block, 1),
-    )
+    step = max(1, _CHUNK_WORDS // (4 * max(blocks, 1)))
+    out = np.empty((len(keys), size))
+    for lo in range(0, len(keys), step):
+        part = keys[lo : lo + step]
+        out[lo : lo + step] = _ziggurat(
+            _philox_words(seed, part, 1, blocks),
+            size,
+            lambda rows, block, part=part: _philox_words(seed, part[rows], block, 1),
+        )
+    return out
 
 
 def _mulhilo(m, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

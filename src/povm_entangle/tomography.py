@@ -10,7 +10,10 @@ over any leading axes: `invert_frequencies` and `repair_strength` serve the
 per-dataset functions here and every Monte Carlo sample block alike.  The
 CSV and JSON count readers share one core: both index each entry by
 (outcome, probe pair), so one label rule, one count check, one duplicate
-check and one gap check serve the two formats.
+check and one gap check serve the two formats.  The functions that take or
+return POVM objects (`reconstruct_povm`, `physicality_correct`,
+`closest_bell_labels`) import the operator layer when they run, so the
+counts readers and the array path load none of it.
 """
 
 from __future__ import annotations
@@ -20,17 +23,15 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ValidationError
-from .operators import (
-    HermitianOperator,
-    PovmSet,
-    bell_povm,
-    pauli_eigenstate,
-    pauli_matrices,
-)
+from .pauli import pauli_eigenstate, pauli_matrices
+
+if TYPE_CHECKING:
+    from .operators import PovmSet
 
 PROBE_LABELS = ("H", "V", "D", "A", "R", "L")
 
@@ -385,6 +386,8 @@ def reconstruct_correlations(freqs: RelativeFrequencies) -> np.ndarray:
 
 def reconstruct_povm(freqs: RelativeFrequencies) -> PovmSet:
     """Linear-inversion POVM; completeness is exact by construction."""
+    from .operators import HermitianOperator, PovmSet
+
     _, mats = invert_frequencies(freqs.probs, freqs.basis_map)
     return PovmSet(freqs.outcomes, tuple(HermitianOperator(m, (2, 2)) for m in mats))
 
@@ -396,6 +399,8 @@ def physicality_correct(povm: PovmSet, margin: float = 1e-5) -> tuple[PovmSet, f
     `repair_strength`; the set comes back unchanged when nothing is
     indefinite beyond INDEFINITE_TOL.
     """
+    from .operators import HermitianOperator, PovmSet
+
     mats = np.stack([el.matrix for el in povm.elements])
     p, lam = repair_strength(np.linalg.eigvalsh(mats)[:, 0], margin)
     if lam == 0:
@@ -424,6 +429,8 @@ def closest_bell_labels(povm: PovmSet) -> dict:
     positive element.  Reconstructed outcome ordering is a detector property,
     so the match is reported rather than assumed.
     """
+    from .operators import bell_povm
+
     ideal = bell_povm()
     out = {}
     for label, el in povm.items():

@@ -48,8 +48,9 @@ _FRAME_FLOOR = 1 << 16
 _SOLVER_TOL = 1e-10
 _MAX_SWEEPS = 10000
 # most restarts one solve takes, since their starts are drawn and held at
-# once: at this cap, `witness --family me -d 64 --numeric` peaked at 2.2 GiB
-# resident while drawing the starts and held 0.65 GiB while solving
+# once: at this cap, the 128 MiB of starts of `witness --family me -d 64
+# --numeric` peak at 189 MiB resident while drawn, and the solve held
+# 0.65 GiB
 MAX_RESTARTS = 1 << 16
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from povm_entangle import HermitianOperator, PovmSet, bell_povm, ghz_state, me_state
-from povm_entangle.operators import _hermitize
+from povm_entangle.pauli import _hermitize
 
 # the same examples on every run, from a seed derived from each test, and no
 # example database: two runs of one commit test the same inputs.  Each test's

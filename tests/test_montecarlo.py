@@ -1,5 +1,6 @@
 """Counting covariance, simplex projection, and batched error propagation."""
 
+import hashlib
 import json
 import os
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import povm_entangle.montecarlo as mc
+import povm_entangle.quasidist as qd
 import povm_entangle.standard_form as sf
 from povm_entangle import (
     ConvergenceError,
@@ -36,7 +38,7 @@ from povm_entangle import (
     sample_frequencies,
     to_standard_form,
 )
-from povm_entangle.operators import PAULIS
+from povm_entangle.pauli import PAULIS
 from povm_entangle.quasidist import grids_from_pi
 
 from conftest import random_pd_element
@@ -413,7 +415,7 @@ def _no_closed_form(monkeypatch, elements=slice(None)):
 
 def _failing_after(monkeypatch, good_calls, bad_calls=None):
     """to_standard_form that raises after good_calls calls, for bad_calls calls."""
-    ref = mc.to_standard_form
+    ref = sf.to_standard_form
     calls = {"n": 0}
 
     def flaky(op):
@@ -425,7 +427,7 @@ def _failing_after(monkeypatch, good_calls, bad_calls=None):
             raise ConvergenceError("boom")
         return ref(op)
 
-    monkeypatch.setattr(mc, "to_standard_form", flaky)
+    monkeypatch.setattr(sf, "to_standard_form", flaky)
 
 
 def test_propagate_aborts_on_mass_failures(bell_counts, monkeypatch):
@@ -446,6 +448,36 @@ def test_failed_element_excludes_its_sample(bell_counts, monkeypatch):
     # the other samples are untouched: their q sum is the clean sum less sample 0's
     for e, c in zip(report.elements, clean.elements):
         assert e.q_mean * 199 == pytest.approx(c.q_mean * 200 - first[c.label], abs=1e-12)
+
+
+# sha256 of the sorted-key JSON report of 40 samples (seed 3) with element 1
+# of every sample sent through to_standard_form, taken while montecarlo still
+# imported the standard form at module level
+FORCED_FALLBACK = {
+    (0.1, 1000, 7): "a2582b0abcc442488e0bc0c05f686d4ade086deb01d46860eb4b7eb7df0fae25",
+    (0.0, 10000, 0): "8f33be58a513befe734cd69bca7d8822eb989ec6b322bff0a01db2986e33bad5",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("model", list(FORCED_FALLBACK), ids=["noisy", "bell"])
+def test_forced_fallback_bytes_are_pinned(monkeypatch, model, workers):
+    eps, counts, seed = model
+    data = draw_counts(bell_model(eps, counts), seed)
+    calls = {"n": 0}
+    ref = sf.to_standard_form
+
+    def counted(op):
+        calls["n"] += 1
+        return ref(op)
+
+    _no_closed_form(monkeypatch, elements=1)
+    monkeypatch.setattr(sf, "to_standard_form", counted)
+    report = propagate(data, McConfig(sample_size=40, seed=3, workers=workers))
+    text = json.dumps(report.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == FORCED_FALLBACK[model]
+    # the reference pass and this process's share of the samples
+    assert calls["n"] >= 1 + 40 // workers
 
 
 def _sample_q(counts, seed, sample):
@@ -550,7 +582,7 @@ def _local_filter(rng, strength):
 
 def _batched_pi(elements):
     r = np.stack([pauli_expand(el) for el in elements])
-    return sf._lorentz_pi(r)
+    return qd._lorentz_pi(r)
 
 
 def _pipeline_pi(elements):
@@ -571,7 +603,7 @@ def test_lorentz_pi_matches_standard_form(seeds):
             np.testing.assert_allclose(pi[k], to_standard_form(el).pi, rtol=0, atol=1e-12)
         else:  # strong filters only: the closed form hands these over
             r = pauli_expand(el)
-            assert (r**2).sum() > 10 * np.trace(r @ mc._ETA @ r.T @ mc._ETA)
+            assert (r**2).sum() > 10 * np.trace(r @ qd._ETA @ r.T @ qd._ETA)
     assert closed.mean() > 0.5
 
 

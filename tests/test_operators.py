@@ -27,14 +27,8 @@ from povm_entangle import (
     pauli_eigenstate,
     pauli_expand,
 )
-from povm_entangle.operators import (
-    _BELL_VECTORS,
-    _PAULI_KRONS,
-    PAULIS,
-    _entry_deviation,
-    _hermiticity_deviation,
-    pauli_matrices,
-)
+from povm_entangle.operators import _BELL_VECTORS, _entry_deviation, _hermiticity_deviation
+from povm_entangle.pauli import _PAULI_KRONS, PAULIS, pauli_matrices
 
 from conftest import (
     dense_ghz_probe,

@@ -26,8 +26,8 @@ from povm_entangle import (
     to_standard_form,
 )
 from povm_entangle import standard_form
-from povm_entangle.operators import PAULIS, pauli_eigenstate, pauli_matrices
-from povm_entangle.standard_form import _lorentz_pi
+from povm_entangle.pauli import PAULIS, pauli_eigenstate, pauli_matrices
+from povm_entangle.quasidist import _lorentz_pi
 
 from conftest import random_pd_element, recompose
 
@@ -298,7 +298,7 @@ def test_back_transform_identity(ideal_bell):
     qdist = optimal_quasidistribution(form)
     tilde = back_transform(form, qdist)
     # transforms are trivial here, so tilde states are the Pauli eigenstates
-    from povm_entangle.operators import QUASI_AXES
+    from povm_entangle.pauli import QUASI_AXES
 
     for k, (axis, sign) in enumerate(QUASI_AXES):
         ref = pauli_eigenstate(axis, sign)

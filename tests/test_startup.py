@@ -45,43 +45,73 @@ def dataset(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "argv, absent",
+    "argv, tomography, absent",
     [
         (
             ["reconstruct", "--counts", "c.csv", "-o", "r2.json"],
+            True,
             [PACKAGE + m for m in ("montecarlo", "witness", "simulate", "standard_form", "quasidist", "svg", "streams")]
             + ["numpy.random", "concurrent.futures", "click"],
         ),
         (
             ["quasidist", "--povm", "r.json", "-o", "q"],
+            False,
             [PACKAGE + m for m in ("montecarlo", "witness", "simulate", "streams")] + ["numpy.random", "click"],
         ),
         (
             ["errors", "--counts", "c.csv", "--samples", "20", "--workers", "1", "-o", "e"],
-            [PACKAGE + "witness", PACKAGE + "simulate", "concurrent.futures", "click", "numpy.random", "secrets"],
+            True,
+            [PACKAGE + m for m in ("witness", "simulate", "operators", "standard_form")]
+            + ["concurrent.futures", "click", "numpy.random", "secrets"],
         ),
         (
             ["errors", "--counts", "c.csv", "--samples", "20", "--workers", "2", "-o", "e2"],
-            [PACKAGE + "witness", PACKAGE + "simulate", "concurrent.futures", "multiprocessing", "click"]
-            + ["numpy.random", "secrets"],
+            True,
+            [PACKAGE + m for m in ("witness", "simulate", "operators", "standard_form")]
+            + ["concurrent.futures", "multiprocessing", "click", "numpy.random", "secrets"],
         ),
         (
             ["witness", "--lambda", "-n", "2", "-d", "2"],
+            False,
             [PACKAGE + m for m in ("montecarlo", "simulate", "standard_form", "quasidist", "svg")]
             + ["click"],
         ),
         (
             ["combine", "--counts", "c.csv", "--groups", "AA+AD,DA+DD", "-o", "m.csv"],
+            True,
             [PACKAGE + m for m in ("montecarlo", "witness", "simulate", "standard_form", "quasidist", "svg", "streams")]
             + ["numpy.random", "concurrent.futures", "click"],
         ),
     ],
     ids=["reconstruct", "quasidist", "errors-workers-1", "errors-workers-2", "witness-lambda", "combine"],
 )
-def test_command_loads_only_its_layers(dataset, argv, absent):
+def test_command_loads_only_its_layers(dataset, argv, tomography, absent):
     loaded = modules_after(argv, dataset)
-    assert PACKAGE + "tomography" in loaded
+    # the commands that read counts load tomography; the others do not
+    assert (PACKAGE + "tomography" in loaded) == tomography
     assert [m for m in absent if m in loaded] == []
+
+
+def test_errors_on_closed_form_data_loads_only_the_array_path(dataset):
+    loaded = modules_after(["errors", "--counts", "c.csv", "--samples", "20", "-o", "e3"], dataset)
+    package = {m for m in loaded if m.startswith(PACKAGE)}
+    expected = ("cli", "errors", "pauli", "tomography", "quasidist", "streams", "montecarlo", "svg")
+    assert package == {PACKAGE + m for m in expected}
+
+
+MODULES = sorted(p.stem for p in Path(povm_entangle.__file__).parent.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_module_imports_alone(module):
+    # a fresh interpreter per module: an import cycle between the lazily
+    # linked layers fails here whichever module is loaded first
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run(
+        [sys.executable, "-c", f"import {PACKAGE}{module}"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
 
 
 def test_simulate_still_loads_numpy_random(dataset):

@@ -1,6 +1,7 @@
 """Keyed Philox streams: one reused generator reproduces fresh keyed ones,
 and the stacked Philox pass with its ziggurat decode reproduces both."""
 
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -75,6 +76,25 @@ def test_stacked_path_matches_the_reset_loop_bit_for_bit(size, rows):
         stacked = keyed_normals(seed, indices, size)
         looped = streams._reset_loop(seed, indices, size)
         np.testing.assert_array_equal(stacked.view(np.uint64), looped.view(np.uint64))
+
+
+def test_a_large_stack_is_drawn_in_bounded_chunks():
+    # 2^18 rows of 4 normals span four chunks of _CHUNK_WORDS words; drawn at
+    # once, their Philox and ziggurat temporaries held over five times the
+    # 8 MiB result
+    rows = 1 << 18
+    assert rows * 4 > 2 * streams._CHUNK_WORDS
+    keys = np.arange(rows, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    tracemalloc.start()
+    try:
+        out = keyed_normals(5, keys, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * out.nbytes
+    step = streams._CHUNK_WORDS // 4
+    for r in (0, step - 1, step, 2 * step + 17, rows - 1):
+        np.testing.assert_array_equal(out[r], keyed_rng(5, int(keys[r])).standard_normal(4))
 
 
 # --- crafted words: numpy positioned to emit them against the same decode ---

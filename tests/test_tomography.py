@@ -31,7 +31,7 @@ from povm_entangle import (
     sampling_matrices,
     to_standard_form,
 )
-from povm_entangle.operators import SIGMA_X
+from povm_entangle.pauli import SIGMA_X
 from povm_entangle.tomography import COUNT_MAX, invert_frequencies, repair_strength
 
 from conftest import random_povm
