@@ -190,16 +190,8 @@ class _Entries(NamedTuple):
 
 
 def _sparse_entries(op: HermitianOperator) -> _Entries:
-    """The operator's nonzero entries.
-
-    They are read from the operator's support; only an operator built from
-    a dense matrix is scanned for them.
-    """
-    if op.support is None:
-        flat = np.flatnonzero(op.matrix)
-        values = op.matrix.ravel()[flat]
-    else:
-        flat, values = op.support
+    """The operator's nonzero entries, read from its support."""
+    flat, values = op.support
     # flat = r D + c, so its digits over dims + dims are r's digits, then c's
     dims = op.parties
     digits = np.unravel_index(flat, dims + dims)
@@ -269,8 +261,7 @@ def separability_eigenvalue_numeric(
     from a deterministic Philox stream keyed by (seed, restart) and all
     drawn in one call.  A half-step on party j conditions the operator on
     the other parties through its nonzero entries, read from the operator's
-    support (an operator built from a dense matrix is scanned once per
-    solve).  Each party's factors conj(a_i[r_i]) a_i[c_i] at the entries are
+    support.  Each party's factors conj(a_i[r_i]) a_i[c_i] at the entries are
     kept per restart and only the party just solved has its factors
     gathered again, so a half-step costs (n - 1) nnz multiply-adds per
     restart and one scatter-add, then one batched eigensolve.  Lambda and
@@ -353,18 +344,13 @@ def separability_eigenvalue_numeric(
 def _trace_of_product(element: HermitianOperator, probe: HermitianOperator) -> float:
     """tr(element probe) = sum_rc real(conj(p_rc) e_rc), over the probe's nonzero entries.
 
-    The probe's entries are its support, or a scan of its matrix when it
-    was built dense; the element's values at them come from its support, or
-    from its matrix when it was built dense, so no dense matrix is built.
-    The terms are added by math.fsum, which rounds their exact sum once: the
-    value depends on neither their order nor the BLAS thread count.
+    The probe's entries and the element's values at them are read from the
+    two supports, so no dense matrix is built.  The terms are added by
+    math.fsum, which rounds their exact sum once: the value depends on
+    neither their order nor the BLAS thread count.
     """
-    if probe.support is None:
-        flat = np.flatnonzero(probe.matrix)
-        p = probe.matrix.ravel()[flat]
-    else:
-        flat, p = probe.support
-    e = element.matrix.ravel()[flat] if element.support is None else _lookup(*element.support, flat)
+    flat, p = probe.support
+    e = _lookup(*element.support, flat)
     return math.fsum((p.conj() * e).real.tolist())
 
 

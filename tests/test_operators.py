@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from povm_entangle import (
     HermitianOperator,
@@ -27,7 +28,7 @@ from povm_entangle import (
     pauli_eigenstate,
     pauli_expand,
 )
-from povm_entangle.operators import _BELL_VECTORS, _entry_deviation, _hermiticity_deviation
+from povm_entangle.operators import _BELL_VECTORS, _entry_deviation
 from povm_entangle.pauli import _PAULI_KRONS, PAULIS, pauli_matrices
 
 from conftest import (
@@ -160,7 +161,7 @@ def test_hermitian_operator_rejects_non_finite(entries):
 @pytest.mark.parametrize("ij", [(200, 3), (200, 200)])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_hermitian_operator_rejects_late_non_finite_quietly(ij, value):
-    # a diagonal entry at row 200 reaches only the last block of the check
+    # a non-finite entry on the diagonal, and one whose mirror is zero
     m = np.eye(256, dtype=complex) / 256
     m[ij] = value
     with warnings.catch_warnings():
@@ -169,14 +170,20 @@ def test_hermitian_operator_rejects_late_non_finite_quietly(ij, value):
             HermitianOperator(m, (4, 4, 4, 4))
 
 
+def dense_deviation(m):
+    """The constructor's check of a dense matrix: its nonzero entries, each against its mirror."""
+    flat = np.flatnonzero(m)
+    return _entry_deviation(flat, m.ravel()[flat], m.shape[0])
+
+
 @pytest.mark.parametrize("dim", [4, 100, 1024])
-def test_blocked_hermiticity_deviation_is_exact(dim):
+def test_dense_deviation_is_exact(dim):
     rng = np.random.default_rng(dim)
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     near = (a + a.conj().T) / 2
     near[dim - 1, 0] += 1e-13
     for m in (a, (a + a.conj().T) / 2, near):
-        assert _hermiticity_deviation(m) == float(np.max(np.abs(m - m.conj().T)))
+        assert dense_deviation(m) == float(np.max(np.abs(m - m.conj().T)))
 
 
 def full_square_deviation(m):
@@ -190,8 +197,9 @@ def same_float(a, b):
 
 @pytest.mark.parametrize("dim", [4, 63, 64, 65, 129])
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_staircase_hermiticity_deviation_matches_full_square(dim, dtype):
-    # the staircase sees each (r, c), (c, r) pair from one side only
+def test_dense_deviation_matches_full_square(dim, dtype):
+    # a nudge on one side of a pair, and non-finite entries against a finite
+    # mirror, an infinite one, and themselves
     rng = np.random.default_rng(dim)
     a = rng.standard_normal((dim, dim)).astype(dtype)
     if dtype is complex:
@@ -212,9 +220,9 @@ def test_staircase_hermiticity_deviation_matches_full_square(dim, dtype):
     both[dim - 1, 0] = both[0, dim - 1] = np.inf  # inf - inf
     cases.append(both)
     for m in cases:
-        dev = _hermiticity_deviation(m)
+        dev = dense_deviation(m)
         assert same_float(dev, full_square_deviation(m)), (dev, full_square_deviation(m))
-    assert _hermiticity_deviation(h) == 0.0
+    assert dense_deviation(h) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -484,7 +492,7 @@ def test_entry_deviation_matches_the_dense_scan(dim, dtype):
     cases.append((hflat[:0], h.ravel()[:0]))
     for f, v in cases:
         got = _entry_deviation(f, v, dim)
-        expect = _hermiticity_deviation(entry_matrix(f, v, dim))
+        expect = full_square_deviation(entry_matrix(f, v, dim))
         assert same_float(got, expect), (got, expect)
 
 
@@ -503,7 +511,8 @@ def test_from_entries_keeps_the_support_and_the_dtype_rule():
     empty = HermitianOperator.from_entries([], [], (2, 3))
     assert empty.matrix.tobytes() == np.zeros((6, 6)).tobytes()
     assert empty.support[0].size == 0
-    assert HermitianOperator(np.eye(4), (2, 2)).support is None
+    dense = HermitianOperator(np.diag([2.0, 1.0, 3.0, 0.0]), (2, 2))
+    assert [a.tobytes() for a in dense.support] == [a.tobytes() for a in op.support]
 
 
 @pytest.mark.parametrize(
@@ -531,6 +540,55 @@ def test_from_entries_keeps_the_support_and_the_dtype_rule():
 def test_from_entries_validation(flat, values, parties, match):
     with pytest.raises(ValidationError, match=match):
         HermitianOperator.from_entries(flat, values, parties)
+
+
+@st.composite
+def hermitian_with_zeros(draw):
+    """(matrix, parties): a real or complex Hermitian matrix with a random mirrored zero pattern."""
+    parties = draw(st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+    dim = int(np.prod(parties))
+    entries = st.floats(-4, 4, allow_subnormal=False) | st.just(0.0)
+    m = draw(arrays(np.float64, (dim, dim), elements=entries))
+    if draw(st.booleans()):
+        m = m + 1j * draw(arrays(np.float64, (dim, dim), elements=entries))
+    m[draw(arrays(bool, (dim, dim)))] = 0
+    upper = np.triu(m, 1)
+    return upper + upper.conj().T + np.diag(m.diagonal().real), parties
+
+
+def from_entries_of(m, parties):
+    flat = np.flatnonzero(m)
+    return HermitianOperator.from_entries(flat, m.ravel()[flat], parties)
+
+
+def refusal(build):
+    with pytest.raises(ValidationError) as err:
+        build()
+    return str(err.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hermitian_with_zeros(), st.integers(0, 2**32 - 1))
+def test_dense_and_entry_built_operators_agree(case, seed):
+    m, parties = case
+    dense, entry = HermitianOperator(m, parties), from_entries_of(m, parties)
+    assert [a.tobytes() for a in dense.support] == [a.tobytes() for a in entry.support]
+    assert dense.trace() == entry.trace()
+    assert min_eigenvalue(dense) == min_eigenvalue(entry)
+    assert dense.to_dict() == entry.to_dict()
+    # one entry off its mirror, or not finite: both builds give the same refusal
+    rng = np.random.default_rng(seed)
+    dim = m.shape[0]
+    r, c = rng.choice(dim, size=2, replace=False)
+    for value in (m[r, c] + 0.5, np.nan, np.inf, -np.inf):
+        bad = m.copy()
+        bad[r, c] = value
+        message = refusal(lambda: HermitianOperator(bad, parties))
+        assert refusal(lambda: from_entries_of(bad, parties)) == message
+        assert ("non-finite" if np.isnan(value) or np.isinf(value) else "not Hermitian") in message
+    diagonal = m.astype(complex)
+    diagonal[r, r] += 1j
+    assert refusal(lambda: HermitianOperator(diagonal, parties)) == refusal(lambda: from_entries_of(diagonal, parties))
 
 
 def half_diagonal(rng, dim, dtype):

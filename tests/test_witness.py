@@ -524,7 +524,6 @@ ENTRY_BUILT = {
 @pytest.mark.parametrize("name", sorted(ENTRY_BUILT))
 def test_entries_read_from_the_support_match_the_scan(name):
     op = ENTRY_BUILT[name]
-    assert op.support is not None
     got = witness._sparse_entries(op)
     expect = witness._sparse_entries(HermitianOperator(op.matrix, op.parties))
     assert got.values.dtype == expect.values.dtype
@@ -543,19 +542,26 @@ def test_stacked_random_starts_match_one_generator_per_restart(seed, dims):
             assert s[row].tobytes() == expect.tobytes()
 
 
-def test_entry_built_operators_skip_the_dense_scan(monkeypatch, tmp_path):
-    # building, checking and solving lambda and the GHZ family never scans D^2 entries
-    def refuse(m):
-        raise AssertionError(f"dense Hermiticity scan of a {m.shape} matrix")
-
-    monkeypatch.setattr(operators, "_hermiticity_deviation", refuse)
-    res = separability_eigenvalue_numeric(lambda_operator(5, 4), restarts=12, seed=0)
+def test_entry_built_operators_never_gain_a_dense_matrix(monkeypatch, tmp_path):
+    # building, checking and solving lambda and the GHZ family never writes D^2 entries
+    op = lambda_operator(5, 4)
+    probe = ghz_probe(10)
+    element = noisy_ghz_element(10, 0.1)
+    res = separability_eigenvalue_numeric(op, restarts=12, seed=0)
     assert abs(res.gmax - lambda_gmax_analytic(5, 4)) < 1e-9
+    assert witness_evaluate(element, probe).verdict == "entangled"
+    for built in (op, probe.operator, element):
+        assert "matrix" not in vars(built)
+
+    def refuse(self, name):
+        raise AssertionError(f"dense {name} written for {self!r}")
+
+    monkeypatch.setattr(HermitianOperator, "__getattr__", refuse)
     out = tmp_path / "w.json"
     assert main(["witness", "--family", "ghz", "-n", "10", "--numeric", "-o", str(out)]) == 0
     assert '"verdict": "entangled"' in out.read_text()
-    with pytest.raises(AssertionError, match="dense Hermiticity scan"):
-        HermitianOperator(np.eye(4), (2, 2))
+    with pytest.raises(AssertionError, match="dense matrix written"):
+        lambda_operator(2, 2).matrix
 
 
 @pytest.mark.parametrize("floor", [1, witness._FRAME_FLOOR])
@@ -650,7 +656,6 @@ def test_dense_built_operators_solve_like_entry_built(name):
     # the same matrix, built dense and scanned for its entries, takes every
     # bit of the entry-built operator's solve
     op = PARITY_OPERATORS[name]
-    assert op.support is not None
     fast = separability_eigenvalue_numeric(op, restarts=12, seed=0, track_history=True)
     dense = separability_eigenvalue_numeric(
         HermitianOperator(op.matrix, op.parties), restarts=12, seed=0, track_history=True
