@@ -612,7 +612,7 @@ _COMMANDS = {
         _Option(("--povm",), "povm_path", "POVM JSON for element mode."),
         _Option(("--element",), "element_label", "Element label within the POVM."),
         _Option(("--lambda",), "lambda_mode", "Cross-check the analytic bound against the numeric solver.", None, False),
-        _Option(("--numeric",), "numeric", "Use the numeric lower bound for the verdict.", None, False),
+        _Option(("--numeric",), "numeric", "Add the numeric solver's g_max as a cross-check; the closed form decides the verdict.", None, False),
         _Option(("--restarts",), "restarts", "Solver restarts.", int, 64),
         _Option(("--seed",), "seed", "Solver seed.", int, 0),
         _Option(("--out", "-o"), "out", "Output JSON file (default: stdout)."),

@@ -1,5 +1,6 @@
 """Probe-state witnesses, noise thresholds, and the separability solver."""
 
+import json
 import os
 import subprocess
 import sys
@@ -136,10 +137,13 @@ def test_probe_bound_matches_flip_bound():
 
 def test_probe_state_validation():
     with pytest.raises(ValidationError, match="trace"):
-        ProbeState(HermitianOperator(np.eye(4) / 2, (2, 2)))
+        ProbeState(HermitianOperator(np.eye(4) / 2, (2, 2)), 0.5)
     m = np.diag([1.1, -0.1, 0.0, 0.0])
     with pytest.raises(ValidationError, match="positive"):
-        ProbeState(HermitianOperator(m, (2, 2)))
+        ProbeState(HermitianOperator(m, (2, 2)), 0.5)
+    # every probe carries its closed-form bound
+    with pytest.raises(TypeError, match="gmax"):
+        ProbeState(HermitianOperator(np.eye(4) / 4, (2, 2)))
 
 
 def test_probe_state_rejects_indefinite_entry_built_probes():
@@ -153,7 +157,7 @@ def test_probe_state_rejects_indefinite_entry_built_probes():
     for op in (coupled, lone):
         for probe in (op, HermitianOperator(op.matrix, op.parties)):
             with pytest.raises(ValidationError, match="positive"):
-                ProbeState(probe)
+                ProbeState(probe, 0.5)
 
 
 @pytest.mark.parametrize(
@@ -223,8 +227,7 @@ def test_identity_element_inconclusive():
     assert res.lhs == pytest.approx(0.25, abs=1e-12)
     assert res.verdict == "inconclusive"
     d = res.to_dict()
-    assert set(d) == {"lhs", "bound", "margin", "verdict", "bound_source"}
-    assert d["bound_source"] == "analytic"
+    assert set(d) == {"lhs", "bound", "margin", "verdict"}
 
 
 def test_witness_validation():
@@ -232,16 +235,50 @@ def test_witness_validation():
         witness_evaluate(noisy_ghz_element(3, 0.1), ghz_probe(2))
     with pytest.raises(ValidationError, match="trace"):
         witness_evaluate(HermitianOperator(np.zeros((4, 4)), (2, 2)), ghz_probe(2))
-    bare = ProbeState(HermitianOperator(np.eye(4) / 4, (2, 2)))
-    with pytest.raises(ValidationError, match="numeric"):
-        witness_evaluate(noisy_ghz_element(2, 0.1), bare)
 
 
-def test_numeric_bound_matches_analytic():
-    res = witness_evaluate(noisy_ghz_element(2, 0.1), ghz_probe(2), numeric=True, restarts=8)
-    assert res.bound == pytest.approx(0.375, abs=1e-9)
-    assert res.bound_source == "numeric-lower-bound"
+def test_numeric_cross_check_leaves_the_verdict_to_the_closed_form():
+    element, probe = noisy_ghz_element(2, 0.1), ghz_probe(2)
+    plain = witness_evaluate(element, probe)
+    res = witness_evaluate(element, probe, numeric=True, restarts=8)
+    assert (res.lhs, res.bound, res.margin, res.verdict) == (plain.lhs, plain.bound, plain.margin, plain.verdict)
+    assert res.bound == probe.gmax == 0.375
+    assert res.numeric_gmax == pytest.approx(0.375, abs=1e-9)
+    assert res.numeric_converged is True
+    assert res.shortfall == res.bound - res.numeric_gmax
+    assert set(res.to_dict()) == {"lhs", "bound", "margin", "verdict", "numeric_gmax", "numeric_converged", "shortfall"}
+    assert set(plain.to_dict()) == {"lhs", "bound", "margin", "verdict"}
+
+
+def test_a_short_numeric_solve_cannot_certify_entanglement(tmp_path):
+    # 2 restarts stop at 1/6, short of the ME probe's g_max 5/27, and the
+    # lhs at eps 0.2, above the noise threshold 2/11, lies between the two
+    out = tmp_path / "w.json"
+    assert main(["witness", "--family", "me", "-d", "3", "--eps", "0.2", "--numeric", "--restarts", "2", "-o", str(out)]) == 0
+    got = json.loads(out.read_text())
+    assert got["noise_threshold"] < got["eps"]
+    assert got["numeric_gmax"] < got["lhs"] < got["bound"]
+    assert got["verdict"] == "inconclusive"
+    assert got["shortfall"] == pytest.approx(5 / 27 - 1 / 6, abs=1e-12)
+    plain = witness_evaluate(noisy_me_element(3, 0.2), me_probe(3))
+    assert (got["lhs"], got["bound"], got["margin"]) == (plain.lhs, plain.bound, plain.margin)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("family, size", [("ghz", 3), ("ghz", 4), ("ghz", 5), ("me", 3), ("me", 4), ("me", 5)])
+def test_numeric_cross_check_finds_the_family_bounds(family, size, seed):
+    # witness_grid's family units: at half the noise threshold and 12
+    # restarts the solver reaches each probe's closed-form g_max
+    eps = noise_threshold(family, size) / 2
+    if family == "ghz":
+        element, probe = noisy_ghz_element(size, eps), ghz_probe(size)
+    else:
+        element, probe = noisy_me_element(size, eps), me_probe(size)
+    res = witness_evaluate(element, probe, numeric=True, restarts=12, seed=seed)
     assert res.verdict == "entangled"
+    assert res.bound == probe.gmax
+    assert res.numeric_converged
+    assert abs(res.shortfall) < 1e-6
 
 
 def test_lambda_gmax_analytic_values():
