@@ -162,16 +162,16 @@ def test_noisy_reconstruct_and_quasidist_bytes_are_pinned(tmp_path, monkeypatch)
     assert digests(tmp_path / "qd") == QUASIDIST_NOISY
 
 
-# sha256 of `witness` outputs, taken when the family and element manifests
-# gained the restart count; the element runs read the pinned noisy
-# `reconstruct` output.
+# sha256 of `witness` outputs, taken when the closed-form bound came to
+# decide every verdict and `--numeric` became a cross-check; the element
+# runs read the pinned noisy `reconstruct` output.
 WITNESS = {
-    ("--family", "ghz", "-n", "3", "--eps", "0.1"): "7ab84aba917fdcac3623c5ca08e1a098abbd2290fdd708bde83aea2e494ed153",
-    ("--family", "ghz", "-n", "3", "--eps", "0.1", "--numeric"): "ec4a9aaeb64c2cc8615a83a780a6d77b61cfe4f5ac79f63e146a1c5fc4640860",
-    ("--family", "me", "-d", "3", "--eps", "0.1"): "ce61ae78666b850942e5ca9b85bc2b1c23e82dd71c811192922b3efa5606caa7",
-    ("--family", "me", "-d", "3", "--eps", "0.1", "--numeric"): "7fc6e0ba3922d747896c60df8f5d072773a1a4ba903453c40867862d839119f3",
-    ("--povm", "rec.json", "--element", "DD"): "0ee80f599158b94add20cab09303c75658019e34837821e083e8fcf804a3cb87",
-    ("--povm", "rec.json", "--element", "DD", "--numeric"): "31db8dcf4a2d6b58c0f23fc50ae55a7043c068a6b2fdf76fcb47feb49c6720ef",
+    ("--family", "ghz", "-n", "3", "--eps", "0.1"): "0e23e06e3e919c69d82a964545d1ae488584ceb82ec77d11ac8098e90d13b2c4",
+    ("--family", "ghz", "-n", "3", "--eps", "0.1", "--numeric"): "c384aed15e3b6aca6bcfac7d118a763f989f6e3f7c1ae21929207c30300b5c5a",
+    ("--family", "me", "-d", "3", "--eps", "0.1"): "b054f393a87fa0588c65b4799c4a84f3a0006753c807bf9f14988b77bc1a407a",
+    ("--family", "me", "-d", "3", "--eps", "0.1", "--numeric"): "0aebc86a369af4480aabbb1bade458a22355fe1f53c92940535f33be5f6f95ca",
+    ("--povm", "rec.json", "--element", "DD"): "0198a5ca8020fd3b83f4499a037a42720fb491691e4d36c48f610c6094afb7ad",
+    ("--povm", "rec.json", "--element", "DD", "--numeric"): "09f4e228fa2596c2e90a11ff65ac627a09592b23209a0dcebd8a7a3c90006ec9",
 }
 
 
@@ -188,12 +188,12 @@ def test_witness_bytes_are_pinned(tmp_path, monkeypatch):
 
 # sha256 of `witness` runs at dimension 1024: both solver paths' largest
 # lambda units, taken before the operators were built from their entries,
-# and the numeric GHZ family witness, taken again when its lhs became a
-# correctly rounded sum over the probe's entries.
+# and the numeric GHZ family witness, taken again when `--numeric` became a
+# cross-check of the closed-form bound.
 WITNESS_D1024 = {
     ("--lambda", "-n", "5", "-d", "4"): "e6069e9de37f1c1c93d673576bbaf2c96d8631db8b935a36a990396f4e0a5fe7",
     ("--lambda", "-n", "10", "-d", "2"): "22f99956a0b0dd11dada36abb8f62b7e86195e9ea65e8896f0e8a218a643f9af",
-    ("--family", "ghz", "-n", "10", "--eps", "0.1", "--numeric"): "a17fedafd6802811dbdc2fbf0776b40c581503bf2bcb90aaa40a9962a4584e6c",
+    ("--family", "ghz", "-n", "10", "--eps", "0.1", "--numeric"): "b96e7da7287ce4060a86bead18a72819a144c9b548fd24e01ea35f7a4b293a55",
 }
 
 
