@@ -114,13 +114,13 @@ class HermitianOperator:
     def __post_init__(self):
         parties, dim = _checked_parties(self.parties)
         m = np.asarray(self.matrix)
-        m = _frozen(np.asarray(m, dtype=_stored_dtype(m)))
+        m = np.asarray(m, dtype=_stored_dtype(m))
         if m.shape != (dim, dim):
             raise ValidationError(f"matrix shape {m.shape} does not match parties {parties}")
         flat = np.flatnonzero(m)
         values = m.ravel()[flat]
         _check_deviation(_entry_deviation(flat, values, dim))
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen(m))
         object.__setattr__(self, "parties", parties)
         object.__setattr__(self, "support", (_frozen(flat), _frozen(values)))
 
