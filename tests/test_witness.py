@@ -28,7 +28,7 @@ from povm_entangle import (
     witness_evaluate,
 )
 import povm_entangle
-from povm_entangle import operators, witness
+from povm_entangle import witness
 from povm_entangle.cli import main
 from povm_entangle.streams import keyed_rng
 
