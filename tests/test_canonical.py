@@ -164,7 +164,9 @@ def test_noisy_reconstruct_and_quasidist_bytes_are_pinned(tmp_path, monkeypatch)
 
 # sha256 of `witness` outputs, taken when the closed-form bound came to
 # decide every verdict and `--numeric` became a cross-check; the element
-# runs read the pinned noisy `reconstruct` output.
+# runs read the pinned noisy `reconstruct` output, with the default ME probe
+# and with the two-qubit GHZ probe (the latter taken before element and
+# family mode came to share one evaluate-and-write path).
 WITNESS = {
     ("--family", "ghz", "-n", "3", "--eps", "0.1"): "0e23e06e3e919c69d82a964545d1ae488584ceb82ec77d11ac8098e90d13b2c4",
     ("--family", "ghz", "-n", "3", "--eps", "0.1", "--numeric"): "c384aed15e3b6aca6bcfac7d118a763f989f6e3f7c1ae21929207c30300b5c5a",
@@ -172,6 +174,8 @@ WITNESS = {
     ("--family", "me", "-d", "3", "--eps", "0.1", "--numeric"): "0aebc86a369af4480aabbb1bade458a22355fe1f53c92940535f33be5f6f95ca",
     ("--povm", "rec.json", "--element", "DD"): "0198a5ca8020fd3b83f4499a037a42720fb491691e4d36c48f610c6094afb7ad",
     ("--povm", "rec.json", "--element", "DD", "--numeric"): "09f4e228fa2596c2e90a11ff65ac627a09592b23209a0dcebd8a7a3c90006ec9",
+    ("--povm", "rec.json", "--element", "DD", "--family", "ghz"): "ed67fae898546182d24c577dcb4599d01c9da9c62ae59ef17a9774a1bb772c12",
+    ("--povm", "rec.json", "--element", "DD", "--family", "ghz", "--numeric"): "ec6345f3b27691aaeb34424c4a458dc7f2ad82fbe166b5e731667e204913d0c6",
 }
 
 

@@ -514,6 +514,23 @@ class TestExitCodes:
         assert out == ""
         assert "exceeds the 4096 guard" in err
 
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            (["--family", "ghz"], "ghz probe needs qubit parties"),
+            ([], "me probe needs two equal-dimension parties"),
+        ],
+        ids=["ghz", "me"],
+    )
+    def test_witness_element_probe_refusals_are_two(self, tmp_path, capsys, family, message):
+        # a qubit and a qutrit fit neither probe
+        path = tmp_path / "povm.json"
+        path.write_text(json.dumps(PovmSet(("one",), (HermitianOperator(np.eye(6), (2, 3)),)).to_dict()))
+        rc, out, err = run(["witness", "--povm", str(path), "--element", "one", *family], capsys)
+        self.assert_invalid_input(rc, err)
+        assert out == ""
+        assert message in err
+
     def test_directory_as_counts_is_two(self, tmp_path, capsys):
         rc, _, err = run(["errors", "--counts", str(tmp_path)], capsys)
         self.assert_invalid_input(rc, err)
