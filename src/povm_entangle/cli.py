@@ -466,82 +466,32 @@ def witness(given, family, n, d, eps, povm_path, element_label, lambda_mode, num
         raise _UsageError("pick a mode: --family, --povm/--element, or --lambda", f"{_PROG} witness")
     _check_mode("witness", given, mode, *_WITNESS_MODES[mode])
     if lambda_mode:
-        op = lambda_operator(n, d)
+        res = separability_eigenvalue_numeric(lambda_operator(n, d), restarts=restarts, seed=seed)
         analytic = lambda_gmax_analytic(n, d)
-        res = separability_eigenvalue_numeric(op, restarts=restarts, seed=seed)
-        payload = {
-            "manifest": _manifest("witness", mode="lambda", n=n, d=d, restarts=restarts, seed=seed),
-            "mode": "lambda",
-            "n": n,
-            "d": d,
-            "analytic": analytic,
-            "numeric": res.gmax,
-            "difference": analytic - res.gmax,
-            "converged": res.converged,
-        }
-        _emit(payload, out)
+        manifest = _manifest("witness", mode="lambda", n=n, d=d, restarts=restarts, seed=seed)
+        payload = {"manifest": manifest, "mode": "lambda", "n": n, "d": d, "analytic": analytic}
+        _emit({**payload, "numeric": res.gmax, "difference": analytic - res.gmax, "converged": res.converged}, out)
         return
     if mode == "element mode":
-        povm = _read_povm(povm_path)
-        element = povm.element(element_label)
-        if family == "ghz":
-            if any(p != 2 for p in element.parties):
-                raise ValidationError("ghz probe needs qubit parties")
-            probe = ghz_probe(len(element.parties))
-        else:
-            if len(element.parties) != 2 or element.parties[0] != element.parties[1]:
-                raise ValidationError("me probe needs two equal-dimension parties")
-            probe = me_probe(element.parties[0])
-        result = witness_evaluate(
-            element, probe, numeric=numeric, restarts=restarts, seed=seed
-        )
-        payload = {
-            "manifest": _manifest(
-                "witness",
-                mode="element",
-                povm=povm_path,
-                element=element_label,
-                family=family or "me",
-                numeric=numeric,
-                restarts=restarts,
-                seed=seed,
-            ),
-            "mode": "element",
-            "element": element_label,
-            **result.to_dict(),
-        }
-        _emit(payload, out)
-        return
-    if family == "ghz":
-        element = noisy_ghz_element(n, eps)
-        probe = ghz_probe(n)
-        threshold = noise_threshold("ghz", n)
-        size = n
+        element = _read_povm(povm_path).element(element_label)
+        family, parties = family or "me", element.parties
+        if family == "ghz" and any(p != 2 for p in parties):
+            raise ValidationError("ghz probe needs qubit parties")
+        if family == "me" and (len(parties) != 2 or parties[0] != parties[1]):
+            raise ValidationError("me probe needs two equal-dimension parties")
+        size = len(parties) if family == "ghz" else parties[0]
+        keys = {"mode": "element", "element": element_label}
+        params = {**keys, "povm": povm_path, "family": family}
     else:
-        element = noisy_me_element(d, eps)
-        probe = me_probe(d)
-        threshold = noise_threshold("me", d)
-        size = d
+        size = n if family == "ghz" else d
+        # the element first: a size past the dimension guard fails there
+        element = (noisy_ghz_element if family == "ghz" else noisy_me_element)(size, eps)
+        params = {"mode": "family", "family": family, "size": size, "eps": eps}
+        keys = {**params, "noise_threshold": noise_threshold(family, size)}
+    probe = (ghz_probe if family == "ghz" else me_probe)(size)
     result = witness_evaluate(element, probe, numeric=numeric, restarts=restarts, seed=seed)
-    payload = {
-        "manifest": _manifest(
-            "witness",
-            mode="family",
-            family=family,
-            size=size,
-            eps=eps,
-            numeric=numeric,
-            restarts=restarts,
-            seed=seed,
-        ),
-        "mode": "family",
-        "family": family,
-        "size": size,
-        "eps": eps,
-        "noise_threshold": threshold,
-        **result.to_dict(),
-    }
-    _emit(payload, out)
+    manifest = _manifest("witness", **params, numeric=numeric, restarts=restarts, seed=seed)
+    _emit({"manifest": manifest, **keys, **result.to_dict()}, out)
 
 
 def combine(given, counts_path, basis_map_path, groups, out):
