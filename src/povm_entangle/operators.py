@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -37,10 +38,21 @@ _BELL_VECTORS = {
 }
 
 
-def _check_dimension(dim: int) -> None:
-    """Raise ValidationError when a total dimension exceeds DIMENSION_GUARD."""
-    if dim > DIMENSION_GUARD:
-        raise ValidationError(f"total dimension {dim} exceeds the {DIMENSION_GUARD} guard")
+def _check_dimension(runs) -> int:
+    """The total dimension, the product of d^k over runs (d, k) of k parties of dimension d >= 2.
+
+    Raises ValidationError when it exceeds DIMENSION_GUARD.  More parties
+    than log2 of the guard, or one party above it, are refused before the
+    product is formed, so no size is costly to refuse.  The message names the
+    dimension by its factors, as in 2^14300, and so never writes the product
+    in decimal.
+    """
+    if sum(k for _, k in runs) < DIMENSION_GUARD.bit_length() and max(d for d, _ in runs) <= DIMENSION_GUARD:
+        dim = math.prod(d**k for d, k in runs)
+        if dim <= DIMENSION_GUARD:
+            return dim
+    factors = "*".join(f"{d}^{k}" if k > 1 else f"{d}" for d, k in runs)
+    raise ValidationError(f"total dimension {factors} exceeds the {DIMENSION_GUARD} guard")
 
 
 def _lookup(flat: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -69,9 +81,7 @@ def _checked_parties(parties) -> tuple[tuple[int, ...], int]:
     parties = tuple(int(d) for d in parties)
     if not parties or any(d < 2 for d in parties):
         raise ValidationError(f"party dimensions must all be >= 2, got {parties}")
-    dim = math.prod(parties)
-    _check_dimension(dim)
-    return parties, dim
+    return parties, _check_dimension([(d, len(list(run))) for d, run in groupby(parties)])
 
 
 def _check_deviation(dev: float) -> None:
@@ -305,8 +315,7 @@ def ghz_state(n: int) -> np.ndarray:
     """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
     if n < 2:
         raise ValidationError(f"need at least 2 qubits, got {n}")
-    _check_dimension(2**n)
-    v = np.zeros(2**n, dtype=complex)
+    v = np.zeros(_check_dimension([(2, n)]), dtype=complex)
     v[0] = v[-1] = 1 / _SQ2
     return v
 
@@ -315,8 +324,7 @@ def me_state(d: int) -> np.ndarray:
     """Maximally entangled two-qudit vector sum_k |kk> / sqrt(d)."""
     if d < 2:
         raise ValidationError(f"need local dimension >= 2, got {d}")
-    _check_dimension(d * d)
-    v = np.zeros(d * d, dtype=complex)
+    v = np.zeros(_check_dimension([(d, 2)]), dtype=complex)
     v[:: d + 1] = 1 / math.sqrt(d)
     return v
 
@@ -360,8 +368,7 @@ def lambda_operator(n: int, d: int) -> HermitianOperator:
     """
     if n < 2 or d < 2:
         raise ValidationError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
-    dim = d**n
-    _check_dimension(dim)
+    dim = _check_dimension([(d, n)])
     # |k...k> sits at index k * (d^n - 1) / (d - 1) in the computational basis.
     idx = np.arange(d) * ((dim - 1) // (d - 1))
     k, l = np.nonzero(~np.eye(d, dtype=bool))

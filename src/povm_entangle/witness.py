@@ -117,27 +117,33 @@ def _unit_plus(lam: HermitianOperator, scale: int) -> HermitianOperator:
 
 def ghz_probe(n: int) -> ProbeState:
     """(1 + flip) / 2^n on n qubits, where flip exchanges |0...0> and |1...1>."""
-    gmax = (1 + 2.0 ** (1 - n)) / 2**n
-    return ProbeState(_unit_plus(lambda_operator(n, 2), 2**n), gmax)
+    # the operator first: it checks n against the dimension guard
+    op = _unit_plus(lambda_operator(n, 2), 2**n)
+    return ProbeState(op, (1 + 2.0 ** (1 - n)) / 2**n)
 
 
 def me_probe(d: int) -> ProbeState:
     """(1 + sum_{k != l} |k><l| (x) |k><l|) / d^2 on two qudits."""
-    gmax = (2 - 1.0 / d) / d**2
-    return ProbeState(_unit_plus(lambda_operator(2, d), d**2), gmax)
+    op = _unit_plus(lambda_operator(2, d), d**2)
+    return ProbeState(op, (2 - 1.0 / d) / d**2)
 
 
 def noise_threshold(family: str, size: int) -> float:
     """White-noise fraction below which the witness still fires.
 
-    family 'ghz' takes the qubit number n, family 'me' the local dimension d.
+    family 'ghz' takes the qubit number n, family 'me' the local dimension d;
+    it holds for any size >= 2, past the dimension guard too.  The GHZ value
+    (h - 1) / (3 h - 1), h = 2^(n - 1), tends to 1/3.  It is computed as
+    (1 - x) / (3 - x), x = 1 / h, both terms scaled by a power of two: the
+    same float wherever 3 h is finite (n <= 1023), and 1/3 beyond, where
+    3 h overflows.
     """
     if family == "ghz":
         n = int(size)
         if n < 2:
             raise ValidationError(f"need n >= 2, got {n}")
-        h = 2.0 ** (n - 1)
-        return (h - 1) / (3 * h - 1)
+        x = 2.0 ** (1 - n)
+        return (1 - x) / (3 - x)
     if family == "me":
         d = int(size)
         if d < 2:

@@ -504,15 +504,37 @@ class TestExitCodes:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
-        "family",
-        [["ghz", "-n", "13"], ["ghz", "-n", "40"], ["me", "-d", "70"], ["me", "-d", "1000"]],
-        ids=["ghz13", "ghz40", "me70", "me1000"],
+        "args",
+        [
+            ["--family", "ghz", "-n", "13", "--eps", "0.1"],
+            ["--family", "ghz", "-n", "40", "--eps", "0.1"],
+            ["--family", "me", "-d", "70", "--eps", "0.1"],
+            ["--family", "me", "-d", "1000", "--eps", "0.1"],
+            ["--family", "ghz", "-n", "14300"],
+            ["--family", "ghz", "-n", "1000000"],
+            ["--lambda", "-n", "14300", "-d", "2"],
+        ],
+        ids=["ghz13", "ghz40", "me70", "me1000", "ghz14300", "ghz1e6", "lambda14300"],
     )
-    def test_witness_family_beyond_guard_is_two(self, capsys, family):
-        rc, out, err = run(["witness", "--family", *family, "--eps", "0.1"], capsys)
+    def test_witness_family_beyond_guard_is_two(self, capsys, args):
+        # 2^14300 has more digits than int-to-str writes by default: the
+        # message names the dimension by its factors
+        start = time.monotonic()
+        rc, out, err = run(["witness", *args], capsys)
+        assert time.monotonic() - start < 1
         self.assert_invalid_input(rc, err)
         assert out == ""
         assert "exceeds the 4096 guard" in err
+        assert len(err) < 100
+
+    def test_povm_parties_beyond_guard_is_two(self, tmp_path, capsys):
+        big = 10**2999 + 7
+        path = tmp_path / "povm.json"
+        path.write_text(json.dumps({"labels": ["one"], "elements": [{"parties": [big, big], "re": [[1.0]], "im": [[0.0]]}]}))
+        rc, out, err = run(["quasidist", "--povm", str(path), "-o", str(tmp_path / "qd")], capsys)
+        self.assert_invalid_input(rc, err)
+        assert f"total dimension {big}^2 exceeds the 4096 guard" in err
+        assert not (tmp_path / "qd").exists()
 
     @pytest.mark.parametrize(
         "family, message",

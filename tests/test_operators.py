@@ -362,6 +362,39 @@ def test_states_reject_dimension_beyond_guard(build, size):
         build(size)
 
 
+# 2^14300 and (10^2999)^2 have more digits than int-to-str writes by default
+BIG = 10**2999 + 7
+
+
+@pytest.mark.parametrize(
+    "build, factors",
+    [
+        (lambda: ghz_state(13), "2^13"),
+        (lambda: ghz_state(14300), "2^14300"),
+        (lambda: ghz_state(10**9), "2^1000000000"),
+        (lambda: me_state(70), "70^2"),
+        (lambda: me_state(10**200), f"{10**200}^2"),
+        (lambda: lambda_operator(14300, 2), "2^14300"),
+        (lambda: lambda_operator(2, 5000), "5000^2"),
+        (lambda: HermitianOperator(np.eye(1), (BIG, BIG)), f"{BIG}^2"),
+        (lambda: HermitianOperator(np.eye(1), (2, 3, 3) * 5), "2*3^2*" * 4 + "2*3^2"),
+        (lambda: HermitianOperator.from_entries([0], [1.0], (3, BIG)), f"3*{BIG}"),
+    ],
+    ids=["ghz13", "ghz14300", "ghz1e9", "me70", "me1e200", "lambda14300", "lambda_d5000", "big", "mixed", "from_entries"],
+)
+def test_guard_names_the_dimension_by_its_factors(build, factors):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == f"total dimension {factors} exceeds the 4096 guard"
+
+
+def test_guard_admits_the_guard_dimension():
+    assert ghz_state(12).size == 4096
+    assert me_state(64).size == 4096
+    assert lambda_operator(6, 4).dim == 4096
+    assert HermitianOperator.from_entries([0], [1.0], (4096,)).dim == 4096
+
+
 @pytest.mark.parametrize(
     "build, size", [(noisy_me_element, 70), (noisy_ghz_element, 13)], ids=["me", "ghz"]
 )

@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ("ideal_bell_quasidist.py", ["--out", "charts"]),
         ("noise_threshold_scan.py", []),
+        ("noise_threshold_scan.py", ["--max-n", "1100"]),
         ("pipeline_demo.py", ["--samples", "20", "--out", "demo"]),
         ("exit_time.py", ["--repeats", "2"]),
     ],

@@ -173,6 +173,21 @@ def test_probes_match_the_dense_build(build, dense, size):
     assert probe.matrix.tobytes() == expect.matrix.tobytes()
 
 
+@pytest.mark.parametrize("build, size", [(ghz_probe, 13), (ghz_probe, 2000), (me_probe, 65), (me_probe, 10**200)])
+def test_probes_past_the_guard_are_refused(build, size):
+    # the closed-form bound of these sizes would overflow a float
+    with pytest.raises(ValidationError, match="exceeds the 4096 guard"):
+        build(size)
+
+
+def test_ghz_noise_threshold_past_the_float_range():
+    # (h - 1) / (3 h - 1) with h = 2^(n - 1): 3 h overflows from n = 1024
+    h = 2.0**1022
+    assert noise_threshold("ghz", 1023) == (h - 1) / (3 * h - 1)
+    for n in (1023, 1024, 1025, 10**6):
+        assert abs(noise_threshold("ghz", n) - 1 / 3) < 1e-15
+
+
 def test_noise_thresholds():
     assert noise_threshold("ghz", 2) == pytest.approx(0.2, abs=1e-15)
     assert noise_threshold("me", 2) == pytest.approx(0.2, abs=1e-15)
