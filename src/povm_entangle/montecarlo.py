@@ -30,7 +30,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .quasidist import _lorentz_pi, _none_where, grids_from_pi
+from .quasidist import _lorentz_pi, grids_from_pi
 from .streams import keyed_normals
 from .tomography import (
     CoincidenceCounts,
@@ -319,7 +319,14 @@ def _scalar(x: float) -> float | None:
 
 
 def _grid_list(grid: np.ndarray) -> list:
-    return _none_where(grid, ~np.isfinite(grid))
+    """The grid as nested lists of Python floats, None where not finite."""
+    g = np.asarray(grid, dtype=float)
+    missing = ~np.isfinite(g)
+    if not missing.any():
+        return g.tolist()
+    out = g.astype(object)
+    out[missing] = None
+    return out.tolist()
 
 
 @dataclass(frozen=True, eq=False)

@@ -54,16 +54,6 @@ _GAP_TOL = 1e-6
 _BOOST_TOL = 10.0
 
 
-def _none_where(grid: np.ndarray, missing: np.ndarray) -> list:
-    """The grid as nested lists of Python floats, None where `missing` holds."""
-    g = np.asarray(grid, dtype=float)
-    if not missing.any():
-        return g.tolist()
-    out = g.astype(object)
-    out[missing] = None
-    return out.tolist()
-
-
 @dataclass(frozen=True, eq=False)
 class QuasiDistribution:
     """6x6 grid of quasiprobabilities over Pauli eigenstate pairs."""
@@ -162,51 +152,30 @@ class NegativityReport:
     cumulative_negativity: float
     q: float
     verdict: str
-    significance: np.ndarray | None = None
 
     def __post_init__(self):
         if self.max_negativity > 0 or self.cumulative_negativity > 0:
             raise ValidationError("negativity summaries must be nonpositive")
         if self.verdict not in ("entangled", "separable"):
             raise ValidationError(f"verdict must be entangled or separable, got {self.verdict!r}")
-        if self.significance is not None:
-            s = np.asarray(self.significance, dtype=float)
-            if s.shape != (6, 6):
-                raise ValidationError("significance grid must have shape (6, 6)")
-            object.__setattr__(self, "significance", _frozen(s))
 
     def to_dict(self) -> dict:
-        sig = None
-        if self.significance is not None:
-            sig = _none_where(self.significance, np.isnan(self.significance))
         return {
             "max_negativity": self.max_negativity,
             "cumulative_negativity": self.cumulative_negativity,
             "q": self.q,
             "verdict": self.verdict,
-            "significance": sig,
         }
 
 
-def negativity_report(qdist: QuasiDistribution, sigma: np.ndarray | None = None) -> NegativityReport:
+def negativity_report(qdist: QuasiDistribution) -> NegativityReport:
     """Summarize negativities; verdict is entangled exactly when q < -1e-9.
 
-    `sigma`, when given, holds one standard deviation per cell and must be
-    positive wherever the grid is negative; significance is the number of
-    standard deviations a negative cell sits below zero.
+    Per-cell significances come from the resampled error bars of
+    `montecarlo.propagate`.
     """
     g = qdist.grid
     max_neg = float(min(0.0, g.min()))
     cumulative = float(g[g < 0].sum()) if np.any(g < 0) else 0.0
     verdict = "entangled" if qdist.q < -_VERDICT_TOL else "separable"
-    significance = None
-    if sigma is not None:
-        s = np.asarray(sigma, dtype=float)
-        if s.shape != (6, 6):
-            raise ValidationError(f"sigma must have shape (6, 6), got {s.shape}")
-        neg = g < 0
-        if np.any(neg & ~(s > 0)):
-            raise ValidationError("sigma must be positive wherever the grid is negative")
-        significance = np.full((6, 6), np.nan)
-        significance[neg] = -g[neg] / s[neg]
-    return NegativityReport(max_neg, cumulative, float(qdist.q), verdict, significance)
+    return NegativityReport(max_neg, cumulative, float(qdist.q), verdict)

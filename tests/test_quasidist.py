@@ -158,35 +158,6 @@ def test_negativity_report_values():
     assert rep.cumulative_negativity == pytest.approx(-1.0, abs=1e-12)
     assert rep.q == pytest.approx(-0.5)
     assert rep.verdict == "entangled"
-    assert rep.significance is None
-
-
-def test_negativity_report_significance():
-    qd = quasidistribution_from_pi([0.25, -0.25, -0.25, -0.25])
-    sigma = np.full((6, 6), 0.01)
-    rep = negativity_report(qd, sigma=sigma)
-    neg = qd.grid < 0
-    assert np.allclose(rep.significance[neg], (1 / 6) / 0.01, atol=1e-9)
-    assert np.all(np.isnan(rep.significance[~neg]))
-    d = rep.to_dict()
-    assert d["significance"][0][0] == pytest.approx(16.666666667, abs=1e-6)
-    assert d["significance"][0][2] is None
-    with pytest.raises(ValidationError, match="sigma"):
-        negativity_report(qd, sigma=np.zeros((6, 6)))
-    with pytest.raises(ValidationError):
-        negativity_report(qd, sigma=np.full((3, 3), 0.01))
-
-
-def test_negativity_report_dict_maps_only_nan_to_none():
-    sig = np.full((6, 6), 2.5)
-    sig[0, 0], sig[1, 2], sig[4, 4] = np.nan, np.inf, 0.0
-    d = NegativityReport(-0.1, -0.2, -0.3, "entangled", sig).to_dict()["significance"]
-    flat = [v for row in d for v in row]
-    assert flat[0] is None
-    assert flat[8] == np.inf and type(flat[8]) is float
-    assert sum(v is None for v in flat) == 1
-    assert all(type(v) is float for v in flat[1:])
-    assert flat[28] == 0.0 and flat[1] == 2.5
 
 
 def test_negativity_report_validation():
