@@ -131,14 +131,16 @@ ERRORS_C8 = {
     "summary.json": "e3042d8fa1f1f68628da6e927f2bc7655b2a831c4263f0df16877956c17d5e85",
 }
 RECONSTRUCT_NOISY = "9663e3656d0ae8b787509068d913a1dd1bdda7ed45eab37106a3fb09801316cb"
+# the element files retaken when their always-null negativity.significance
+# key was dropped; no other byte moved
 QUASIDIST_NOISY = {
-    "element_AA.json": "4dc9017133b174c1846a402c42e66658bcc8d1b0c26719c073be9487d66bb8b6",
+    "element_AA.json": "4acf729b650c907348ff68ab760f8af66c7dd568cea795527d209479cc108902",
     "element_AA.svg": "76f04694b622d4cafeed04228b877807348c9c7887c36aa35b24769e9a4e5a7c",
-    "element_AD.json": "6f99286ef8601958a4647933305e4f1ac1a1bea5992ec962e295924d26ba4470",
+    "element_AD.json": "9936b44729a4972e1ea2969b9eb37020aa22f80bb050fe37d63f6b1f72c1e5fd",
     "element_AD.svg": "487ae0e16315062abd46e19974cf908d63dbbf26bf776c4a507b35a86fafebc8",
-    "element_DA.json": "3f555255580173fa8bffecc6d800f2496c70e22b7e43fb11eb6793eff5d6f586",
+    "element_DA.json": "c56d2656a7a39a69d9b9bd06f0736f9426b03c0ccfc50cf4307679132f4da292",
     "element_DA.svg": "c8109a96fcab3924dd0892b429930b1e7fc2962b35528c6d8bf6986867c96862",
-    "element_DD.json": "2feb6e1e2bcbfba5a9ede619b74a45cd1d2033aa393f82dbecd8e0b1b41d0bbd",
+    "element_DD.json": "2873f4e9c4de86fd041755c7743789ca6116b6cb9d7a4c3c1793df1857dd6cc7",
     "element_DD.svg": "5f71d9d3209967aa2c61aec74ff555e35f65238de6eb5fc5f9e31204fab56eef",
     "summary.json": "2762342fa1eb9b31c88e1549657c02bcdec419186a4bd69dee7e4b9765b08c23",
 }
