@@ -4,13 +4,15 @@
 
 Each command of the analysis chain (simulate, reconstruct, quasidist,
 errors --workers 2) runs in fresh interpreters, two launches alternating:
-the process entry `cli.process_main`, which freezes the heap once main has
-returned, and a bare `sys.exit(cli.main())`, which does not.  A bare
-`import numpy` runs likewise, with and without a freeze after the import.
-The child stamps the monotonic clock when main has returned (or numpy is
-imported); the parent stamps it when the child's exit has been reaped.
-Prints the median and quartiles of the difference per command and launch,
-in milliseconds.
+a bare `sys.exit(cli.main())`, which leaves through the interpreter's whole
+finalization, and the process entry `cli.process_main`, which once main has
+returned freezes the heap, runs the exit handlers, flushes stdout and
+stderr and leaves through `os._exit`.  A bare `import numpy` runs likewise,
+its second launch with a heap freeze after the import and the
+interpreter's exit.  The child stamps the monotonic clock when main has
+returned (or numpy is imported); the parent stamps it when the child's exit
+has been reaped.  Prints the median and quartiles of the difference per
+command and launch, in milliseconds.
 """
 
 import argparse
@@ -85,7 +87,7 @@ def main():
             for i in range(opts.repeats):
                 for frozen in (i % 2 == 0, i % 2 == 1):
                     times[frozen].append(exit_ms(code.replace("FROZEN", str(frozen)), argv, d))
-            for frozen, label in ((False, "bare"), (True, "frozen heap")):
+            for frozen, label in ((False, "bare"), (True, "entry")):
                 q1, med, q3 = statistics.quantiles(times[frozen], n=4, method="inclusive")
                 print(f"{name:<20} {label:<13} {med:7.1f} {q1:7.1f} {q3:7.1f}")
 

@@ -27,24 +27,31 @@ even at its default value, and a value option takes the next argument as
 is, even when it starts with "-".  A usage error prints the usage line and
 returns 1; `main` returns an exit code and never raises `SystemExit`.
 
-Start-up: this module imports only what every command shares (numpy, the
-error classes and the standard library's `argparse`).  Each command imports
-its own layers when it runs, and so do the readers: the counts and
-basis-map readers import `tomography`, the POVM reader the operator layer.
-A process so compiles and executes only the modules its command uses.
-`reconstruct` never loads the Monte Carlo, witness or simulator modules,
-nor `numpy.random`; `errors` on data the closed form covers loads neither
-the operator layer nor the standard form; `quasidist` and `witness` load
-no `tomography`.
+Start-up: this module holds the option table, the parser, the readers and
+writers the commands share, and canonical JSON, and imports only numpy, the
+error classes and the standard library.  Each command's handler is its own
+module, `commands.<command>`, imported when the command runs (all six for
+the top-level help), so a process compiles no other command's code.  Each
+handler imports its own layers when it runs, and so do the readers: the
+counts and basis-map readers import `tomography`, the POVM reader the
+operator layer.  A process so compiles and executes only the modules its
+command uses.  `reconstruct` never loads the Monte Carlo, witness or
+simulator modules, nor `numpy.random`; `errors` on data the closed form
+covers loads neither the operator layer nor the standard form; `quasidist`
+and `witness` load no `tomography`.
 
 Exit: `process_main`, the entry of `python -m povm_entangle.cli` and of the
-`povm-entangle` script, freezes the heap (`gc.freeze`) once `main` has
-returned.  The interpreter's finalization would otherwise run full cyclic
-collections over the some 22 000 objects numpy and the package leave
-tracked, about 20 ms a process, more than most commands' own work; it still
-clears modules, frees objects by reference count, flushes stdout and stderr
-and runs atexit handlers.  `main` itself leaves the collector alone, since
-its in-process callers (tests, scripts, benchmarks) go on running.
+`povm-entangle` script, registers this module under its own name when it
+runs as `__main__`, so that the handler's `from ..cli import` does not
+compile and run it a second time.  Once `main` has returned, it freezes the
+heap (`gc.freeze`), runs the atexit handlers, flushes stdout and stderr and
+leaves through `os._exit`: the rest of the interpreter's finalization,
+clearing modules and freeing every object, cost 5-9 ms a process with
+nothing to show for it.  With a profiler or tracer attached, or when a
+flush fails, it exits through the interpreter instead, whose finalization
+then skips the cyclic collector's walks over the frozen heap.  `main`
+itself leaves the collector alone and never exits, since its in-process
+callers (tests, scripts, benchmarks) go on running.
 
 Exit codes: 0 success, 1 usage, 2 invalid data, 3 numeric failure.
 """
@@ -52,13 +59,16 @@ Exit codes: 0 success, 1 usage, 2 invalid data, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import atexit
 import functools
 import gc
+import importlib
 import json
 import os
 import sys
 from itertools import chain
 from pathlib import Path
+from types import ModuleType
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 import numpy as np
@@ -169,9 +179,11 @@ def _read_text(path: str) -> str:
 
 
 def _load_json(path: str) -> dict:
+    text = _read_text(path)
     try:
-        data = json.loads(_read_text(path))
-    except json.JSONDecodeError as e:
+        data = json.loads(text)
+    except ValueError as e:
+        # a JSONDecodeError, or an integer literal past int's digit limit
         raise ValidationError(f"{path} is not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise ValidationError(f"{path} must hold a JSON object, got {type(data).__name__}")
@@ -220,7 +232,7 @@ def _check_mode(command: str, given: frozenset[str], mode: str, needs: set[str],
     """Usage error unless the options in needs are all given and every other
     given option is in reads.  An option counts as given when it is on the
     command line, so an explicit default value counts too."""
-    options = _COMMANDS[command][1]
+    options = _COMMANDS[command]
     missing = [o.flags[0] for o in options if o.dest in needs - given]
     if missing:
         raise _UsageError(f"{mode} needs {', '.join(missing)}", f"{_PROG} {command}")
@@ -247,264 +259,6 @@ def _file_stems(labels) -> dict[str, str]:
     return {label: stem for stem, label in owner.items()}
 
 
-def simulate(given, model_path, povm_path, eps, counts, indefiniteness, seed, basis_map_path, out):
-    """Draw synthetic coincidence counts from a detector model."""
-    from .simulate import DetectorModel, bell_model, draw_counts, model_from_spec
-    from .tomography import BasisMap
-
-    if model_path is not None:
-        # the spec carries the model's own fields; only --seed overrides one
-        _check_mode("simulate", given, "--model", {"model_path"}, {"seed", "out"})
-        model, model_seed = model_from_spec(_load_json(model_path))
-    else:
-        model_seed = 0
-        basis_map = _read_basis_map(basis_map_path)
-        if povm_path is None or povm_path.lower() == "bell":
-            model = bell_model(eps, counts, indefiniteness, basis_map)
-        else:
-            model = DetectorModel(
-                povm=_read_povm(povm_path),
-                eps=eps,
-                counts_per_setting=counts,
-                basis_map=basis_map or BasisMap.default(),
-                indefiniteness=indefiniteness,
-            )
-    used_seed = model_seed if seed is None else seed
-    manifest = _manifest(
-        "simulate",
-        eps=model.eps,
-        counts_per_setting=model.counts_per_setting,
-        indefiniteness=model.indefiniteness,
-        seed=used_seed,
-    )
-    _write_counts(draw_counts(model, used_seed), out, manifest)
-
-
-def reconstruct(given, counts_path, basis_map_path, margin, out):
-    """Linearly invert counts into a POVM and repair indefiniteness."""
-    from .tomography import (
-        closest_bell_labels,
-        physicality_correct,
-        reconstruct_correlations,
-        reconstruct_povm,
-        relative_frequencies,
-    )
-
-    basis_map = _read_basis_map(basis_map_path)
-    data = _read_counts(counts_path, basis_map)
-    freqs = relative_frequencies(data)
-    raw = reconstruct_povm(freqs)
-    corrected, p, lam = physicality_correct(raw, margin=margin)
-    corrs = reconstruct_correlations(freqs)
-    total = sum(el.matrix for el in raw.elements)
-    residual = float(np.max(np.abs(total - np.eye(4))))
-    payload = {
-        "manifest": _manifest("reconstruct", counts=counts_path, margin=margin),
-        "raw_povm": raw.to_dict(),
-        "corrected_povm": corrected.to_dict(),
-        "lambda": lam,
-        "p": p,
-        "completeness_residual": residual,
-        "correlations": {
-            label: c.tolist() for label, c in zip(raw.labels, corrs)
-        },
-        "bell_match": closest_bell_labels(corrected),
-    }
-    _emit(payload, out)
-
-
-def quasidist(given, povm_path, out_dir):
-    """Standard forms, optimal quasidistributions, and SVG charts per element."""
-    from .operators import bloch_vector
-    from .quasidist import LABELS, negativity_report, optimal_quasidistribution
-    from .standard_form import _MAX_SWEEPS, back_transform, to_standard_form
-    from .svg import quasidist_svg
-
-    povm = _read_povm(povm_path)
-    stems = _file_stems(povm.labels)
-    outp = Path(out_dir)
-    outp.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest("quasidist", povm=povm_path, max_iter=_MAX_SWEEPS)
-    summary: dict = {"manifest": manifest, "elements": {}, "failed": []}
-    for label, element in povm.items():
-        try:
-            form = to_standard_form(element)
-        except ConvergenceError as e:
-            summary["elements"][label] = {"error": str(e), "residual": e.residual}
-            summary["failed"].append(label)
-            continue
-        qdist = optimal_quasidistribution(form)
-        report = negativity_report(qdist)
-        tilde = back_transform(form, qdist)
-        bloch_a = [bloch_vector(s) for s in tilde.states_a]
-        bloch_b = [bloch_vector(s) for s in tilde.states_b]
-        fname = f"element_{stems[label]}.json"
-        payload = {
-            "manifest": manifest,
-            "label": label,
-            "standard_form": form.to_dict(),
-            "quasidistribution": qdist.to_dict(),
-            "negativity": report.to_dict(),
-            "tilde": {
-                "states_a": [[[v.real, v.imag] for v in s] for s in tilde.states_a.tolist()],
-                "states_b": [[[v.real, v.imag] for v in s] for s in tilde.states_b.tolist()],
-                "bloch_a": [v.tolist() for v in bloch_a],
-                "bloch_b": [v.tolist() for v in bloch_b],
-                "grid": tilde.grid.tolist(),
-            },
-        }
-        Path(outp / fname).write_text(_canonical(payload), encoding="utf-8")
-        footer = tuple(
-            "A %s: (%.4f, %.4f, %.4f)" % ((LABELS[k],) + tuple(bloch_a[k])) for k in range(6)
-        ) + tuple(
-            "B %s: (%.4f, %.4f, %.4f)" % ((LABELS[k],) + tuple(bloch_b[k])) for k in range(6)
-        )
-        svg = quasidist_svg(
-            qdist.grid,
-            title=f"Optimal quasidistribution: element {label}",
-            q=qdist.q,
-            footer_lines=footer,
-        )
-        Path(outp / f"element_{stems[label]}.svg").write_text(svg, encoding="utf-8")
-        summary["elements"][label] = {
-            "q": qdist.q,
-            "max_negativity": report.max_negativity,
-            "cumulative_negativity": report.cumulative_negativity,
-            "verdict": report.verdict,
-            "file": fname,
-        }
-    Path(outp / "summary.json").write_text(_canonical(summary), encoding="utf-8")
-    if summary["failed"]:
-        raise ConvergenceError(
-            "standard form failed for element(s): " + ", ".join(summary["failed"])
-        )
-
-
-def errors(given, counts_path, basis_map_path, samples, inflation, seed, workers, margin, out_dir):
-    """Propagate counting statistics through the pipeline by resampling."""
-    from .montecarlo import McConfig, propagate
-    from .svg import quasidist_svg
-
-    basis_map = _read_basis_map(basis_map_path)
-    data = _read_counts(counts_path, basis_map)
-    stems = _file_stems(data.outcomes) if out_dir is not None else None
-    cfg = McConfig(sample_size=samples, inflation=inflation, seed=seed, workers=workers)
-    report = propagate(data, cfg, margin=margin)
-    manifest = _manifest(
-        "errors",
-        counts=counts_path,
-        samples=samples,
-        inflation=inflation,
-        seed=seed,
-        margin=margin,
-    )
-    if out_dir is None:
-        _emit({"manifest": manifest, **report.to_dict()}, None)
-        return
-    outp = Path(out_dir)
-    outp.mkdir(parents=True, exist_ok=True)
-    summary: dict = {
-        "manifest": manifest,
-        "sample_size": cfg.sample_size,
-        "inflation": cfg.inflation,
-        "seed": cfg.seed,
-        "retained": report.retained,
-        "excluded": report.excluded,
-        "elements": {},
-    }
-    for e in report.elements:
-        fname = f"errors_{stems[e.label]}.json"
-        Path(outp / fname).write_text(_canonical({"manifest": manifest, **e.to_dict()}), encoding="utf-8")
-        svg = quasidist_svg(
-            e.grid_reference,
-            title=f"Quasidistribution with error bars: element {e.label}",
-            q=e.q_reference,
-            sigma=e.grid_std,
-        )
-        Path(outp / f"errors_{stems[e.label]}.svg").write_text(svg, encoding="utf-8")
-        summary["elements"][e.label] = {
-            "q_mean": e.q_mean,
-            "q_std": e.q_std,
-            "max_negativity_mean": e.max_negativity_mean,
-            "max_negativity_std": e.max_negativity_std,
-            "negativity_significance": (
-                e.negativity_significance if np.isfinite(e.negativity_significance) else None
-            ),
-            "file": fname,
-        }
-    Path(outp / "summary.json").write_text(_canonical(summary), encoding="utf-8")
-
-
-# each witness mode's options: those it needs, then the others it reads
-_WITNESS_MODES = {
-    "--lambda": ({"n", "d"}, {"lambda_mode", "restarts", "seed", "out"}),
-    "element mode": ({"povm_path", "element_label"}, {"family", "numeric", "restarts", "seed", "out"}),
-    "--family ghz": ({"n"}, {"family", "eps", "numeric", "restarts", "seed", "out"}),
-    "--family me": ({"d"}, {"family", "eps", "numeric", "restarts", "seed", "out"}),
-}
-
-
-def witness(given, family, n, d, eps, povm_path, element_label, lambda_mode, numeric, restarts, seed, out):
-    """Evaluate probe-state witnesses or cross-check separability bounds."""
-    from .operators import lambda_operator, noisy_ghz_element, noisy_me_element
-    from .witness import (
-        ghz_probe,
-        lambda_gmax_analytic,
-        me_probe,
-        noise_threshold,
-        separability_eigenvalue_numeric,
-        witness_evaluate,
-    )
-
-    if lambda_mode:
-        mode = "--lambda"
-    elif povm_path is not None or element_label is not None:
-        mode = "element mode"
-    elif family is not None:
-        mode = f"--family {family}"
-    else:
-        raise _UsageError("pick a mode: --family, --povm/--element, or --lambda", f"{_PROG} witness")
-    _check_mode("witness", given, mode, *_WITNESS_MODES[mode])
-    if lambda_mode:
-        res = separability_eigenvalue_numeric(lambda_operator(n, d), restarts=restarts, seed=seed)
-        analytic = lambda_gmax_analytic(n, d)
-        manifest = _manifest("witness", mode="lambda", n=n, d=d, restarts=restarts, seed=seed)
-        payload = {"manifest": manifest, "mode": "lambda", "n": n, "d": d, "analytic": analytic}
-        _emit({**payload, "numeric": res.gmax, "difference": analytic - res.gmax, "converged": res.converged}, out)
-        return
-    if mode == "element mode":
-        element = _read_povm(povm_path).element(element_label)
-        family, parties = family or "me", element.parties
-        if family == "ghz" and any(p != 2 for p in parties):
-            raise ValidationError("ghz probe needs qubit parties")
-        if family == "me" and (len(parties) != 2 or parties[0] != parties[1]):
-            raise ValidationError("me probe needs two equal-dimension parties")
-        size = len(parties) if family == "ghz" else parties[0]
-        keys = {"mode": "element", "element": element_label}
-        params = {**keys, "povm": povm_path, "family": family}
-    else:
-        size = n if family == "ghz" else d
-        # the element first: a size past the dimension guard fails there
-        element = (noisy_ghz_element if family == "ghz" else noisy_me_element)(size, eps)
-        params = {"mode": "family", "family": family, "size": size, "eps": eps}
-        keys = {**params, "noise_threshold": noise_threshold(family, size)}
-    probe = (ghz_probe if family == "ghz" else me_probe)(size)
-    result = witness_evaluate(element, probe, numeric=numeric, restarts=restarts, seed=seed)
-    manifest = _manifest("witness", **params, numeric=numeric, restarts=restarts, seed=seed)
-    _emit({"manifest": manifest, **keys, **result.to_dict()}, out)
-
-
-def combine(given, counts_path, basis_map_path, groups, out):
-    """Merge outcome groups by summing their counts."""
-    from .tomography import combine_outcomes
-
-    basis_map = _read_basis_map(basis_map_path)
-    data = _read_counts(counts_path, basis_map)
-    parsed = [[lbl.strip() for lbl in grp.split("+")] for grp in groups.split(",") if grp]
-    manifest = _manifest("combine", counts=counts_path, groups=groups)
-    _write_counts(combine_outcomes(data, parsed), out, manifest)
-
-
 class _Option(NamedTuple):
     """A command line option: its flags, the first of which messages name, the
     parameter it sets, its help, and how its value is read."""
@@ -521,10 +275,11 @@ class _Option(NamedTuple):
 _COUNTS = _Option(("--counts",), "counts_path", "Coincidence counts (.csv or .json).", required=True)
 _BASIS_MAP = _Option(("--basis-map",), "basis_map_path", "Basis map JSON (CSV input only).")
 
-# every command, and its options in the order its help lists them; a command
-# is called with the set of options given, then every option's value by name
+# every command, and its options in the order its help lists them; a command's
+# handler, the function of its name in its module (`_command`), is called with
+# the set of options given, then every option's value by name
 _COMMANDS = {
-    "simulate": (simulate, (
+    "simulate": (
         _Option(("--model",), "model_path", "JSON model spec file."),
         _Option(("--povm",), "povm_path", "'bell' or a POVM JSON to simulate (default: Bell analyzer)."),
         _Option(("--eps",), "eps", "White noise fraction.", float, 0.0),
@@ -533,18 +288,18 @@ _COMMANDS = {
         _Option(("--seed",), "seed", "RNG seed (default: the --model spec's seed, else 0).", int),
         _Option(("--basis-map",), "basis_map_path", "Basis map JSON file."),
         _Option(("--out", "-o"), "out", "Output file (.csv or .json; default: CSV to stdout)."),
-    )),
-    "reconstruct": (reconstruct, (
+    ),
+    "reconstruct": (
         _COUNTS,
         _BASIS_MAP,
         _Option(("--margin",), "margin", "Eigenvalue margin for the physicality correction.", float, 1e-5),
         _Option(("--out", "-o"), "out", "Output JSON file (default: stdout)."),
-    )),
-    "quasidist": (quasidist, (
+    ),
+    "quasidist": (
         _Option(("--povm",), "povm_path", "POVM JSON (bare or reconstruct output).", required=True),
         _Option(("--out", "-o"), "out_dir", "Output directory.", required=True),
-    )),
-    "errors": (errors, (
+    ),
+    "errors": (
         _COUNTS,
         _BASIS_MAP,
         _Option(("--samples",), "samples", "Monte Carlo sample count.", int, 10000),
@@ -553,8 +308,8 @@ _COMMANDS = {
         _Option(("--workers",), "workers", "Sample shares run in parallel, one forked process per usable CPU at most.", int, 1),
         _Option(("--margin",), "margin", "Physicality margin.", float, 1e-5),
         _Option(("--out", "-o"), "out_dir", "Output directory (default: summary to stdout)."),
-    )),
-    "witness": (witness, (
+    ),
+    "witness": (
         _Option(("--family",), "family", "Probe family.", choices=("ghz", "me")),
         _Option(("-n",), "n", "Qubit number for the ghz family.", int),
         _Option(("-d",), "d", "Local dimension for the me family.", int),
@@ -566,13 +321,13 @@ _COMMANDS = {
         _Option(("--restarts",), "restarts", "Solver restarts.", int, 64),
         _Option(("--seed",), "seed", "Solver seed.", int, 0),
         _Option(("--out", "-o"), "out", "Output JSON file (default: stdout)."),
-    )),
-    "combine": (combine, (
+    ),
+    "combine": (
         _COUNTS,
         _BASIS_MAP,
         _Option(("--groups",), "groups", "Merge spec, e.g. 'AA+AD,DA+DD'.", required=True),
         _Option(("--out", "-o"), "out", "Output file (.csv or .json; default: CSV to stdout)."),
-    )),
+    ),
 }
 
 _PROG = "povm-entangle"
@@ -610,20 +365,25 @@ class _Formatter(argparse.HelpFormatter):
         super().add_usage(usage, actions, groups, prefix)
 
 
+def _command(command: str) -> ModuleType:
+    """The module of the command's handler, imported on its first use; its
+    docstring is the command's help line."""
+    return importlib.import_module(f"povm_entangle.commands.{command}")
+
+
 @functools.cache
 def _parser(command: str) -> _Parser:
     """The command's parser, built on its first use and kept for the process."""
-    fn, options = _COMMANDS[command]
     parser = _Parser(
         prog=f"{_PROG} {command}",
         usage="%(prog)s [OPTIONS]",
-        description=fn.__doc__,
+        description=_command(command).__doc__,
         formatter_class=_Formatter,
         add_help=False,
         allow_abbrev=False,
     )
     group = parser.add_argument_group("Options")
-    for o in options:
+    for o in _COMMANDS[command]:
         # an option not given stays out of the namespace, so that a given
         # default value can be told from a default taken
         if o.parse is None:
@@ -662,7 +422,7 @@ def _attached(args: list[str], options) -> list[str]:
 def _overview() -> str:
     """The top-level help: usage, options, and one line per command."""
     width = max(map(len, _COMMANDS))
-    commands = "".join(f"  {name:<{width}}  {fn.__doc__}\n" for name, (fn, _) in sorted(_COMMANDS.items()))
+    commands = "".join(f"  {name:<{width}}  {_command(name).__doc__}\n" for name in sorted(_COMMANDS))
     return (
         f"Usage: {_TOP_USAGE}\n\n"
         "  Detector tomography, quasidistributions, and entanglement witnesses.\n\n"
@@ -688,13 +448,14 @@ def _run(args: list[str]) -> int:
     if command not in _COMMANDS:
         kind = "option" if command.startswith("-") else "command"
         raise _UsageError(f"No such {kind} '{command}'.", _PROG)
-    fn, options = _COMMANDS[command]
+    options = _COMMANDS[command]
     given = vars(_parser(command).parse_args(_attached(rest, options)))
     # checked here, after the parser has refused any unknown argument
     missing = [o.flags[0] for o in options if o.required and o.dest not in given]
     if missing:
         raise _UsageError(f"Missing option '{missing[0]}'.", f"{_PROG} {command}")
-    fn(frozenset(given), **{o.dest: given.get(o.dest, o.default) for o in options})
+    handler = getattr(_command(command), command)
+    handler(frozenset(given), **{o.dest: given.get(o.dest, o.default) for o in options})
     return 0
 
 
@@ -716,18 +477,43 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def _watched() -> bool:
+    """Whether a profiler or tracer is attached, which reports at finalization."""
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12 on; tool ids 0-5
+    return (
+        sys.getprofile() is not None
+        or sys.gettrace() is not None
+        or (monitoring is not None and any(map(monitoring.get_tool, range(6))))
+    )
+
+
+def _flushed() -> bool:
+    """Flush stdout and stderr; False if either flush fails."""
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        return False
+    return True
+
+
 def process_main() -> NoReturn:
     """Process entry of `python -m povm_entangle.cli` and the `povm-entangle`
-    script: runs main, then exits with its code.
-
-    Once main has returned, the heap is frozen, so the interpreter's
-    finalization skips the cyclic collector's walks over the objects numpy
-    and the package leave tracked; modules are still cleared, objects freed
-    by reference count, stdout and stderr flushed and atexit handlers run.
-    main leaves the collector alone, since its callers go on running.
-    """
+    script: runs main, then exits with its code, as the module docstring's
+    Exit section describes."""
+    module = sys.modules.get(__name__)
+    if module is None or vars(module) is not globals():
+        # a bare namespace, as `python -m cProfile -m` runs this file in
+        module = ModuleType(__name__)
+        vars(module).update(globals())
+    sys.modules.setdefault("povm_entangle.cli", module)
     code = main()
     gc.freeze()
+    if not _watched():
+        atexit._run_exitfuncs()
+        if _flushed():
+            os._exit(code)
     sys.exit(code)
 
 

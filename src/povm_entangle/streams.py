@@ -11,7 +11,7 @@ each word into a normal with numpy's 256-layer ziggurat (Marsaglia & Tsang,
 J. Stat. Softw. 5(8), 2000), taking further words for the rare draw outside
 its fast region.  `keyed_normals` runs both for a whole stack of keys in
 uint64 arithmetic, so a large stack needs neither a generator per row nor
-`numpy.random`, which only `keyed_rng` and small stacks import.
+`numpy.random`, which only `keyed_rng` and small or wide stacks import.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ if TYPE_CHECKING:
 
 _MASK64 = (1 << 64) - 1
 
-# the crossover of `keyed_normals`, measured as its docstring says
+# the crossovers of `keyed_normals`, measured as its docstring says
 _STACK_ROWS = 256
+_STACK_WIDTH = 16
 # most Philox words (2 MiB) one pass of `_stacked` draws at once: a pass's
 # temporaries then stay near 11 MiB at 4 normals a row and 30 MiB at 256,
 # and a Monte Carlo block of 1024 samples (36 864 rows of 4) is one pass
@@ -222,18 +223,22 @@ def keyed_normals(seed: int, indices, size: int) -> np.ndarray:
     """Standard normals, one row of `size` per index.
 
     Row r equals keyed_rng(seed, indices[r]).standard_normal(size) bit for
-    bit.  A stack of _STACK_ROWS = 256 rows or more is drawn by `_stacked`,
-    a smaller one by `_reset_loop`.  That is where their costs cross: with
-    `numpy.random` already loaded, 4 normals per row took 0.53-0.55 ms
-    stacked against 0.30 ms per row at 128 rows, 0.58-0.60 against
-    0.57-0.59 ms at 256 and 0.60-0.63 against 0.70-0.73 ms at 320 (2-vCPU
-    VM, numpy 2.4).  The stacked pass's fixed cost, about 0.5 ms, is two
-    Philox passes of some 350 small array operations each, the second over
-    the rows with a draw outside the ziggurat's fast region.  A process
-    whose stacks all reach the crossover never imports `numpy.random`
-    (11-18 ms).
+    bit.  A stack of _STACK_ROWS = 256 rows or more, each of at most
+    _STACK_WIDTH = 16 normals, is drawn by `_stacked`, any other by
+    `_reset_loop`.  That is where their costs cross: with `numpy.random`
+    already loaded, 4 normals per row took 0.53-0.55 ms stacked against
+    0.30 ms per row at 128 rows, 0.58-0.60 against 0.57-0.59 ms at 256 and
+    0.60-0.63 against 0.70-0.73 ms at 320 (2-vCPU VM, numpy 2.4).  The
+    stacked pass's fixed cost, about 0.5 ms, is two Philox passes of some
+    350 small array operations each, the second over the rows with a draw
+    outside the ziggurat's fast region.  Its cost per row grows with the
+    width far faster than the per-row loop's, since nearly every wide row
+    has such a draw: at 4032 rows the stacked pass took 0.74-0.87 of the
+    loop's time at 16 normals a row, 0.97-1.12 at 20 and 5-6 times it at
+    64 (medians of 5 calls, one BLAS thread).  A process whose stacks all
+    take the stacked pass never imports `numpy.random` (11-18 ms).
     """
-    if len(indices) < _STACK_ROWS:
+    if len(indices) < _STACK_ROWS or size > _STACK_WIDTH:
         return _reset_loop(seed, indices, size)
     if isinstance(indices, np.ndarray) and indices.dtype.kind in "iu":
         keys = indices.astype(np.uint64)

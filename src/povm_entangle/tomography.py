@@ -7,7 +7,8 @@ and so on).  Relative frequencies feed 4x6 sampling matrices that invert the
 Born rule exactly, and an optional white-noise admixture repairs indefinite
 reconstructions without breaking completeness.  Both steps exist once, stacked
 over any leading axes: `invert_frequencies` and `repair_strength` serve the
-per-dataset functions here and every Monte Carlo sample block alike.  The
+per-dataset functions here and every Monte Carlo sample block alike, and
+`reconstruct` takes its raw POVM and correlations from one inversion.  The
 CSV and JSON count readers share one core: both index each entry by
 (outcome, probe pair), so one label rule, one count check, one duplicate
 check and one gap check serve the two formats.  The functions that take or

@@ -132,23 +132,22 @@ def noise_threshold(family: str, size: int) -> float:
     """White-noise fraction below which the witness still fires.
 
     family 'ghz' takes the qubit number n, family 'me' the local dimension d;
-    it holds for any size >= 2, past the dimension guard too.  The GHZ value
-    (h - 1) / (3 h - 1), h = 2^(n - 1), tends to 1/3.  It is computed as
-    (1 - x) / (3 - x), x = 1 / h, both terms scaled by a power of two: the
-    same float wherever 3 h is finite (n <= 1023), and 1/3 beyond, where
-    3 h overflows.
+    it holds for any size >= 2, past the dimension guard too.  Both are
+    ratios of integers, rounded once: (h - 1) / (3 h - 1), h = 2^(n - 1),
+    for GHZ and (d - 1) / (d^2 + d - 1) for ME.  The GHZ value rounds to 1/3
+    from n = 54 on, so h stops growing at n = 64.
     """
     if family == "ghz":
         n = int(size)
         if n < 2:
             raise ValidationError(f"need n >= 2, got {n}")
-        x = 2.0 ** (1 - n)
-        return (1 - x) / (3 - x)
+        h = 1 << (min(n, 64) - 1)
+        return (h - 1) / (3 * h - 1)
     if family == "me":
         d = int(size)
         if d < 2:
             raise ValidationError(f"need d >= 2, got {d}")
-        return (d - 2 + 1.0 / d) / (d * d - 2 + 1.0 / d)
+        return (d - 1) / (d * d + d - 1)
     raise ValidationError(f"unknown witness family {family!r}")
 
 
@@ -156,11 +155,11 @@ def lambda_gmax_analytic(n: int, d: int) -> float:
     """Largest product-state expectation of lambda_operator(n, d).
 
     Uniform support on d' basis states per party scores d'(d' - 1) / d'^n;
-    the best d' is d for n = 2 and 2 for n > 2.
+    the best d' is d for n = 2, (d - 1) / d, and 2 for n > 2, 2 / 2^n.
     """
     if n < 2 or d < 2:
         raise ValidationError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
-    return max(dp * (dp - 1) / dp**n for dp in range(1, d + 1))
+    return (d - 1) / d if n == 2 else 2 / 2**n
 
 
 def _structured_starts(dims: tuple[int, ...]) -> list[np.ndarray]:

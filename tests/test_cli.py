@@ -903,6 +903,20 @@ class TestMalformedCounts:
             exits_two([command[0], "--counts", str(path), *command[1:]], capsys)
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "quasidist"])
+def test_an_integer_past_the_digit_limit_is_invalid_json(tmp_path, capsys, command):
+    # json.loads refuses an integer literal of more than 4300 digits with a
+    # plain ValueError, not a JSONDecodeError
+    if command == "reconstruct":
+        record, argv = json_with(123456789), ["reconstruct", "--counts"]
+    else:
+        record, argv = bell_povm().to_dict(), ["quasidist", "-o", str(tmp_path / "q"), "--povm"]
+        record["elements"][0]["parties"] = [123456789, 2]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(record).replace("123456789", "9" * 5000))
+    assert "is not valid JSON" in exits_two([*argv, str(path)], capsys)
+
+
 # file names in the C locale with UTF-8 mode and locale coercion off: the
 # file system encoding is then ASCII
 C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
@@ -973,6 +987,40 @@ from povm_entangle import cli
 sys.exit(cli.main(sys.argv[1:]))
 """
 
+# runs the CLI module as `python -m` does, with an exit handler that prints
+# how many times cli.py's module code ran
+_ENTRY_PROBE = """
+import atexit, os, runpy, sys
+cli_py = os.path.join("povm_entangle", "cli.py")
+runs = []
+sys.addaudithook(lambda event, args: event == "exec" and args[0].co_filename.endswith(cli_py) and runs.append(1))
+atexit.register(lambda: print(f"exit handler: cli.py ran {len(runs)} time(s)"))
+runpy.run_module("povm_entangle.cli", run_name="__main__", alter_sys=True)
+"""
+
+# the same launch with a stdout whose flush fails, as on a closed pipe
+_CLOSED_STDOUT_PROBE = """
+import atexit, io, runpy, sys
+
+class Closed(io.RawIOBase):
+    def writable(self):
+        return True
+
+    def write(self, b):
+        raise BrokenPipeError(32, "Broken pipe")
+
+sys.stdout = io.TextIOWrapper(io.BufferedWriter(Closed()))
+atexit.register(lambda: sys.stderr.write("exit handler\\n"))
+runpy.run_module("povm_entangle.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def run_probe(code, argv, cwd, env=None):
+    full = {**(os.environ if env is None else env), "PYTHONPATH": SRC}
+    return subprocess.run(
+        [sys.executable, *code, *argv], capture_output=True, text=True, cwd=cwd, env=full, timeout=120
+    )
+
 
 class TestProcessEntry:
     @pytest.mark.parametrize("code", [0, 1, 2, 3])
@@ -1006,6 +1054,36 @@ class TestProcessEntry:
         assert done.returncode == 0, done.stderr
         count = int(re.fullmatch(r"frozen (\d+)\n", done.stderr)[1])
         assert (count > 0) == frozen
+
+    def test_exit_handlers_run_and_cli_runs_once(self, tmp_path, bell_csv):
+        # stdout block-buffered, so the handler's line shows only if the
+        # entry flushes after the exit handlers have run
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        done = run_probe(["-c", _ENTRY_PROBE], ["reconstruct", "--counts", str(bell_csv)], tmp_path, env)
+        assert done.returncode == 0, done.stderr
+        body, last = done.stdout.rstrip("\n").rsplit("\n", 1)
+        assert json.loads(body)["manifest"]["command"] == "reconstruct"
+        # the handler module's `from ..cli import` finds the running module
+        assert last == "exit handler: cli.py ran 1 time(s)"
+
+    def test_a_failed_flush_exits_through_the_interpreter(self, tmp_path):
+        # --version leaves its line in stdout's buffer; finalization reports
+        # the failed flush and exits with 120, as a bare sys.exit does
+        done = run_probe(["-c", _CLOSED_STDOUT_PROBE], ["--version"], tmp_path)
+        assert done.returncode == 120
+        assert done.stderr.count("exit handler\n") == 1
+        assert "BrokenPipeError" in done.stderr
+
+    @pytest.mark.parametrize("argv", [["--version"], ["witness"]], ids=["version", "usage-error"])
+    def test_a_profiled_run_prints_its_statistics(self, tmp_path, argv):
+        # cProfile runs the module in a bare namespace and prints its
+        # statistics once the module's code has raised SystemExit
+        done = run_probe(["-m", "cProfile", "-m", "povm_entangle.cli"], argv, tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert "function calls" in done.stdout
+        assert "Traceback" not in done.stderr
+        if argv == ["witness"]:
+            assert done.stderr.endswith("Error: pick a mode: --family, --povm/--element, or --lambda\n")
 
     def test_the_script_is_the_main_blocks_entry(self):
         tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later

@@ -95,11 +95,39 @@ def test_command_loads_only_its_layers(dataset, argv, tomography, absent):
 def test_errors_on_closed_form_data_loads_only_the_array_path(dataset):
     loaded = modules_after(["errors", "--counts", "c.csv", "--samples", "20", "-o", "e3"], dataset)
     package = {m for m in loaded if m.startswith(PACKAGE)}
-    expected = ("cli", "errors", "pauli", "tomography", "quasidist", "streams", "montecarlo", "svg")
+    expected = (
+        "cli", "commands", "commands.errors", "errors", "pauli", "tomography", "quasidist", "streams", "montecarlo", "svg"
+    )
     assert package == {PACKAGE + m for m in expected}
 
 
-MODULES = sorted(p.stem for p in Path(povm_entangle.__file__).parent.glob("*.py") if p.stem != "__init__")
+COMMANDS = sorted(cli._COMMANDS)
+# one run of each command, in the dataset's directory
+COMMAND_RUNS = {
+    "simulate": ["simulate", "--counts", "100", "-o", "s.csv"],
+    "reconstruct": ["reconstruct", "--counts", "c.csv", "-o", "r3.json"],
+    "quasidist": ["quasidist", "--povm", "r.json", "-o", "q3"],
+    "errors": ["errors", "--counts", "c.csv", "--samples", "20", "-o", "e4"],
+    "witness": ["witness", "--lambda", "-n", "2", "-d", "2", "--restarts", "1"],
+    "combine": ["combine", "--counts", "c.csv", "--groups", "AA+AD,DA+DD", "-o", "m2.csv"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_loads_only_its_own_handler_module(dataset, command):
+    loaded = modules_after(COMMAND_RUNS[command], dataset)
+    assert {m for m in loaded if m.startswith(PACKAGE + "commands.")} == {PACKAGE + "commands." + command}
+
+
+def test_top_level_help_loads_every_handler_module(dataset):
+    loaded = modules_after(["--help"], dataset)
+    assert {m for m in loaded if m.startswith(PACKAGE + "commands.")} == {PACKAGE + "commands." + c for c in COMMANDS}
+
+
+_HOME = Path(povm_entangle.__file__).parent
+MODULES = sorted(p.stem for p in _HOME.glob("*.py") if p.stem != "__init__") + ["commands"] + sorted(
+    "commands." + p.stem for p in (_HOME / "commands").glob("*.py") if p.stem != "__init__"
+)
 
 
 @pytest.mark.parametrize("module", MODULES)

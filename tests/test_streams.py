@@ -78,6 +78,33 @@ def test_stacked_path_matches_the_reset_loop_bit_for_bit(size, rows):
         np.testing.assert_array_equal(stacked.view(np.uint64), looped.view(np.uint64))
 
 
+# (normals per row, rows): narrow and wide stacks past the row crossover
+_PATH_STACKS = [(4, 256), (16, 1024), (17, 256), (40, 50_000), (256, 300)]
+
+
+@pytest.mark.parametrize("size, rows", _PATH_STACKS, ids=[f"size{s}-rows{r}" for s, r in _PATH_STACKS])
+def test_wide_and_narrow_stacks_give_the_same_bits_on_both_paths(size, rows):
+    keys = np.random.default_rng(size).integers(0, 2**64, rows, dtype=np.uint64, endpoint=False)
+    for seed in (3, -(1 << 40)):
+        stacked = streams._stacked(seed, keys, size)
+        looped = streams._reset_loop(seed, keys, size)
+        np.testing.assert_array_equal(stacked.view(np.uint64), looped.view(np.uint64))
+
+
+@pytest.mark.parametrize("size, rows", _PATH_STACKS, ids=[f"size{s}-rows{r}" for s, r in _PATH_STACKS])
+def test_a_stack_takes_the_stacked_path_only_when_narrow(monkeypatch, size, rows):
+    calls = {"_stacked": 0, "_reset_loop": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(streams, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(streams, name, counted)
+    keyed_normals(1, np.arange(rows), size)
+    narrow = size <= streams._STACK_WIDTH
+    assert calls == {"_stacked": int(narrow), "_reset_loop": int(not narrow)}
+
+
 def test_a_large_stack_is_drawn_in_bounded_chunks():
     # 2^18 rows of 4 normals span four chunks of _CHUNK_WORDS words; drawn at
     # once, their Philox and ziggurat temporaries held over five times the

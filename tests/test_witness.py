@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,20 @@ def test_ghz_noise_threshold_past_the_float_range():
         assert abs(noise_threshold("ghz", n) - 1 / 3) < 1e-15
 
 
+def test_noise_thresholds_are_the_exact_ratios_rounded_once():
+    for n in (2, 3, 53, 54, 64, 65, 1023, 1100):
+        h = 1 << (n - 1)
+        assert noise_threshold("ghz", n) == float(Fraction(h - 1, 3 * h - 1)), n
+    assert noise_threshold("ghz", 10**30) == 1 / 3
+    for d in (2, 3, 6, 14, 18, 1000, 10**20):
+        assert noise_threshold("me", d) == float(Fraction(d - 1, d * d + d - 1)), d
+
+
+def test_me_noise_threshold_is_finite_past_the_float_range():
+    # d^2 as a float overflows from d of about 1.35e154
+    assert 0 < noise_threshold("me", 10**200) < 1e-199
+
+
 def test_noise_thresholds():
     assert noise_threshold("ghz", 2) == pytest.approx(0.2, abs=1e-15)
     assert noise_threshold("me", 2) == pytest.approx(0.2, abs=1e-15)
@@ -294,6 +309,12 @@ def test_numeric_cross_check_finds_the_family_bounds(family, size, seed):
     assert res.bound == probe.gmax
     assert res.numeric_converged
     assert abs(res.shortfall) < 1e-6
+
+
+def test_lambda_gmax_analytic_is_the_best_uniform_support():
+    for n in range(2, 12):
+        for d in range(2, 12):
+            assert lambda_gmax_analytic(n, d) == max(k * (k - 1) / k**n for k in range(1, d + 1)), (n, d)
 
 
 def test_lambda_gmax_analytic_values():
