@@ -124,9 +124,9 @@ def test_top_level_help_loads_every_handler_module(dataset):
     assert {m for m in loaded if m.startswith(PACKAGE + "commands.")} == {PACKAGE + "commands." + c for c in COMMANDS}
 
 
-_HOME = Path(povm_entangle.__file__).parent
-MODULES = sorted(p.stem for p in _HOME.glob("*.py") if p.stem != "__init__") + ["commands"] + sorted(
-    "commands." + p.stem for p in (_HOME / "commands").glob("*.py") if p.stem != "__init__"
+_PACKAGE_DIR = Path(povm_entangle.__file__).parent
+MODULES = sorted(p.stem for p in _PACKAGE_DIR.glob("*.py") if p.stem != "__init__") + ["commands"] + sorted(
+    "commands." + p.stem for p in (_PACKAGE_DIR / "commands").glob("*.py") if p.stem != "__init__"
 )
 
 
