@@ -19,12 +19,19 @@ encoder, goes to the stdlib encoder.  Input files are read as UTF-8 with an
 optional byte-order mark.
 
 Arguments: one table, `_COMMANDS`, declares each command and its options,
-and feeds both the command's `argparse` parser and the mode checks.  A
-parser is built the first time its command runs and kept for the process,
-so a caller that runs commands in one process builds each only once.
-Prefixes of an option are refused, an option set explicitly counts as given
-even at its default value, and a value option takes the next argument as
-is, even when it starts with "-".  A usage error prints the usage line and
+and `_parse` reads the command line from it directly, as do the command's
+help and the mode checks; no parser is built, so a caller that runs
+commands in one process pays no per-command set-up.  An option is given as
+`--opt value` or `--opt=value`, a short one also as `-o value`, `-ovalue` or
+`-o=value`.  A value option takes the next argument as is, even when it
+starts with "-"; a flag refuses `=value`; prefixes of an option are refused;
+a repeated option keeps its last value; and an option set explicitly counts
+as given even at its default value.  A value that fails its type or its
+choices is refused where it is read, and so is an option left without its
+value; `--help` prints the help where it is read; arguments no option
+claims, and all from a `--` on, are refused once the whole line is read,
+and a missing required option after that.  Messages keep the wording of
+the standard library's argparse.  A usage error prints the usage line and
 returns 1; `main` returns an exit code and never raises `SystemExit`.
 
 Start-up: this module holds the option table, the parser, the readers and
@@ -49,18 +56,22 @@ leaves through `os._exit`: the rest of the interpreter's finalization,
 clearing modules and freeing every object, cost 5-9 ms a process with
 nothing to show for it.  With a profiler or tracer attached, or when a
 flush fails, it exits through the interpreter instead, whose finalization
-then skips the cyclic collector's walks over the frozen heap.  `main`
-itself leaves the collector alone and never exits, since its in-process
-callers (tests, scripts, benchmarks) go on running.
+then skips the cyclic collector's walks over the frozen heap.  A reader
+that closes stdout's pipe early, a `BrokenPipeError` from `main` or from
+the final flush, makes a quiet exit with 141 (128 + SIGPIPE), as a shell
+pipeline expects: stdout's file descriptor is pointed at `os.devnull`, so
+that no later flush fails again, and nothing goes to stderr.  A stdout with
+no file descriptor to point is left to the interpreter, which reports the
+error.  `main` itself leaves the collector alone and never exits, since its
+in-process callers (tests, scripts, benchmarks) go on running.
 
-Exit codes: 0 success, 1 usage, 2 invalid data, 3 numeric failure.
+Exit codes: 0 success, 1 usage, 2 invalid data, 3 numeric failure, 141
+stdout's reader gone.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
-import functools
 import gc
 import importlib
 import json
@@ -344,79 +355,81 @@ class _UsageError(Exception):
         self.prog = prog
 
 
-class _Exit(Exception):
-    """Raised where argparse would exit, that is after printing --help."""
-
-    def __init__(self, status: int):
-        super().__init__(status)
-        self.status = status
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message, self.prog)
-
-    def exit(self, status=0, message=None):
-        raise _Exit(status)
-
-
-class _Formatter(argparse.HelpFormatter):
-    def add_usage(self, usage, actions, groups, prefix="Usage: "):
-        super().add_usage(usage, actions, groups, prefix)
-
-
 def _command(command: str) -> ModuleType:
     """The module of the command's handler, imported on its first use; its
     docstring is the command's help line."""
     return importlib.import_module(f"povm_entangle.commands.{command}")
 
 
-@functools.cache
-def _parser(command: str) -> _Parser:
-    """The command's parser, built on its first use and kept for the process."""
-    parser = _Parser(
-        prog=f"{_PROG} {command}",
-        usage="%(prog)s [OPTIONS]",
-        description=_command(command).__doc__,
-        formatter_class=_Formatter,
-        add_help=False,
-        allow_abbrev=False,
-    )
-    group = parser.add_argument_group("Options")
-    for o in _COMMANDS[command]:
-        # an option not given stays out of the namespace, so that a given
-        # default value can be told from a default taken
-        if o.parse is None:
-            group.add_argument(*o.flags, dest=o.dest, action="store_true", default=argparse.SUPPRESS, help=o.help)
-            continue
-        note = "  [required]" if o.required else "" if o.default is None else f"  [default: {o.default}]"
-        group.add_argument(
-            *o.flags,
-            dest=o.dest,
-            type=o.parse,
-            choices=o.choices,
-            default=argparse.SUPPRESS,
-            metavar=f"[{'|'.join(o.choices)}]" if o.choices else _METAVARS[o.parse],
-            help=o.help + note,
-        )
-    group.add_argument("--help", action="help", help="Show this message and exit.")
-    return parser
+_HELP = _Option(("--help",), "help", "Show this message and exit.", None)
 
 
-def _attached(args: list[str], options) -> list[str]:
-    """args with each value option's next argument attached to it as
-    --opt=value, so that a value starting with "-", such as --eps -1e-3, is
-    read as the value; an option with nothing after it is left to the parser."""
-    takes_value = {flag for o in options if o.parse is not None for flag in o.flags}
-    out, i = [], 0
+def _parse(command: str, args: list[str]) -> dict[str, object] | None:
+    """The options args give the command, by parameter name, as the module
+    docstring's Arguments section describes; None once --help is read."""
+    prog = f"{_PROG} {command}"
+    options = {flag: o for o in (*_COMMANDS[command], _HELP) for flag in o.flags}
+    given: dict[str, object] = {}
+    unknown: list[str] = []
+    i = 0
     while i < len(args):
-        if args[i] in takes_value and i + 1 < len(args):
-            out.append(f"{args[i]}={args[i + 1]}")
-            i += 2
-        else:
-            out.append(args[i])
+        arg = args[i]
+        i += 1
+        if arg == "--":
+            unknown += args[i - 1 :]
+            break
+        flag, value = arg, None
+        if arg not in options:
+            # --opt=value, or a short option's -ovalue or -o=value
+            if arg.startswith("--"):
+                flag, eq, value = arg.partition("=")
+                value = value if eq else None
+            elif arg.startswith("-"):
+                flag, value = arg[:2], arg[2:].removeprefix("=")
+        o = options.get(flag)
+        if o is None:
+            unknown.append(arg)
+            continue
+        name = "/".join(o.flags)
+        if o.parse is None:
+            if value is not None:
+                raise _UsageError(f"argument {name}: ignored explicit argument {value!r}", prog)
+            if o is _HELP:
+                return None
+            given[o.dest] = True
+            continue
+        if value is None:
+            if i == len(args):
+                raise _UsageError(f"argument {name}: expected one argument", prog)
+            value = args[i]
             i += 1
-    return out
+        try:
+            value = o.parse(value)
+        except ValueError:
+            raise _UsageError(f"argument {name}: invalid {o.parse.__name__} value: {value!r}", prog) from None
+        if o.choices and value not in o.choices:
+            choices = ", ".join(map(repr, o.choices))
+            raise _UsageError(f"argument {name}: invalid choice: {value!r} (choose from {choices})", prog)
+        given[o.dest] = value
+    if unknown:
+        raise _UsageError(f"unrecognized arguments: {' '.join(unknown)}", prog)
+    return given
+
+
+def _help(command: str) -> str:
+    """The command's help: usage, its handler's docstring, and one line per
+    option with its metavar and its default or [required]."""
+    rows = []
+    for o in (*_COMMANDS[command], _HELP):
+        text, flags = o.help, o.flags
+        if o.parse is not None:
+            metavar = f"[{'|'.join(o.choices)}]" if o.choices else _METAVARS[o.parse]
+            flags = [f"{flag} {metavar}" for flag in flags]
+            text += " [required]" if o.required else "" if o.default is None else f" [default: {o.default}]"
+        rows.append((", ".join(flags), text))
+    width = max(len(flags) for flags, _ in rows)
+    lines = "".join(f"  {flags:<{width}}  {text}\n" for flags, text in rows)
+    return f"Usage: {_PROG} {command} [OPTIONS]\n\n{_command(command).__doc__}\n\nOptions:\n{lines}"
 
 
 def _overview() -> str:
@@ -448,8 +461,11 @@ def _run(args: list[str]) -> int:
     if command not in _COMMANDS:
         kind = "option" if command.startswith("-") else "command"
         raise _UsageError(f"No such {kind} '{command}'.", _PROG)
+    given = _parse(command, rest)
+    if given is None:
+        sys.stdout.write(_help(command))
+        return 0
     options = _COMMANDS[command]
-    given = vars(_parser(command).parse_args(_attached(rest, options)))
     # checked here, after the parser has refused any unknown argument
     missing = [o.flags[0] for o in options if o.required and o.dest not in given]
     if missing:
@@ -463,8 +479,6 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit code mapping."""
     try:
         return _run(sys.argv[1:] if argv is None else list(argv))
-    except _Exit as e:
-        return e.status
     except _UsageError as e:
         usage = _TOP_USAGE if e.prog == _PROG else f"{e.prog} [OPTIONS]"
         sys.stderr.write(f"Usage: {usage}\nTry '{e.prog} --help' for help.\n\nError: {e}\n")
@@ -487,14 +501,32 @@ def _watched() -> bool:
     )
 
 
-def _flushed() -> bool:
-    """Flush stdout and stderr; False if either flush fails."""
+def _flush_error() -> OSError | None:
+    """Flush stdout and stderr; the error of the first flush that fails."""
     try:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:
                 stream.flush()
-    except OSError:
+    except OSError as e:
+        return e
+    return None
+
+
+# 128 + SIGPIPE, the status a shell reports for a writer whose reader left
+_PIPE_CLOSED = 141
+
+
+def _silenced() -> bool:
+    """Point stdout's file descriptor at os.devnull once its reader has closed
+    the pipe, so that no later flush fails again; False if it has none."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        # no stdout, one without a descriptor, or a closed one
         return False
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
     return True
 
 
@@ -508,11 +540,19 @@ def process_main() -> NoReturn:
         module = ModuleType(__name__)
         vars(module).update(globals())
     sys.modules.setdefault("povm_entangle.cli", module)
-    code = main()
+    try:
+        code = main()
+    except BrokenPipeError:
+        if not _silenced():
+            raise
+        code = _PIPE_CLOSED
     gc.freeze()
     if not _watched():
         atexit._run_exitfuncs()
-        if _flushed():
+        error = _flush_error()
+        if isinstance(error, BrokenPipeError) and _silenced():
+            code, error = _PIPE_CLOSED, _flush_error()
+        if error is None:
             os._exit(code)
     sys.exit(code)
 

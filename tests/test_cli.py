@@ -688,12 +688,92 @@ class TestArguments:
         assert out == ""
         assert "indefiniteness" in err
 
-    def test_each_parser_is_built_once(self, capsys):
-        cli._parser.cache_clear()
-        for _ in range(3):
-            assert run(["witness", "--lambda", "-n", "2", "-d", "2", "--restarts", "1"], capsys)[0] == 0
-        info = cli._parser.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+    def test_repeated_runs_in_one_process_agree(self, capsys):
+        runs = [run(["witness", "--lambda", "-n", "2", "-d", "2", "--restarts", "1"], capsys) for _ in range(3)]
+        assert runs[0][0] == 0, runs[0][2]
+        assert runs == [runs[0]] * 3
+
+
+# Each command line, read in a directory holding counts.csv, against its exit
+# code, whether stdout stays empty, a part of stderr, and the file it writes.
+# All as the argparse reader gave them, but for "-- -o x", which argparse's
+# reader quoted as "-- -o=x".
+PARSED = {
+    "short-attached": (["witness", "--lambda", "-n3", "-d2", "--restarts", "1"], 0, False, "", None),
+    "long-equals": (["witness", "--lambda", "-n", "2", "-d", "2", "--restarts=2"], 0, False, "", None),
+    "short-equals": (["reconstruct", "--counts", "counts.csv", "-o=r.json"], 0, True, "", "r.json"),
+    "short-path-attached": (["reconstruct", "--counts", "counts.csv", "-or.json"], 0, True, "", "r.json"),
+    "repeated-last-wins": (["reconstruct", "--counts", "missing.csv", "--counts", "counts.csv"], 0, False, "", None),
+    "repeated-last-missing": (
+        ["reconstruct", "--counts", "counts.csv", "--counts", "missing.csv"], 2, True, "no such file: missing.csv", None
+    ),
+    "flag-with-value": (
+        ["witness", "--lambda=1", "-n", "2", "-d", "2"], 1, True, "argument --lambda: ignored explicit argument '1'", None
+    ),
+    "help-with-value": (["errors", "--help=1"], 1, True, "argument --help: ignored explicit argument '1'", None),
+    "double-dash": (["reconstruct", "--counts", "counts.csv", "--"], 1, True, "unrecognized arguments: --\n", None),
+    "after-double-dash": (
+        ["reconstruct", "--counts", "counts.csv", "--", "-o", "x"], 1, True, "unrecognized arguments: -- -o x\n", None
+    ),
+    "empty-argument": (["reconstruct", "--counts", "counts.csv", ""], 1, True, "unrecognized arguments: \n", None),
+    "prefix": (["simulate", "--count", "10"], 1, True, "unrecognized arguments: --count 10\n", None),
+    "unknowns-together": (
+        ["errors", "--counts", "missing.csv", "--bogus", "--other"], 1, True, "unrecognized arguments: --bogus --other\n",
+        None,
+    ),
+    "bad-choice": (
+        ["witness", "--family", "GHZ", "-n", "2"], 1, True,
+        "argument --family: invalid choice: 'GHZ' (choose from 'ghz', 'me')", None,
+    ),
+    "not-an-int": (
+        ["errors", "--counts", "counts.csv", "--samples", "abc"], 1, True,
+        "argument --samples: invalid int value: 'abc'", None,
+    ),
+    "negative-int-value": (["simulate", "--counts", "10", "--seed", "-3", "-o", "s.csv"], 0, True, "", "s.csv"),
+    "negative-float-value": (
+        ["reconstruct", "--counts", "counts.csv", "--margin", "-1e-3"], 2, True,
+        "margin must be finite and nonnegative, got -0.001", None,
+    ),
+    "option-as-value": (["witness", "-n", "--lambda"], 1, True, "argument -n: invalid int value: '--lambda'", None),
+    "help-after-unknown": (["errors", "--bogus", "--help"], 0, False, "", None),
+    "help-after-bad-value": (
+        ["errors", "--samples", "x", "--help"], 1, True, "argument --samples: invalid int value: 'x'", None
+    ),
+    "trailing-short": (["reconstruct", "-o"], 1, True, "argument --out/-o: expected one argument", None),
+}
+
+
+class TestParsing:
+    @pytest.mark.parametrize("argv, code, quiet, err_part, wrote", list(PARSED.values()), ids=list(PARSED))
+    def test_command_line(self, monkeypatch, tmp_path, capsys, bell_csv, argv, code, quiet, err_part, wrote):
+        monkeypatch.chdir(bell_csv.parent)
+        rc, out, err = run(argv, capsys)
+        assert rc == code, err
+        assert (out == "") == quiet
+        assert err_part in err
+        assert "Traceback" not in err
+        if wrote is not None:
+            assert (tmp_path / wrote).is_file()
+
+    @pytest.mark.parametrize(
+        "spelled, spaced",
+        [
+            (["-n3", "-d2", "--restarts=2"], ["-n", "3", "-d", "2", "--restarts", "2"]),
+            (["-n=3", "-d=2", "--restarts", "2", "--restarts", "1"], ["-n", "3", "-d", "2", "--restarts", "1"]),
+        ],
+        ids=["attached", "equals-and-repeated"],
+    )
+    def test_spellings_read_alike(self, capsys, spelled, spaced):
+        first = run(["witness", "--lambda", *spelled], capsys)
+        assert first[0] == 0, first[2]
+        assert first == run(["witness", "--lambda", *spaced], capsys)
+
+    def test_help_lines_are_not_wrapped(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "40")
+        rc, out, _ = run(["errors", "--help"], capsys)
+        assert rc == 0
+        [line] = [line for line in out.splitlines() if "--workers" in line]
+        assert line.endswith("one forked process per usable CPU at most. [default: 1]")
 
 
 # A valid dataset (25 counts in every cell) and its malformed variants; each
@@ -1043,6 +1123,30 @@ class TestProcessEntry:
         rc, out, err = run(argv, capsys)
         assert rc == 0, err
         assert run_process(argv, tmp_path)[:2] == (0, out)
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["reconstruct", "--counts", "counts.csv"], ["simulate", "--counts", "100"], ["--help"], ["errors", "--help"]],
+        ids=["reconstruct", "simulate-csv", "help", "errors-help"],
+    )
+    def test_a_reader_gone_is_a_quiet_141(self, bell_csv, argv, unbuffered):
+        # stdout is a pipe whose read end is already closed: buffered, the
+        # final flush fails; unbuffered, the write inside main does
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = SRC
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "povm_entangle.cli", *argv],
+                stdout=write, stderr=subprocess.PIPE, cwd=bell_csv.parent, env=env, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (141, b"")
 
     @pytest.mark.parametrize("how, frozen", [("runpy", True), ("main", False)])
     def test_only_the_process_entry_freezes_the_heap(self, tmp_path, how, frozen):

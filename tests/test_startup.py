@@ -124,6 +124,12 @@ def test_top_level_help_loads_every_handler_module(dataset):
     assert {m for m in loaded if m.startswith(PACKAGE + "commands.")} == {PACKAGE + "commands." + c for c in COMMANDS}
 
 
+@pytest.mark.parametrize("argv", [*COMMAND_RUNS.values(), ["--help"]], ids=[*COMMAND_RUNS, "help"])
+def test_no_command_loads_argparse_gettext_or_locale(dataset, argv):
+    # the command line is read from cli's own option table
+    assert {"argparse", "gettext", "locale"} & modules_after(argv, dataset) == set()
+
+
 _PACKAGE_DIR = Path(povm_entangle.__file__).parent
 MODULES = sorted(p.stem for p in _PACKAGE_DIR.glob("*.py") if p.stem != "__init__") + ["commands"] + sorted(
     "commands." + p.stem for p in (_PACKAGE_DIR / "commands").glob("*.py") if p.stem != "__init__"
