@@ -188,7 +188,14 @@ def test_propagate_smoke_two_samples(bell_counts):
         assert np.all(np.isnan(sig[e.grid_mean >= 0]))
 
 
-def test_propagate_determinism_across_workers(bell_counts):
+@pytest.fixture()
+def small_blocks(monkeypatch):
+    """Blocks of 4 samples, so that the 12-sample runs below still split into
+    forked shares; a share holds at least one full block."""
+    monkeypatch.setattr(mc, "_BLOCK", 4)
+
+
+def test_propagate_determinism_across_workers(bell_counts, small_blocks):
     serial = propagate(bell_counts, McConfig(sample_size=12, seed=17, workers=1))
     threads = propagate(bell_counts, McConfig(sample_size=12, seed=17, workers=3))
     a = json.dumps(serial.to_dict(), sort_keys=True)
@@ -224,7 +231,7 @@ def usable(monkeypatch, cpus):
 
 
 @needs_fork
-def test_propagate_caps_the_shares_at_the_usable_cpus(bell_counts, monkeypatch, forks):
+def test_propagate_caps_the_shares_at_the_usable_cpus(bell_counts, monkeypatch, forks, small_blocks):
     usable(monkeypatch, 3)
     wide = propagate(bell_counts, McConfig(sample_size=12, seed=17, workers=10**6))
     assert len(forks) == 2  # three processes, one per usable CPU
@@ -235,7 +242,7 @@ def test_propagate_caps_the_shares_at_the_usable_cpus(bell_counts, monkeypatch, 
 
 
 @needs_fork
-def test_propagate_forks_nothing_on_one_usable_cpu(bell_counts, monkeypatch, forks):
+def test_propagate_forks_nothing_on_one_usable_cpu(bell_counts, monkeypatch, forks, small_blocks):
     usable(monkeypatch, 1)
     report = propagate(bell_counts, McConfig(sample_size=12, seed=17, workers=4))
     assert forks == []
@@ -243,7 +250,30 @@ def test_propagate_forks_nothing_on_one_usable_cpu(bell_counts, monkeypatch, for
     assert json.dumps(report.to_dict()) == json.dumps(serial.to_dict())
 
 
-def test_propagate_runs_the_shares_here_without_fork(bell_counts, monkeypatch):
+@needs_fork
+def test_small_runs_fork_nothing_with_cpus_free(bell_counts, monkeypatch, forks):
+    # a 20-sample share pays a block's fixed work and a fork; 40 samples fill no block
+    usable(monkeypatch, 2)
+    shared = propagate(bell_counts, McConfig(sample_size=40, seed=17, workers=2))
+    assert forks == []
+    serial = propagate(bell_counts, McConfig(sample_size=40, seed=17, workers=1))
+    assert json.dumps(shared.to_dict()) == json.dumps(serial.to_dict())
+
+
+@needs_fork
+def test_every_forked_share_fills_a_block(bell_counts, monkeypatch, forks):
+    usable(monkeypatch, 2)
+    monkeypatch.setattr(mc, "_BLOCK", 6)
+    reports = []
+    for samples, forked in ((11, 0), (12, 1)):
+        reports.append(propagate(bell_counts, McConfig(sample_size=samples, seed=17, workers=2)))
+        assert len(forks) == forked
+        assert_no_child_left()
+    serial = propagate(bell_counts, McConfig(sample_size=12, seed=17, workers=1))
+    assert json.dumps(reports[1].to_dict()) == json.dumps(serial.to_dict())
+
+
+def test_propagate_runs_the_shares_here_without_fork(bell_counts, monkeypatch, small_blocks):
     usable(monkeypatch, 3)
     monkeypatch.delattr(os, "fork", raising=False)
     shared = propagate(bell_counts, McConfig(sample_size=12, seed=17, workers=3))
@@ -275,7 +305,7 @@ def raise_in_children(exc):
 @pytest.mark.parametrize(
     "exc", [ValidationError("bad share"), ConvergenceError("stalled share", residual=0.5)]
 )
-def test_child_share_error_is_raised_with_its_type(bell_counts, monkeypatch, exc):
+def test_child_share_error_is_raised_with_its_type(bell_counts, monkeypatch, exc, small_blocks):
     usable(monkeypatch, 3)
     failing_shares(monkeypatch, raise_in_children(exc))
     with pytest.raises(type(exc), match=str(exc)) as info:
@@ -286,7 +316,7 @@ def test_child_share_error_is_raised_with_its_type(bell_counts, monkeypatch, exc
 
 @needs_fork
 @pytest.mark.parametrize("exc, code", [(ValidationError("bad share"), 2), (ConvergenceError("stalled share"), 3)])
-def test_child_share_error_exits_without_traceback(tmp_path, capsys, monkeypatch, exc, code):
+def test_child_share_error_exits_without_traceback(tmp_path, capsys, monkeypatch, exc, code, small_blocks):
     from povm_entangle.cli import main
 
     counts = tmp_path / "c.csv"
@@ -300,7 +330,29 @@ def test_child_share_error_exits_without_traceback(tmp_path, capsys, monkeypatch
 
 
 @needs_fork
-def test_parent_share_error_still_reaps_the_children(bell_counts, monkeypatch):
+def test_errors_command_forks_and_writes_the_serial_bytes(tmp_path, monkeypatch, forks):
+    # criterion 9's 40 samples fill no 1024-sample block, so they fork only
+    # with smaller blocks
+    from povm_entangle.cli import main
+
+    counts = tmp_path / "c.csv"
+    assert main(["simulate", "--counts", "400", "--seed", "5", "-o", str(counts)]) == 0
+    usable(monkeypatch, 2)
+    monkeypatch.setattr(mc, "_BLOCK", 8)
+    argv = ["errors", "--counts", str(counts), "--samples", "40", "--seed", "3"]
+    assert main([*argv, "--workers", "2", "-o", str(tmp_path / "w2")]) == 0
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert main([*argv, "--workers", "1", "-o", str(tmp_path / "w1")]) == 0
+    assert len(forks) == 1
+    names = sorted(p.name for p in (tmp_path / "w1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "w2").iterdir()) and len(names) == 9
+    for name in names:
+        assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
+
+
+@needs_fork
+def test_parent_share_error_still_reaps_the_children(bell_counts, monkeypatch, small_blocks):
     import time
 
     def fail(lo):
@@ -318,7 +370,7 @@ def test_parent_share_error_still_reaps_the_children(bell_counts, monkeypatch):
 
 
 @needs_fork
-def test_child_that_exits_without_a_reply_raises(bell_counts, monkeypatch):
+def test_child_that_exits_without_a_reply_raises(bell_counts, monkeypatch, small_blocks):
     def fail(lo):
         if lo > 0:
             os._exit(1)
@@ -461,7 +513,7 @@ FORCED_FALLBACK = {
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("model", list(FORCED_FALLBACK), ids=["noisy", "bell"])
-def test_forced_fallback_bytes_are_pinned(monkeypatch, model, workers):
+def test_forced_fallback_bytes_are_pinned(monkeypatch, model, workers, small_blocks):
     eps, counts, seed = model
     data = draw_counts(bell_model(eps, counts), seed)
     calls = {"n": 0}
