@@ -16,7 +16,8 @@ each grid (a list of scalar lists) to the stdlib's C encoder, then turns the
 C encoder's ", " separators into indented lines; a container where a string
 holds ", " is walked instead.  Anything else, and everything without the C
 encoder, goes to the stdlib encoder.  Input files are read as UTF-8 with an
-optional byte-order mark.
+optional byte-order mark.  A file that cannot be read or written is invalid
+data, named with the system's reason.
 
 Arguments: one table, `_COMMANDS`, declares each command and its options,
 and `_parse` reads the command line from it directly, as do the command's
@@ -30,7 +31,8 @@ as given even at its default value.  A value that fails its type or its
 choices is refused where it is read, and so is an option left without its
 value; `--help` prints the help where it is read; arguments no option
 claims, and all from a `--` on, are refused once the whole line is read,
-and a missing required option after that.  Messages keep the wording of
+and a missing required option after that.  An empty value of a file
+option (an `--out` or a `..._path`) is invalid data, named by its option.  Messages keep the wording of
 the standard library's argparse.  A usage error prints the usage line and
 returns 1; `main` returns an exit code and never raises `SystemExit`.
 
@@ -173,7 +175,26 @@ def _emit(obj: dict, out: str | None):
     if out is None:
         print(text, end="", flush=True)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        _write_text(out, text)
+
+
+def _write_text(path, text: str):
+    """Write an output file as UTF-8; any failure to write it is invalid data."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise ValidationError(f"cannot write {path}: {e.strerror or e}") from None
+
+
+def _out_dir(path: str) -> Path:
+    """An output directory, made with any missing parents; a failure to make
+    it is invalid data."""
+    outp = Path(path)
+    try:
+        outp.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ValidationError(f"cannot write {path}: {e.strerror or e}") from None
+    return outp
 
 
 def _read_text(path: str) -> str:
@@ -228,7 +249,7 @@ def _write_counts(data: CoincidenceCounts, out: str | None, manifest: dict):
     elif out is None:
         print(data.to_csv(), end="", flush=True)
     else:
-        Path(out).write_text(data.to_csv(), encoding="utf-8")
+        _write_text(out, data.to_csv())
 
 
 def _read_povm(path: str) -> PovmSet:
@@ -470,6 +491,10 @@ def _run(args: list[str]) -> int:
     missing = [o.flags[0] for o in options if o.required and o.dest not in given]
     if missing:
         raise _UsageError(f"Missing option '{missing[0]}'.", f"{_PROG} {command}")
+    # an empty path would name the working directory
+    for o in options:
+        if given.get(o.dest) == "" and (o.dest.endswith("_path") or o.dest.startswith("out")):
+            raise ValidationError(f"{'/'.join(o.flags)} is an empty path")
     handler = getattr(_command(command), command)
     handler(frozenset(given), **{o.dest: given.get(o.dest, o.default) for o in options})
     return 0

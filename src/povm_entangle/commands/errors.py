@@ -1,10 +1,8 @@
 """Propagate counting statistics through the pipeline by resampling."""
 
-from pathlib import Path
-
 import numpy as np
 
-from ..cli import _canonical, _emit, _file_stems, _manifest, _read_basis_map, _read_counts
+from ..cli import _canonical, _emit, _file_stems, _manifest, _out_dir, _read_basis_map, _read_counts, _write_text
 
 
 def errors(given, counts_path, basis_map_path, samples, inflation, seed, workers, margin, out_dir):
@@ -27,8 +25,7 @@ def errors(given, counts_path, basis_map_path, samples, inflation, seed, workers
     if out_dir is None:
         _emit({"manifest": manifest, **report.to_dict()}, None)
         return
-    outp = Path(out_dir)
-    outp.mkdir(parents=True, exist_ok=True)
+    outp = _out_dir(out_dir)
     summary: dict = {
         "manifest": manifest,
         "sample_size": cfg.sample_size,
@@ -40,14 +37,14 @@ def errors(given, counts_path, basis_map_path, samples, inflation, seed, workers
     }
     for e in report.elements:
         fname = f"errors_{stems[e.label]}.json"
-        Path(outp / fname).write_text(_canonical({"manifest": manifest, **e.to_dict()}), encoding="utf-8")
+        _write_text(outp / fname, _canonical({"manifest": manifest, **e.to_dict()}))
         svg = quasidist_svg(
             e.grid_reference,
             title=f"Quasidistribution with error bars: element {e.label}",
             q=e.q_reference,
             sigma=e.grid_std,
         )
-        Path(outp / f"errors_{stems[e.label]}.svg").write_text(svg, encoding="utf-8")
+        _write_text(outp / f"errors_{stems[e.label]}.svg", svg)
         summary["elements"][e.label] = {
             "q_mean": e.q_mean,
             "q_std": e.q_std,
@@ -58,4 +55,4 @@ def errors(given, counts_path, basis_map_path, samples, inflation, seed, workers
             ),
             "file": fname,
         }
-    Path(outp / "summary.json").write_text(_canonical(summary), encoding="utf-8")
+    _write_text(outp / "summary.json", _canonical(summary))

@@ -1,8 +1,6 @@
 """Standard forms, optimal quasidistributions, and SVG charts per element."""
 
-from pathlib import Path
-
-from ..cli import _canonical, _file_stems, _manifest, _read_povm
+from ..cli import _canonical, _file_stems, _manifest, _out_dir, _read_povm, _write_text
 from ..errors import ConvergenceError
 
 
@@ -14,8 +12,7 @@ def quasidist(given, povm_path, out_dir):
 
     povm = _read_povm(povm_path)
     stems = _file_stems(povm.labels)
-    outp = Path(out_dir)
-    outp.mkdir(parents=True, exist_ok=True)
+    outp = _out_dir(out_dir)
     manifest = _manifest("quasidist", povm=povm_path, max_iter=_MAX_SWEEPS)
     summary: dict = {"manifest": manifest, "elements": {}, "failed": []}
     for label, element in povm.items():
@@ -45,7 +42,7 @@ def quasidist(given, povm_path, out_dir):
                 "grid": tilde.grid.tolist(),
             },
         }
-        Path(outp / fname).write_text(_canonical(payload), encoding="utf-8")
+        _write_text(outp / fname, _canonical(payload))
         footer = tuple(
             "A %s: (%.4f, %.4f, %.4f)" % ((LABELS[k],) + tuple(bloch_a[k])) for k in range(6)
         ) + tuple(
@@ -57,7 +54,7 @@ def quasidist(given, povm_path, out_dir):
             q=qdist.q,
             footer_lines=footer,
         )
-        Path(outp / f"element_{stems[label]}.svg").write_text(svg, encoding="utf-8")
+        _write_text(outp / f"element_{stems[label]}.svg", svg)
         summary["elements"][label] = {
             "q": qdist.q,
             "max_negativity": report.max_negativity,
@@ -65,7 +62,7 @@ def quasidist(given, povm_path, out_dir):
             "verdict": report.verdict,
             "file": fname,
         }
-    Path(outp / "summary.json").write_text(_canonical(summary), encoding="utf-8")
+    _write_text(outp / "summary.json", _canonical(summary))
     if summary["failed"]:
         raise ConvergenceError(
             "standard form failed for element(s): " + ", ".join(summary["failed"])

@@ -776,6 +776,62 @@ class TestParsing:
         assert line.endswith("one forked process per usable CPU at most. [default: 1]")
 
 
+# Output paths that cannot be written, each read in a directory holding
+# counts.csv and povm.json, against the part of stderr that names it
+UNWRITABLE = {
+    "empty": (["reconstruct", "--counts", "counts.csv", "-o", ""], "error: --out/-o is an empty path"),
+    "empty-input": (["reconstruct", "--counts="], "error: --counts is an empty path"),
+    "root": (["reconstruct", "--counts", "counts.csv", "-o", "/"], "error: cannot write /: Is a directory"),
+    "missing-parent": (
+        ["reconstruct", "--counts", "counts.csv", "-o", "no/r.json"],
+        "error: cannot write no/r.json: No such file or directory",
+    ),
+    "under-a-file": (
+        ["reconstruct", "--counts", "counts.csv", "-o", "counts.csv/r.json"],
+        "error: cannot write counts.csv/r.json: Not a directory",
+    ),
+    "counts-under-a-file": (
+        ["simulate", "--counts", "10", "-o", "counts.csv/s.csv"], "error: cannot write counts.csv/s.csv: Not a directory"
+    ),
+    "witness-missing-parent": (
+        ["witness", "--lambda", "-n", "2", "-d", "2", "--restarts", "1", "-o", "no/w.json"],
+        "error: cannot write no/w.json: No such file or directory",
+    ),
+    "errors-dir-is-a-file": (
+        ["errors", "--counts", "counts.csv", "--samples", "4", "-o", "counts.csv"],
+        "error: cannot write counts.csv: File exists",
+    ),
+    "errors-dir-under-a-file": (
+        ["errors", "--counts", "counts.csv", "--samples", "4", "-o", "counts.csv/e"],
+        "error: cannot write counts.csv/e: Not a directory",
+    ),
+    "quasidist-dir-is-a-file": (
+        ["quasidist", "--povm", "povm.json", "-o", "counts.csv"], "error: cannot write counts.csv: File exists"
+    ),
+    "quasidist-empty": (["quasidist", "--povm", "povm.json", "-o", ""], "error: --out/-o is an empty path"),
+}
+
+
+class TestUnwritableOutput:
+    @pytest.fixture()
+    def workdir(self, monkeypatch, bell_csv):
+        (bell_csv.parent / "povm.json").write_text(json.dumps(bell_povm().to_dict()), encoding="utf-8")
+        monkeypatch.chdir(bell_csv.parent)
+        return bell_csv.parent
+
+    @pytest.mark.parametrize("argv, message", list(UNWRITABLE.values()), ids=list(UNWRITABLE))
+    def test_is_two_and_named(self, workdir, capsys, argv, message):
+        before = sorted(p.name for p in workdir.iterdir())
+        rc, out, err = run(argv, capsys)
+        assert (rc, out) == (2, "")
+        assert message in err and "Traceback" not in err
+        assert sorted(p.name for p in workdir.iterdir()) == before
+
+    def test_process_exit_is_two_without_traceback(self, workdir):
+        argv = ["reconstruct", "--counts", "counts.csv", "-o", "counts.csv/r.json"]
+        assert run_process(argv, workdir) == (2, "", "error: cannot write counts.csv/r.json: Not a directory\n")
+
+
 # A valid dataset (25 counts in every cell) and its malformed variants; each
 # must exit 2 with "error:" from both commands that read counts.
 VALID = CoincidenceCounts(("AA", "AD", "DA", "DD"), np.full((4, 6, 6), 25), BasisMap.default())
