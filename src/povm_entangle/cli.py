@@ -32,9 +32,10 @@ choices is refused where it is read, and so is an option left without its
 value; `--help` prints the help where it is read; arguments no option
 claims, and all from a `--` on, are refused once the whole line is read,
 and a missing required option after that.  An empty value of a file
-option (an `--out` or a `..._path`) is invalid data, named by its option.  Messages keep the wording of
-the standard library's argparse.  A usage error prints the usage line and
-returns 1; `main` returns an exit code and never raises `SystemExit`.
+option (an `--out` or a `..._path`) is invalid data, named by its option.
+Messages keep the wording of the standard library's argparse.  A usage
+error prints the usage line and returns 1; `main` returns an exit code and
+never raises `SystemExit`.
 
 Start-up: this module holds the option table, the parser, the readers and
 writers the commands share, and canonical JSON, and imports only numpy, the
@@ -178,7 +179,7 @@ def _emit(obj: dict, out: str | None):
         _write_text(out, text)
 
 
-def _write_text(path, text: str):
+def _write_text(path: str | Path, text: str):
     """Write an output file as UTF-8; any failure to write it is invalid data."""
     try:
         Path(path).write_text(text, encoding="utf-8")
