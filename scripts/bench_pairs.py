@@ -12,8 +12,8 @@ on odd seeds the parent runs first, on even seeds the change.  Each seed
 runs every workload before the next seed starts.
 
 The record holds the commits, the machine, the protocol, every pair's
-metrics, and per workload and end-to-end metric of BENCHMARK.json (read
-from the change's export) a summary: each side's median and quartiles by
+metrics, and per workload and end-to-end metric of BENCHMARK.json a
+summary: each side's median and quartiles by
 `statistics.quantiles(method="inclusive")`, the pairs the change won, the
 two-sided sign-test probability of that count, the parent's quartile
 distance, the change's relative worsening against the metric's bound, and
@@ -21,7 +21,10 @@ whether a gain is shown by the benchmark's rule (at least 9 of 10 pairs won
 and a median better by more than the parent's quartile distance).  An
 existing --out file of the same two commits keeps its pairs: the new ones
 are added, "summary" covers them all, and "summary_by_seeds" holds one
-summary per run of this script, keyed by its seeds.
+summary per run of this script, keyed by its seeds.  A seed the file
+already holds for one of the workloads is refused, so no pair counts
+twice, and so are two revisions whose BENCHMARK.json differ, so a change
+is never judged by bounds of its own.
 """
 
 import argparse
@@ -151,10 +154,16 @@ def main(argv=None) -> int:
     if record and {k: record.get(k) for k in commits} != commits:
         ap.error(f"{args.out} records other commits")
     seeds = range(args.first_seed, args.first_seed + args.pairs)
+    held = sorted({p["seed"] for w in args.workload for p in record.get("pairs", {}).get(w, [])} & set(seeds))
+    if held:
+        ap.error(f"{args.out} already holds seeds {held} of these workloads")
     batch = {w: [] for w in args.workload}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as work:
         trees = {side: export(commits[f"{side}_commit"], Path(work) / side) for side in ("parent", "change")}
-        metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+        bench = {side: json.loads((tree / "BENCHMARK.json").read_text()) for side, tree in trees.items()}
+        if bench["change"] != bench["parent"]:
+            raise SystemExit("the two revisions' BENCHMARK.json differ; pair revisions that share one")
+        metrics = bench["parent"]["end_to_end"]
         for seed in seeds:
             first = "parent" if seed % 2 else "change"
             order = (first, "change" if first == "parent" else "parent")

@@ -8,9 +8,8 @@ needs no standard form: q and the optimal grid are closed forms of the Pauli
 diagonal pi, and pi follows from the Lorentz singular values of each
 repaired element's correlation matrix (`_lorentz_pi`).  Samples run stacked
 along one axis, in blocks of at most _BLOCK; the reference pass is a block
-of one.  `propagate` splits the samples into forked shares only where each
-share fills a block, since a share pays a block's fixed work whatever its
-size.  Elements outside the closed form's reach go through
+of one.  `propagate` forks shares only from two blocks of samples on,
+since a share pays a block's fixed work whatever its size.  Elements outside the closed form's reach go through
 `to_standard_form` one at a time; the operator and standard-form layers are
 imported there, on the first such element, so a run that never leaves the
 closed form loads neither.  Cell-wise spreads over the samples give
@@ -44,8 +43,8 @@ from .tomography import (
 
 _MASK32 = (1 << 32) - 1
 
-# samples per stacked block, and the fewest a forked share holds; a block's
-# largest arrays, the 6 relabelings of every grid, hold about 7 MB each
+# samples per stacked block; runs of fewer than two blocks fork no share.  A
+# block's largest arrays, the 6 relabelings of every grid, hold about 7 MB each
 _BLOCK = 1024
 
 # same-axis 2x2 blocks can land in any axis slot when |diagonal| values tie,
@@ -481,12 +480,12 @@ def propagate(
     failures raise; sample grids are axis-matched against it before
     averaging.  Samples whose pipeline fails are excluded, and more than 1%
     exclusions abort the run.  The sample axis is split into cfg.workers
-    contiguous shares, at most one per CPU this process may use and at most
-    one per full _BLOCK of samples, so below 2 * _BLOCK samples every
-    sample runs here: a share pays the fixed work of a block (a stacked
-    draw pass, the inversion, `_lorentz_pi`, `_match_grids`) whatever its
-    size, and a fork adds its own start-up and copy-on-write faults.  This
-    process runs the first share and a forked child each other one
+    contiguous shares, at most one per CPU this process may use; below
+    2 * _BLOCK samples every sample runs here in one share, since a share
+    pays the fixed work of a block (a stacked draw pass, the inversion,
+    `_lorentz_pi`, `_match_grids`) whatever its size, and a fork adds its
+    own start-up and copy-on-write faults.  This process runs the first
+    share and a forked child each other one
     (`_fan_out`).  Elements the closed form leaves out go through
     to_standard_form, whose filter sweeps stop at standard_form._MAX_SWEEPS.
     """
@@ -494,7 +493,7 @@ def propagate(
     q_ref, grid_ref, _ = _quasi_batch(freqs.probs[None], freqs.basis_map, margin, strict=True)
     factors = _pair_factors(freqs)
 
-    shares = max(1, min(cfg.workers, cfg.sample_size // _BLOCK, _usable_cpus()))
+    shares = 1 if cfg.sample_size < 2 * _BLOCK else min(cfg.workers, cfg.sample_size, _usable_cpus())
     bounds = [cfg.sample_size * w // shares for w in range(shares + 1)]
     payloads = [
         (freqs, factors, lo, hi, cfg.seed, cfg.inflation, margin, grid_ref[0])

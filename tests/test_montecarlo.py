@@ -191,7 +191,7 @@ def test_propagate_smoke_two_samples(bell_counts):
 @pytest.fixture()
 def small_blocks(monkeypatch):
     """Blocks of 4 samples, so that the 12-sample runs below still split into
-    forked shares; a share holds at least one full block."""
+    forked shares; runs of fewer than two blocks fork nothing."""
     monkeypatch.setattr(mc, "_BLOCK", 4)
 
 
@@ -261,12 +261,15 @@ def test_small_runs_fork_nothing_with_cpus_free(bell_counts, monkeypatch, forks)
 
 
 @needs_fork
-def test_every_forked_share_fills_a_block(bell_counts, monkeypatch, forks):
-    usable(monkeypatch, 2)
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_only_runs_of_two_blocks_fork(bell_counts, monkeypatch, forks, cpus):
+    # from two blocks on, one share per worker and usable CPU, however few
+    # samples each then holds (3 of the 6-sample block on 4 CPUs)
+    usable(monkeypatch, cpus)
     monkeypatch.setattr(mc, "_BLOCK", 6)
     reports = []
-    for samples, forked in ((11, 0), (12, 1)):
-        reports.append(propagate(bell_counts, McConfig(sample_size=samples, seed=17, workers=2)))
+    for samples, forked in ((11, 0), (12, cpus - 1)):
+        reports.append(propagate(bell_counts, McConfig(sample_size=samples, seed=17, workers=4)))
         assert len(forks) == forked
         assert_no_child_left()
     serial = propagate(bell_counts, McConfig(sample_size=12, seed=17, workers=1))
@@ -513,8 +516,10 @@ FORCED_FALLBACK = {
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("model", list(FORCED_FALLBACK), ids=["noisy", "bell"])
-def test_forced_fallback_bytes_are_pinned(monkeypatch, model, workers, small_blocks):
+def test_forced_fallback_bytes_are_pinned(monkeypatch, model, workers):
     eps, counts, seed = model
+    if workers > 1:
+        monkeypatch.setattr(mc, "_BLOCK", 4)  # so the 40 samples still fork
     data = draw_counts(bell_model(eps, counts), seed)
     calls = {"n": 0}
     ref = sf.to_standard_form

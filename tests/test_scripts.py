@@ -71,6 +71,28 @@ def test_bench_pairs_writes_the_record(tmp_path):
         assert s["parent_iqr"] == s["parent"]["q3"] - s["parent"]["q1"] >= 0
         assert not s["gain_shown"] or s["change_wins"] == 2
 
+    # a seed already recorded is refused, and the record is left as it was
+    before = out.read_text()
+    again = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), *argv, "--first-seed", "2", "--out", str(out)],
+        capture_output=True, text=True, cwd=repo, timeout=60,
+    )
+    assert again.returncode == 2 and "already holds seeds [2]" in again.stderr
+    assert out.read_text() == before
+
+    # a change that edits the benchmark's bounds is not judged by them
+    bench = json.loads((repo / "BENCHMARK.json").read_text())
+    bench["end_to_end"][0]["bound"] *= 10
+    (repo / "BENCHMARK.json").write_text(json.dumps(bench))
+    subprocess.run([*git, "commit", "-q", "-am", "bounds"], cwd=repo, check=True, capture_output=True)
+    other = tmp_path / "BENCH_2.json"
+    refused = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), "HEAD~1", "HEAD", *argv[2:], "--out", str(other)],
+        capture_output=True, text=True, cwd=repo, timeout=60,
+    )
+    assert refused.returncode != 0 and "BENCHMARK.json differ" in refused.stderr
+    assert not other.exists()
+
 
 def test_bench_pairs_sign_test():
     import importlib.util

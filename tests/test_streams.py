@@ -59,7 +59,7 @@ def test_stacked_words_are_philox_raw_words():
 
 
 # sizes and row counts: about 10^6 rows in all, against the per-row reset
-_RANDOM_ROWS = [(2, 250_000), (4, 300_000), (5, 200_000), (9, 200_000), (40, 50_000)]
+_RANDOM_ROWS = [(2, 250_000), (4, 300_000), (5, 200_000), (9, 200_000)]
 
 
 @pytest.mark.parametrize("size, rows", _RANDOM_ROWS, ids=[f"size{s}" for s, _ in _RANDOM_ROWS])
@@ -73,7 +73,7 @@ def test_stacked_path_matches_the_reset_loop_bit_for_bit(size, rows):
             indices = rng.integers(-(2**63), 2**63, n, dtype=np.int64)
         else:
             indices = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False)
-        # the stacked pass itself: keyed_normals sends wide rows to the loop
+        # the stacked pass itself, whichever path keyed_normals would take
         stacked = streams._stacked(seed, indices.astype(np.uint64), size)
         looped = streams._reset_loop(seed, indices, size)
         np.testing.assert_array_equal(stacked.view(np.uint64), looped.view(np.uint64))
