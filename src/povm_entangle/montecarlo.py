@@ -8,12 +8,15 @@ needs no standard form: q and the optimal grid are closed forms of the Pauli
 diagonal pi, and pi follows from the Lorentz singular values of each
 repaired element's correlation matrix (`_lorentz_pi`).  Samples run stacked
 along one axis, in blocks of at most _BLOCK; the reference pass is a block
-of one.  `propagate` forks shares only from two blocks of samples on,
-since a share pays a block's fixed work whatever its size.  Elements outside the closed form's reach go through
-`to_standard_form` one at a time; the operator and standard-form layers are
-imported there, on the first such element, so a run that never leaves the
-closed form loads neither.  Cell-wise spreads over the samples give
-the error bars and negativity significances.
+of one.  `propagate` forks shares only from two blocks of samples on, since
+a share pays a block's fixed work whatever its size.  Elements outside the
+closed form's reach go through `to_standard_form` one at a time; the
+operator and standard-form layers are imported there, on the first such
+element, so a run that never leaves the closed form loads neither.  The
+reference and every sample follow one sign convention, |pi_1| >= |pi_2| >=
+|pi_3| with only pi_3 negative, so their grids share one axis order, and
+cell-wise spreads over the samples as they come give the error bars and
+negativity significances.
 
 Draws are keyed by (seed, setting pair, sample index) on a counter-based
 generator, and no sample's arithmetic depends on the others in its block, so
@@ -26,7 +29,6 @@ import math
 import os
 import pickle
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -44,15 +46,8 @@ from .tomography import (
 _MASK32 = (1 << 32) - 1
 
 # samples per stacked block; runs of fewer than two blocks fork no share.  A
-# block's largest arrays, the 6 relabelings of every grid, hold about 7 MB each
+# block of four elements peaks near 8 MB, in its stacked draw pass
 _BLOCK = 1024
-
-# same-axis 2x2 blocks can land in any axis slot when |diagonal| values tie,
-# so sample grids are aligned to the reference over all 6 axis relabelings
-_PERM_IDX = np.array(
-    [[2 * a + s for a in sigma for s in (0, 1)] for sigma in permutations(range(3))],
-    dtype=np.intp,
-)
 
 _SAMPLE_FAILURES = (ConvergenceError, ValidationError, np.linalg.LinAlgError)
 
@@ -153,15 +148,15 @@ def _quasi_batch(
     basis_map,
     margin: float,
     strict: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """q[S, m], grids[S, m, 6, 6] and failure flags[S] of stacked frequencies probs[S, m, 6, 6].
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """q[S, m], grids[S, m, 6, 6], pi[S, m, 4] and failure flags[S] of stacked probs[S, m, 6, 6].
 
     Each sample goes through the inversion and repair of reconstruct_povm
     and physicality_correct, stacked: `invert_frequencies`, one batched
     eigvalsh for `repair_strength`, then `_lorentz_pi`.  Elements the
-    closed form leaves out go through to_standard_form; where that raises,
-    the sample is flagged failed and its rows are zero, or with strict the
-    exception propagates.
+    closed form leaves out go through to_standard_form, which gives their
+    pi; where that raises, the sample is flagged failed and its rows are
+    zero, or with strict the exception propagates.
     """
     n, m = probs.shape[:2]
     coeffs, mats = invert_frequencies(probs, basis_map)
@@ -184,55 +179,52 @@ def _quasi_batch(
         if failed[s]:
             continue
         try:
-            qdist = optimal_quasidistribution(
-                to_standard_form(HermitianOperator(mats[s, k], (2, 2)))
-            )
+            form = to_standard_form(HermitianOperator(mats[s, k], (2, 2)))
+            qdist = optimal_quasidistribution(form)
         except _SAMPLE_FAILURES:
             if strict:
                 raise
             failed[s] = True
             continue
-        q[s, k], grids[s, k] = qdist.q, qdist.grid
+        q[s, k], grids[s, k], pi[s, k] = qdist.q, qdist.grid, form.pi
     q[failed] = 0.0
     grids[failed] = 0.0
-    return q, grids, failed
-
-
-def _match_grids(ref_grids: np.ndarray, grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Align grids[..., m, 6, 6] to ref_grids[m, 6, 6] over the axis relabelings.
-
-    Each relabeling's score is the sum of reference * candidate over its 36
-    cells, as match_grid sums it, and the first strict maximum wins, the
-    identity first.  Returns the aligned grids and where a relabeling won.
-    """
-    cands = grids[..., _PERM_IDX[:, :, None], _PERM_IDX[:, None, :]]
-    prods = ref_grids[:, None] * cands
-    scores = prods.reshape(prods.shape[:-2] + (36,)).sum(axis=-1)
-    best = np.argmax(scores, axis=-1)
-    aligned = np.take_along_axis(cands, best[..., None, None, None], axis=-3)[..., 0, :, :]
-    return aligned, best > 0
+    pi[failed] = 0.0
+    return q, grids, pi, failed
 
 
 def match_grid(reference: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, bool]:
     """Relabel the grid's axis blocks to maximize overlap with the reference.
 
-    Returns the aligned grid and whether a non-identity relabeling won, which
-    marks the sample as permuted in the diagnostics.
+    Each of the 6 axis relabelings is scored by the sum of reference *
+    candidate over the 36 cells, and the first strict maximum wins, the
+    identity first.  Returns the aligned grid and whether another relabeling
+    won.  `propagate` needs no such step: under the sign convention both
+    grids are sorted alike, so by the rearrangement inequality the identity
+    scores highest, and another relabeling can win only on an exact tie.
     """
-    ref = np.asarray(reference, dtype=float)[None]
-    aligned, permuted = _match_grids(ref, np.asarray(grid, dtype=float)[None])
-    return aligned[0], bool(permuted[0])
+    ref, g = np.asarray(reference, dtype=float), np.asarray(grid, dtype=float)
+    orders = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+    cands = [g[np.ix_(idx, idx)] for idx in ([2 * a + s for a in o for s in (0, 1)] for o in orders)]
+    best = int(np.argmax([np.sum(ref * cand) for cand in cands]))
+    return cands[best], best > 0
+
+
+def _axis_ties(pi: np.ndarray) -> np.ndarray:
+    """Where two of |pi_1|, |pi_2|, |pi_3| of stacked pi[..., 4] are equal,
+    which leaves the sign convention's axis order open."""
+    a = np.abs(pi[..., 1:])
+    return (a[..., 0] == a[..., 1]) | (a[..., 1] == a[..., 2]) | (a[..., 0] == a[..., 2])
 
 
 def _run_samples(payload):
-    """Samples lo..hi-1 in blocks: q, aligned grids, permuted and failed flags."""
-    freqs, factors, lo, hi, seed, inflation, margin, ref_grids = payload
+    """Samples lo..hi-1 in blocks: q, grids, axis-tie and failed flags."""
+    freqs, factors, lo, hi, seed, inflation, margin = payload
     parts = []
     for start in range(lo, hi, _BLOCK):
         probs = _draw_probs(freqs, factors, range(start, min(start + _BLOCK, hi)), seed, inflation)
-        q, grids, failed = _quasi_batch(probs, freqs.basis_map, margin)
-        aligned, permuted = _match_grids(ref_grids, grids)
-        parts.append((q, aligned, permuted, failed))
+        q, grids, pi, failed = _quasi_batch(probs, freqs.basis_map, margin)
+        parts.append((q, grids, _axis_ties(pi), failed))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
@@ -348,6 +340,7 @@ class ElementUncertainty:
     grid_std: np.ndarray
     significance: np.ndarray
     negativity_significance: float
+    # retained samples whose axis order the sign convention leaves open
     permuted: int = 0
 
     def to_dict(self) -> dict:
@@ -477,30 +470,30 @@ def propagate(
     """Run the full sampling study and return per-element uncertainty statistics.
 
     The reference pass runs on the measured frequencies as-is, and its
-    failures raise; sample grids are axis-matched against it before
-    averaging.  Samples whose pipeline fails are excluded, and more than 1%
-    exclusions abort the run.  The sample axis is split into cfg.workers
-    contiguous shares, at most one per CPU this process may use; below
-    2 * _BLOCK samples every sample runs here in one share, since a share
-    pays the fixed work of a block (a stacked draw pass, the inversion,
-    `_lorentz_pi`, `_match_grids`) whatever its size, and a fork adds its
-    own start-up and copy-on-write faults.  This process runs the first
-    share and a forked child each other one
-    (`_fan_out`).  Elements the closed form leaves out go through
-    to_standard_form, whose filter sweeps stop at standard_form._MAX_SWEEPS.
+    failures raise.  Sample grids are averaged as they come, since the sign
+    convention gives them the reference's axis order; an element's permuted
+    count is the number of retained samples where that order is open: two
+    equal |pi_w| in the sample or in the reference (`_axis_ties`).  Samples
+    whose pipeline fails are excluded, and more than 1% exclusions abort
+    the run.  The sample axis is split into cfg.workers contiguous shares,
+    at most one per CPU this process may use; below 2 * _BLOCK samples
+    every sample runs here in one share, since a share pays the fixed work
+    of a block (a stacked draw pass, the inversion, the repair's
+    eigenvalues, `_lorentz_pi`) whatever its size, and a fork adds its own
+    start-up and copy-on-write faults.  This process runs the first share
+    and a forked child each other one (`_fan_out`).  Elements the closed
+    form leaves out go through to_standard_form, whose filter sweeps stop
+    at standard_form._MAX_SWEEPS.
     """
     freqs = relative_frequencies(data) if isinstance(data, CoincidenceCounts) else data
-    q_ref, grid_ref, _ = _quasi_batch(freqs.probs[None], freqs.basis_map, margin, strict=True)
+    q_ref, grid_ref, pi_ref, _ = _quasi_batch(freqs.probs[None], freqs.basis_map, margin, strict=True)
     factors = _pair_factors(freqs)
 
     shares = 1 if cfg.sample_size < 2 * _BLOCK else min(cfg.workers, cfg.sample_size, _usable_cpus())
     bounds = [cfg.sample_size * w // shares for w in range(shares + 1)]
-    payloads = [
-        (freqs, factors, lo, hi, cfg.seed, cfg.inflation, margin, grid_ref[0])
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
+    payloads = [(freqs, factors, lo, hi, cfg.seed, cfg.inflation, margin) for lo, hi in zip(bounds, bounds[1:])]
     parts = _fan_out(_run_samples, payloads)
-    qs, grids, permuted, failed = (np.concatenate(arrays) for arrays in zip(*parts))
+    qs, grids, ties, failed = (np.concatenate(arrays) for arrays in zip(*parts))
 
     excluded = int(failed.sum())
     if excluded > 0.01 * cfg.sample_size:
@@ -511,6 +504,5 @@ def propagate(
     kept = ~failed
     if kept.sum() < 2:
         raise ConvergenceError("fewer than 2 usable samples")
-    return _aggregate(
-        freqs.outcomes, q_ref[0], grid_ref[0], qs[kept], grids[kept], permuted[kept], cfg, excluded
-    )
+    permuted = ties[kept] | _axis_ties(pi_ref)
+    return _aggregate(freqs.outcomes, q_ref[0], grid_ref[0], qs[kept], grids[kept], permuted, cfg, excluded)

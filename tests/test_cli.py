@@ -1254,3 +1254,126 @@ class TestProcessEntry:
         [call] = [n.value for n in block.body if isinstance(n, ast.Expr)]
         assert scripts == {"povm-entangle": f"povm_entangle.cli:{call.func.id}"}
         assert callable(getattr(cli, call.func.id))
+
+
+# The malformed-input campaign: command lines built from the option table,
+# each numeric option at an ordinary value or an edge, each file option at a
+# valid or mutated input file.  Whatever the line, main returns an exit code
+# of the documented set and raises nothing.
+NUMERIC_EDGES = ("nan", "inf", "-inf", "0", "-1", str(2**63))
+# ordinary values of the options whose default would make a run slow, or
+# that have none
+ORDINARY = {"samples": "12", "restarts": "2", "n": "2", "d": "2", "seed": "0"}
+# the values of the text options that name neither a file nor an output
+TEXT_VALUES = {
+    "element_label": ("AA", "DD", "", "nope"),
+    "groups": ("AA+AD,DA+DD", "AA,AD,DA,DD", "AA+AA", "AA+XX", "", ",", "+"),
+}
+# output paths relative to the run's directory; never "/" or any other
+# existing directory outside it, which errors and quasidist would write into
+OUTPUTS = ("out.csv", "out.json", "outdir", "", "counts.csv", "counts.csv/x", "missing/x.json")
+# each input file's valid text; a run reads it as is or mutated
+CAMPAIGN_INPUTS = {
+    "counts.csv": VALID.to_csv(),
+    "counts.json": json.dumps(VALID.to_json_dict()),
+    "povm.json": json.dumps(bell_povm().to_dict()),
+    "rec.json": json.dumps({"corrected_povm": bell_povm().to_dict()}),
+    "model.json": json.dumps({"povm": "bell", "eps": 0.1, "counts_per_setting": 100, "seed": 1}),
+    "basis.json": json.dumps(BasisMap.default().to_dict()),
+}
+# what a mutation puts in place of one of the text's numbers
+LITERALS = ("nan", "NaN", "Infinity", "-Infinity", "-1", "0", "2.5", "1e309", str(2**63), "9" * 30,
+            "true", "null", '"x"', "[]", "{}", "")
+
+
+# the inputs each file option is meant to read
+PROPER_INPUTS = {
+    "counts_path": ("counts.csv", "counts.json"),
+    "povm_path": ("povm.json", "rec.json", "bell"),
+    "model_path": ("model.json",),
+    "basis_map_path": ("basis.json",),
+}
+
+
+def option_values(o):
+    """A strategy for the value of an option of `cli._COMMANDS`: half the
+    time one it is meant to take, else any of the campaign's."""
+    if o.choices:
+        return st.sampled_from((*o.choices, "bogus"))
+    if o.parse in (int, float):
+        return st.one_of(st.just(ORDINARY.get(o.dest, str(o.default))), st.sampled_from(NUMERIC_EDGES))
+    if o.dest.startswith("out"):
+        return st.sampled_from(OUTPUTS)
+    if o.dest.endswith("_path"):
+        return st.one_of(st.sampled_from(PROPER_INPUTS[o.dest]), st.sampled_from((*CAMPAIGN_INPUTS, "absent.csv")))
+    return st.sampled_from(TEXT_VALUES[o.dest])
+
+
+@st.composite
+def mutated(draw, text: str) -> str:
+    """text as is, with one number replaced, a slice cut out, text put in, or cut short."""
+    kind = draw(st.sampled_from(("none", "none", "number", "cut", "insert", "truncate")))
+    numbers = [m.span() for m in re.finditer(r"-?\d+(\.\d+)?([eE][-+]?\d+)?", text)]
+    if kind == "number" and numbers:
+        i, j = draw(st.sampled_from(numbers))
+        return text[:i] + draw(st.sampled_from(LITERALS)) + text[j:]
+    if kind in ("cut", "insert", "truncate"):
+        i = draw(st.integers(0, len(text)))
+        if kind == "truncate":
+            return text[:i]
+        if kind == "cut":
+            return text[:i] + text[draw(st.integers(i, min(len(text), i + 40))):]
+        return text[:i] + draw(st.text(max_size=8)) + text[i:]
+    return text
+
+
+@st.composite
+def command_lines(draw, workdir: Path) -> list[str]:
+    """A command, its required options, each other one a third of the time,
+    and their values; --samples always, and the inputs it names written into
+    workdir, mutated or not."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = [command]
+    for o in cli._COMMANDS[command]:
+        if not (o.required or o.dest == "samples" or draw(st.integers(0, 2)) == 0):
+            continue
+        if o.parse is None:
+            argv.append(o.flags[0])
+            continue
+        value = draw(option_values(o))
+        if value in CAMPAIGN_INPUTS:
+            (workdir / value).write_text(draw(mutated(CAMPAIGN_INPUTS[value])), encoding="utf-8")
+        argv += [draw(st.sampled_from(o.flags)), value]
+    return argv
+
+
+@pytest.fixture()
+def campaign_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+class TestMalformedInputCampaign:
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_main_returns_a_documented_exit_code(self, campaign_dir, capsys, data):
+        argv = data.draw(command_lines(campaign_dir))
+        rc, _, err = run(argv, capsys)
+        assert rc in (0, 1, 2, 3), (argv, rc, err)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, model",
+        [
+            (["witness", "--family", "me", "-d", str(2**63)], None),
+            (["simulate", "--model", "model.json"], CAMPAIGN_INPUTS["model.json"].replace("100", "1e309")),
+        ],
+        ids=["edge-option", "mutated-model"],
+    )
+    def test_process_exit_is_two_without_traceback(self, campaign_dir, capsys, argv, model):
+        if model is not None:
+            (campaign_dir / "model.json").write_text(model, encoding="utf-8")
+        rc, out, err = run(argv, capsys)
+        assert (rc, out) == (2, "") and err.startswith("error:")
+        assert run_process(argv, campaign_dir) == (2, "", err)
+        assert "Traceback" not in err

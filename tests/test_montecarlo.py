@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -540,7 +542,7 @@ def test_forced_fallback_bytes_are_pinned(monkeypatch, model, workers):
 def _sample_q(counts, seed, sample):
     freqs = relative_frequencies(counts)
     probs = mc._draw_probs(freqs, mc._pair_factors(freqs), [sample], seed, 1.05)
-    q, _, _ = mc._quasi_batch(probs, freqs.basis_map, 1e-5)
+    q, _, _, _ = mc._quasi_batch(probs, freqs.basis_map, 1e-5)
     return dict(zip(freqs.outcomes, q[0]))
 
 
@@ -582,7 +584,8 @@ def test_blocks_and_workers_give_identical_reports(bell_counts, monkeypatch):
 def _match_grid_loop(reference, grid):
     """The per-sample rule: identity first, then the first strict maximum."""
     best, best_score, permuted = grid, float(np.sum(reference * grid)), False
-    for idx in mc._PERM_IDX[1:]:
+    for sigma in list(permutations(range(3)))[1:]:
+        idx = [2 * a + s for a in sigma for s in (0, 1)]
         cand = grid[np.ix_(idx, idx)]
         score = float(np.sum(reference * cand))
         if score > best_score:
@@ -603,13 +606,78 @@ def test_match_grids_follow_the_per_sample_rule(rng):
     ref = _block_grids(rng.integers(-2, 3, size=(4, 3, 2, 2)).astype(float))
     grids = _block_grids(rng.integers(-2, 3, size=(300, 4, 3, 2, 2)).astype(float))
     grids[:100] += rng.normal(scale=0.3, size=(100, 4, 6, 6))
-    aligned, permuted = mc._match_grids(ref, grids)
+    permuted = np.zeros((300, 4), dtype=bool)
     for s in range(len(grids)):
         for k in range(4):
+            aligned, permuted[s, k] = match_grid(ref[k], grids[s, k])
             want, want_permuted = _match_grid_loop(ref[k], grids[s, k])
-            np.testing.assert_array_equal(aligned[s, k], want)
+            np.testing.assert_array_equal(aligned, want)
             assert permuted[s, k] == want_permuted
     assert 0 < permuted.sum() < permuted.size
+
+
+def _exact_grid(pi):
+    """The optimal grid of pi in exact arithmetic: block w holds q/3 + |pi_w| +- pi_w."""
+    q = pi[0] - sum(abs(p) for p in pi[1:])
+    grid = [[Fraction(0)] * 6 for _ in range(6)]
+    for w, p in enumerate(pi[1:]):
+        for a in (0, 1):
+            for b in (0, 1):
+                grid[2 * w + a][2 * w + b] = q / 3 + abs(p) + (p if a == b else -p)
+    return grid
+
+
+def _overlaps(ref, grid):
+    """Exact sum of ref * candidate over the 36 cells, for each of the 6 axis orders."""
+    scores = []
+    for sigma in permutations(range(3)):
+        idx = [2 * a + s for a in sigma for s in (0, 1)]
+        scores.append(sum(ref[i][j] * grid[idx[i]][idx[j]] for i in range(6) for j in range(6)))
+    return scores
+
+
+@st.composite
+def convention_pi(draw):
+    """pi under the sign convention: |pi_1| >= |pi_2| >= |pi_3|, and only pi_3
+    may be negative; small integers make ties common."""
+    small, mid, big = sorted(draw(st.lists(st.integers(0, 6), min_size=3, max_size=3)))
+    sign = draw(st.sampled_from((1, -1)))
+    return [Fraction(draw(st.integers(1, 12)), 4), Fraction(big), Fraction(mid), Fraction(sign * small)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(convention_pi(), convention_pi())
+def test_the_sign_convention_makes_the_identity_a_best_relabeling(ref_pi, pi):
+    ref, grid = _exact_grid(ref_pi), _exact_grid(pi)
+    np.testing.assert_allclose(grids_from_pi(np.array(pi, dtype=float))[1], np.array(grid, dtype=float), atol=1e-15)
+    identity, *others = _overlaps(ref, grid)
+    assert all(identity >= score for score in others)
+    # without an exact |pi_w| tie the identity wins outright, so the deleted
+    # per-sample relabeling could only ever choose differently on such a tie
+    if not (mc._axis_ties(np.array(ref_pi, dtype=float)) or mc._axis_ties(np.array(pi, dtype=float))):
+        assert all(identity > score for score in others)
+
+
+def _permuted(report):
+    return {e.label: e.permuted for e in report.elements}
+
+
+@pytest.mark.parametrize("eps, counts, seed", [(0.0, 10000, 0), (0.1, 1000, 3)])
+def test_measured_data_leaves_no_axis_order_open(eps, counts, seed):
+    # criterion 8's data, and white noise 0.1 at 10^3 counts per setting
+    report = propagate(draw_counts(bell_model(eps, counts), seed), McConfig(sample_size=300, seed=2))
+    assert report.retained == 300
+    assert set(_permuted(report).values()) == {0}
+
+
+def test_noise_free_reference_leaves_every_axis_order_open():
+    # |pi_1| = |pi_2| = |pi_3| = 1/4 exactly in every noise-free Bell element,
+    # so every retained sample counts, whatever its own pi
+    freqs = expected_frequencies(bell_model())
+    _, _, pi, _ = mc._quasi_batch(freqs.probs[None], freqs.basis_map, 1e-5, strict=True)
+    assert np.all(np.abs(pi[0, :, 1:]) == 0.25)
+    report = propagate(freqs, McConfig(sample_size=200, seed=1))
+    assert _permuted(report) == {label: report.retained for label in freqs.outcomes}
 
 
 @pytest.mark.parametrize("eps, counts, seed", [(0.0, 10000, 0), (0.1, 1000, 600658849)])
@@ -705,7 +773,7 @@ def test_diagonal_singlet_element_takes_the_closed_form_path():
     povm = reconstruct_povm(freqs)
     _, closed = _batched_pi(povm.elements)
     assert closed.all()
-    q, grids, failed = mc._quasi_batch(freqs.probs[None], freqs.basis_map, 1e-5, strict=True)
+    q, grids, _, failed = mc._quasi_batch(freqs.probs[None], freqs.basis_map, 1e-5, strict=True)
     assert not failed.any()
     for k, el in enumerate(povm.elements):
         qdist = optimal_quasidistribution(to_standard_form(el))
