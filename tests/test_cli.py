@@ -1281,11 +1281,6 @@ CAMPAIGN_INPUTS = {
     "model.json": json.dumps({"povm": "bell", "eps": 0.1, "counts_per_setting": 100, "seed": 1}),
     "basis.json": json.dumps(BasisMap.default().to_dict()),
 }
-# what a mutation puts in place of one of the text's numbers
-LITERALS = ("nan", "NaN", "Infinity", "-Infinity", "-1", "0", "2.5", "1e309", str(2**63), "9" * 30,
-            "true", "null", '"x"', "[]", "{}", "")
-
-
 # the inputs each file option is meant to read
 PROPER_INPUTS = {
     "counts_path": ("counts.csv", "counts.json"),
@@ -1293,6 +1288,9 @@ PROPER_INPUTS = {
     "model_path": ("model.json",),
     "basis_map_path": ("basis.json",),
 }
+# what a mutation puts in place of one of the text's numbers
+LITERALS = ("nan", "NaN", "Infinity", "-Infinity", "-1", "0", "2.5", "1e309", str(2**63), "9" * 30,
+            "true", "null", '"x"', "[]", "{}", "")
 
 
 def option_values(o):

@@ -581,11 +581,14 @@ def test_blocks_and_workers_give_identical_reports(bell_counts, monkeypatch):
         assert json.dumps(report.to_dict(), sort_keys=True) == whole
 
 
+# the grid indices of the 6 axis orders, the identity first
+RELABELINGS = [[2 * a + s for a in sigma for s in (0, 1)] for sigma in permutations(range(3))]
+
+
 def _match_grid_loop(reference, grid):
     """The per-sample rule: identity first, then the first strict maximum."""
     best, best_score, permuted = grid, float(np.sum(reference * grid)), False
-    for sigma in list(permutations(range(3)))[1:]:
-        idx = [2 * a + s for a in sigma for s in (0, 1)]
+    for idx in RELABELINGS[1:]:
         cand = grid[np.ix_(idx, idx)]
         score = float(np.sum(reference * cand))
         if score > best_score:
@@ -629,11 +632,7 @@ def _exact_grid(pi):
 
 def _overlaps(ref, grid):
     """Exact sum of ref * candidate over the 36 cells, for each of the 6 axis orders."""
-    scores = []
-    for sigma in permutations(range(3)):
-        idx = [2 * a + s for a in sigma for s in (0, 1)]
-        scores.append(sum(ref[i][j] * grid[idx[i]][idx[j]] for i in range(6) for j in range(6)))
-    return scores
+    return [sum(ref[i][j] * grid[idx[i]][idx[j]] for i in range(6) for j in range(6)) for idx in RELABELINGS]
 
 
 @st.composite
