@@ -4,19 +4,17 @@ Coincidence frequencies carry multinomial noise.  Each synthetic sample
 perturbs the measured per-setting probability vectors with a Gaussian draw
 matching the multinomial covariance (optionally inflated), projects back onto
 the probability simplex, inverts linearly and repairs physicality.  A sample
-needs no standard form: q and the optimal grid are closed forms of the Pauli
-diagonal pi, and pi follows from the Lorentz singular values of each
-repaired element's correlation matrix (`_lorentz_pi`).  Samples run stacked
-along one axis, in blocks of at most _BLOCK; the reference pass is a block
-of one.  `propagate` forks shares only from two blocks of samples on, since
-a share pays a block's fixed work whatever its size.  Elements outside the
-closed form's reach go through `to_standard_form` one at a time; the
-operator and standard-form layers are imported there, on the first such
-element, so a run that never leaves the closed form loads neither.  The
-reference and every sample follow one sign convention, |pi_1| >= |pi_2| >=
-|pi_3| with only pi_3 negative, so their grids share one axis order, and
-cell-wise spreads over the samples as they come give the error bars and
-negativity significances.
+needs no filters: q and the optimal grid are closed forms of the Pauli
+diagonal pi, and pi follows from each repaired element's Wootters values,
+for every element, full rank or not (`_standard_pi`).  So no run loads the
+operator or standard-form layers.  Samples run stacked along one axis, in
+blocks of at most _BLOCK; the reference pass is a block of one.
+`propagate` forks shares only from two blocks of samples on, since a share
+pays a block's fixed work whatever its size.  The reference and every
+sample follow one sign convention, |pi_1| >= |pi_2| >= |pi_3| with only
+pi_3 negative, so their grids share one axis order, and cell-wise spreads
+over the samples as they come give the error bars and negativity
+significances.
 
 Draws are keyed by (seed, setting pair, sample index) on a counter-based
 generator, and no sample's arithmetic depends on the others in its block, so
@@ -33,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .quasidist import _lorentz_pi, grids_from_pi
+from .pauli import _EIG_FLOOR
+from .quasidist import grids_from_pi
 from .streams import keyed_normals
 from .tomography import (
     CoincidenceCounts,
@@ -48,8 +47,6 @@ _MASK32 = (1 << 32) - 1
 # samples per stacked block; runs of fewer than two blocks fork no share.  A
 # block of four elements peaks near 8 MB, in its stacked draw pass
 _BLOCK = 1024
-
-_SAMPLE_FAILURES = (ConvergenceError, ValidationError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -143,6 +140,36 @@ def sample_frequencies(freqs: RelativeFrequencies, cfg: McConfig):
         yield RelativeFrequencies(freqs.outcomes, probs, freqs.totals, freqs.basis_map)
 
 
+def _standard_pi(vals: np.ndarray, vecs: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """pi[..., 4] of the standard forms of stacked elements V diag(vals) V^H of
+    traces t[...], and where an element has none.
+
+    An element's standard form is Bell-diagonal, with weights proportional to
+    its Wootters values lambda_1 >= ... >= lambda_4, the singular values of
+    sqrt(E) Y sqrt(E)^*, Y = sigma_y (x) sigma_y (Wootters, PRL 80, 2245
+    (1998); Verstraete, Dehaene, De Moor, PRA 64, 010101(R) (2001)).  Those
+    are the singular values of S V^T Y V S, S = diag(sqrt(vals)), and
+    V^T Y V = P + P^T with P = v_1 v_2^T - v_0 v_3^T over the rows v_k of V.
+    With Bell weights w = t lambda / sum(lambda),
+    pi = (t, w1 + w2 - w3 - w4, w1 - w2 + w3 - w4, -w1 + w2 + w3 - w4) / 4,
+    which follows the sign convention: |pi_1| >= |pi_2| >= |pi_3|, and only
+    pi_3 may be negative.  A Wootters value at or below _EIG_FLOOR * t counts
+    as zero.  An element with none left, or with t <= 0, has no standard
+    form: its mask entry is True.
+    """
+    s = np.sqrt(np.clip(vals, 0.0, None))
+    half = vecs[..., 1, :, None] * vecs[..., 2, None, :] - vecs[..., 0, :, None] * vecs[..., 3, None, :]
+    sym = half + np.swapaxes(half, -1, -2)
+    lam = np.linalg.svd(s[..., :, None] * sym * s[..., None, :], compute_uv=False)
+    lam = np.where(lam > _EIG_FLOOR * t[..., None], lam, 0.0)
+    total = lam.sum(axis=-1)
+    none = ~(t > 0) | (total == 0)
+    w = lam * (t / np.where(none, 1.0, total))[..., None]
+    w1, w2, w3, w4 = np.moveaxis(w, -1, 0)
+    pi = np.stack([t, w1 + w2 - w3 - w4, w1 - w2 + w3 - w4, -w1 + w2 + w3 - w4], axis=-1) / 4
+    return pi, none
+
+
 def _quasi_batch(
     probs: np.ndarray,
     basis_map,
@@ -152,44 +179,28 @@ def _quasi_batch(
     """q[S, m], grids[S, m, 6, 6], pi[S, m, 4] and failure flags[S] of stacked probs[S, m, 6, 6].
 
     Each sample goes through the inversion and repair of reconstruct_povm
-    and physicality_correct, stacked: `invert_frequencies`, one batched
-    eigvalsh for `repair_strength`, then `_lorentz_pi`.  Elements the
-    closed form leaves out go through to_standard_form, which gives their
-    pi; where that raises, the sample is flagged failed and its rows are
-    zero, or with strict the exception propagates.
+    and physicality_correct, stacked: `invert_frequencies`, then one batched
+    eigh, whose smallest eigenvalues give `repair_strength`.  The repair
+    mixes each element toward 1/m, which only shifts its spectrum, so the
+    same eigenvectors give every repaired element's pi (`_standard_pi`).  A
+    sample with an element that has no standard form is flagged failed and
+    its rows are zero; with strict it raises instead, ValidationError where
+    the element's trace is not positive and ConvergenceError otherwise.
     """
-    n, m = probs.shape[:2]
+    m = probs.shape[1]
     coeffs, mats = invert_frequencies(probs, basis_map)
-    low = np.linalg.eigvalsh(mats)[..., 0]
-    p, _ = repair_strength(low, margin)
-    keep = (1 - p)[:, None, None, None]
-    coeffs = keep * coeffs
-    coeffs[..., 0, 0] += p[:, None] / m
-
-    pi, closed = _lorentz_pi(coeffs)
-    q, grids = grids_from_pi(pi)
-    failed = np.zeros(n, dtype=bool)
-    if not closed.all():
-        from .operators import HermitianOperator
-        from .quasidist import optimal_quasidistribution
-        from .standard_form import to_standard_form
-
-        mats = keep * mats + p[:, None, None, None] * (np.eye(4) / m)
-    for s, k in zip(*np.nonzero(~closed)):
-        if failed[s]:
-            continue
-        try:
-            form = to_standard_form(HermitianOperator(mats[s, k], (2, 2)))
-            qdist = optimal_quasidistribution(form)
-        except _SAMPLE_FAILURES:
-            if strict:
-                raise
-            failed[s] = True
-            continue
-        q[s, k], grids[s, k], pi[s, k] = qdist.q, qdist.grid, form.pi
-    q[failed] = 0.0
-    grids[failed] = 0.0
+    vals, vecs = np.linalg.eigh(mats)
+    p, _ = repair_strength(vals[..., 0], margin)
+    keep = (1 - p)[:, None]
+    t = 4 * (keep * coeffs[..., 0, 0] + p[:, None] / m)
+    pi, none = _standard_pi(keep[..., None] * vals + (p / m)[:, None, None], vecs, t)
+    failed = none.any(axis=-1)
+    if strict and failed.any():
+        if not (t > 0).all():
+            raise ValidationError(f"element trace must be positive, got {t.min()}")
+        raise ConvergenceError("an element has no standard form: its Wootters values vanish")
     pi[failed] = 0.0
+    q, grids = grids_from_pi(pi)
     return q, grids, pi, failed
 
 
@@ -478,12 +489,12 @@ def propagate(
     the run.  The sample axis is split into cfg.workers contiguous shares,
     at most one per CPU this process may use; below 2 * _BLOCK samples
     every sample runs here in one share, since a share pays the fixed work
-    of a block (a stacked draw pass, the inversion, the repair's
-    eigenvalues, `_lorentz_pi`) whatever its size, and a fork adds its own
-    start-up and copy-on-write faults.  This process runs the first share
-    and a forked child each other one (`_fan_out`).  Elements the closed
-    form leaves out go through to_standard_form, whose filter sweeps stop
-    at standard_form._MAX_SWEEPS.
+    of a block (a stacked draw pass, the inversion, one eigh and one SVD)
+    whatever its size, and a fork adds its own start-up and copy-on-write
+    faults.  This process runs the first share and a forked child each
+    other one (`_fan_out`).  Every element's pi is a closed form of one
+    eigendecomposition and one SVD (`_standard_pi`), so no element runs
+    filter sweeps.
     """
     freqs = relative_frequencies(data) if isinstance(data, CoincidenceCounts) else data
     q_ref, grid_ref, pi_ref, _ = _quasi_batch(freqs.probs[None], freqs.basis_map, margin, strict=True)

@@ -1,11 +1,11 @@
 """Single- and two-qubit Pauli algebra shared by every layer.
 
 The Pauli matrices, the Pauli eigenstates and the column order of the
-outcome grid, the table of the 16 two-qubit Pauli products, and the two
-array helpers the frozen containers use.  Everything here is a numpy
-array or a function of one, so a process that only needs the array path
-(linear inversion, the closed-form quasidistribution) imports no operator
-class.
+outcome grid, the table of the 16 two-qubit Pauli products, the rank floor,
+and the two array helpers the frozen containers use.  Everything here is a
+numpy array or a function of one, so a process that only needs the array
+path (linear inversion, the closed-form quasidistribution) imports no
+operator class.
 """
 
 from __future__ import annotations
@@ -35,6 +35,11 @@ _EIGENSTATES = {
     ("y", 1): np.array([1, 1j], dtype=complex) / _SQ2,
     ("y", -1): np.array([1, -1j], dtype=complex) / _SQ2,
 }
+
+# the rank floor: the standard form's filter sweeps floor the reduced
+# operators' eigenvalues here, and the Monte Carlo counts a Wootters value at
+# or below it, times the element's trace, as zero
+_EIG_FLOOR = 1e-12
 
 # kron(sigma_w, sigma_v) for all 16 axis pairs, indexed [w, v], as one
 # broadcast product: entry [w, v, 2i + k, 2j + l] is sigma_w[i, j] sigma_v[k, l]

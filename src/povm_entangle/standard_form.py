@@ -24,18 +24,20 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 from .operators import HermitianOperator, pauli_expand
-from .pauli import PAULIS, QUASI_AXES, _frozen, _hermitize, pauli_eigenstate
-from .quasidist import _EIG_FLOOR, _ETA
+from .pauli import _EIG_FLOOR, PAULIS, QUASI_AXES, _frozen, _hermitize, pauli_eigenstate
 
 _I2 = np.eye(2, dtype=complex)
+# the Minkowski metric of the Lorentz action of local filters on Pauli
+# coefficient matrices
+_ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
 # accumulated filters this large mean the iteration is running away, not
 # converging; bail out before float overflow starts emitting warnings
 _FILTER_CAP = 1e60
 # local terms count as removed below this Bloch residual; the final Pauli
 # coefficients may sit this far from diagonal; the filter sweeps floor the
-# reduced operators' eigenvalues at _EIG_FLOOR, the floor below which the
-# closed form (`quasidist._lorentz_pi`) leaves an element to the sweeps
+# reduced operators' eigenvalues at the rank floor _EIG_FLOOR, the one
+# below which the Monte Carlo counts a Wootters value as zero
 _BLOCH_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
 # the filter sweeps give up after this many; most elements need at most one

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from povm_entangle import HermitianOperator, PovmSet, bell_povm, ghz_state, me_state
+from povm_entangle.montecarlo import _standard_pi
 from povm_entangle.pauli import _hermitize
 
 # the same examples on every run, from a seed derived from each test, and no
@@ -21,6 +22,14 @@ def random_pd_element(rng, parties=(2, 2), trace=1.0):
     m = g @ g.conj().T
     m *= trace / np.trace(m).real
     return HermitianOperator(m, parties)
+
+
+def route_pi(elements):
+    """pi[k, 4] of two-qubit elements as the Monte Carlo reads them, from one
+    stacked eigh, and where an element has no standard form."""
+    mats = np.stack([np.asarray(el.matrix) for el in elements])
+    vals, vecs = np.linalg.eigh(mats)
+    return _standard_pi(vals, vecs, np.trace(mats, axis1=-2, axis2=-1).real)
 
 
 def random_product_state(rng, dims):

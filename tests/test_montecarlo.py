@@ -1,6 +1,5 @@
 """Counting covariance, simplex projection, and batched error propagation."""
 
-import hashlib
 import json
 import os
 from fractions import Fraction
@@ -13,8 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import povm_entangle.montecarlo as mc
-import povm_entangle.quasidist as qd
-import povm_entangle.standard_form as sf
 from povm_entangle import (
     ConvergenceError,
     DetectorModel,
@@ -31,7 +28,6 @@ from povm_entangle import (
     match_grid,
     negativity_report,
     optimal_quasidistribution,
-    pauli_expand,
     project_probabilities,
     propagate,
     quasidistribution_from_pi,
@@ -42,8 +38,9 @@ from povm_entangle import (
 )
 from povm_entangle.pauli import PAULIS
 from povm_entangle.quasidist import grids_from_pi
+from povm_entangle.tomography import invert_frequencies, repair_strength
 
-from conftest import random_pd_element
+from conftest import random_pd_element, route_pi
 
 
 @pytest.fixture(scope="module")
@@ -458,38 +455,24 @@ def test_propagate_rejects_sub_two_usable():
         propagate(counts, McConfig(sample_size=1))
 
 
-def _no_closed_form(monkeypatch, elements=slice(None)):
-    """Send the given elements of every sample through to_standard_form."""
-    lorentz_pi = mc._lorentz_pi
+def _no_standard_form_after(monkeypatch, calls, where=...):
+    """Make the route report no standard form at where, an index into its
+    [sample, element] mask, on every call after the first `calls`."""
+    route = mc._standard_pi
+    seen = {"n": 0}
 
-    def patched(r):
-        pi, closed = lorentz_pi(r)
-        closed[..., elements] = False
-        return pi, closed
+    def patched(vals, vecs, t):
+        pi, none = route(vals, vecs, t)
+        seen["n"] += 1
+        if seen["n"] > calls:
+            none[where] = True
+        return pi, none
 
-    monkeypatch.setattr(mc, "_lorentz_pi", patched)
-
-
-def _failing_after(monkeypatch, good_calls, bad_calls=None):
-    """to_standard_form that raises after good_calls calls, for bad_calls calls."""
-    ref = sf.to_standard_form
-    calls = {"n": 0}
-
-    def flaky(op):
-        calls["n"] += 1
-        bad = calls["n"] > good_calls
-        if bad_calls is not None:
-            bad &= calls["n"] <= good_calls + bad_calls
-        if bad:
-            raise ConvergenceError("boom")
-        return ref(op)
-
-    monkeypatch.setattr(sf, "to_standard_form", flaky)
+    monkeypatch.setattr(mc, "_standard_pi", patched)
 
 
 def test_propagate_aborts_on_mass_failures(bell_counts, monkeypatch):
-    _no_closed_form(monkeypatch)
-    _failing_after(monkeypatch, 4)  # the reference pass's 4 elements stay intact
+    _no_standard_form_after(monkeypatch, 1)  # the reference pass stays intact
     with pytest.raises(ConvergenceError, match="samples failed"):
         propagate(bell_counts, McConfig(sample_size=10, seed=0))
 
@@ -497,46 +480,13 @@ def test_propagate_aborts_on_mass_failures(bell_counts, monkeypatch):
 def test_failed_element_excludes_its_sample(bell_counts, monkeypatch):
     clean = propagate(bell_counts, McConfig(sample_size=200, seed=3))
     first = _sample_q(bell_counts, 3, 0)
-    _no_closed_form(monkeypatch, elements=0)
-    _failing_after(monkeypatch, 1, bad_calls=1)  # element 0 of sample 0 fails
+    _no_standard_form_after(monkeypatch, 1, (0, 0))  # element 0 of sample 0 fails
     report = propagate(bell_counts, McConfig(sample_size=200, seed=3))
     assert (report.retained, report.excluded) == (199, 1)
     assert clean.excluded == 0
     # the other samples are untouched: their q sum is the clean sum less sample 0's
     for e, c in zip(report.elements, clean.elements):
         assert e.q_mean * 199 == pytest.approx(c.q_mean * 200 - first[c.label], abs=1e-12)
-
-
-# sha256 of the sorted-key JSON report of 40 samples (seed 3) with element 1
-# of every sample sent through to_standard_form, taken while montecarlo still
-# imported the standard form at module level
-FORCED_FALLBACK = {
-    (0.1, 1000, 7): "a2582b0abcc442488e0bc0c05f686d4ade086deb01d46860eb4b7eb7df0fae25",
-    (0.0, 10000, 0): "8f33be58a513befe734cd69bca7d8822eb989ec6b322bff0a01db2986e33bad5",
-}
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("model", list(FORCED_FALLBACK), ids=["noisy", "bell"])
-def test_forced_fallback_bytes_are_pinned(monkeypatch, model, workers):
-    eps, counts, seed = model
-    if workers > 1:
-        monkeypatch.setattr(mc, "_BLOCK", 4)  # so the 40 samples still fork
-    data = draw_counts(bell_model(eps, counts), seed)
-    calls = {"n": 0}
-    ref = sf.to_standard_form
-
-    def counted(op):
-        calls["n"] += 1
-        return ref(op)
-
-    _no_closed_form(monkeypatch, elements=1)
-    monkeypatch.setattr(sf, "to_standard_form", counted)
-    report = propagate(data, McConfig(sample_size=40, seed=3, workers=workers))
-    text = json.dumps(report.to_dict(), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == FORCED_FALLBACK[model]
-    # the reference pass and this process's share of the samples
-    assert calls["n"] >= 1 + 40 // workers
 
 
 def _sample_q(counts, seed, sample):
@@ -556,13 +506,13 @@ def test_reference_failure_raises():
 
 
 def test_product_projector_reference_raises_convergence_error():
-    # the reconstructed 0.5|00><00| element's Lorentz filters leave a
-    # nonpositive trace, which must not turn into a NaN filter
+    # the reconstructed 0.5|00><00| element's Wootters values all vanish, so
+    # it has no standard form, which must not turn into a NaN pi
     p00 = np.zeros((4, 4))
     p00[0, 0] = 0.5
     povm = PovmSet(("bad", "good"), (HermitianOperator(p00), HermitianOperator(np.eye(4) - p00)))
     freqs = expected_frequencies(DetectorModel(povm=povm))
-    with pytest.raises(ConvergenceError, match="filtered trace"):
+    with pytest.raises(ConvergenceError, match="no standard form"):
         propagate(freqs, McConfig(sample_size=10))
 
 
@@ -670,11 +620,11 @@ def test_measured_data_leaves_no_axis_order_open(eps, counts, seed):
 
 
 def test_noise_free_reference_leaves_every_axis_order_open():
-    # |pi_1| = |pi_2| = |pi_3| = 1/4 exactly in every noise-free Bell element,
+    # |pi_1| = |pi_2| = |pi_3| = pi_0 exactly in every noise-free Bell element,
     # so every retained sample counts, whatever its own pi
     freqs = expected_frequencies(bell_model())
     _, _, pi, _ = mc._quasi_batch(freqs.probs[None], freqs.basis_map, 1e-5, strict=True)
-    assert np.all(np.abs(pi[0, :, 1:]) == 0.25)
+    assert np.all(np.abs(pi[0, :, 1:]) == pi[0, :, :1])
     report = propagate(freqs, McConfig(sample_size=200, seed=1))
     assert _permuted(report) == {label: report.retained for label in freqs.outcomes}
 
@@ -704,42 +654,40 @@ def _local_filter(rng, strength):
     return boost @ u
 
 
-def _batched_pi(elements):
-    r = np.stack([pauli_expand(el) for el in elements])
-    return qd._lorentz_pi(r)
-
-
-def _pipeline_pi(elements):
-    """pi as the batched path takes it: closed form, else to_standard_form."""
-    pi, closed = _batched_pi(elements)
-    for k in np.flatnonzero(~closed):
-        pi[k] = to_standard_form(elements[k]).pi
-    return pi
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
-def test_lorentz_pi_matches_standard_form(seeds):
+def test_route_pi_matches_standard_form(seeds):
     elements = [random_pd_element(np.random.default_rng(s), trace=0.5 + s % 3) for s in seeds]
-    pi, closed = _batched_pi(elements)
+    pi, none = route_pi(elements)
+    assert not none.any()
     for k, el in enumerate(elements):
-        if closed[k]:
-            np.testing.assert_allclose(pi[k], to_standard_form(el).pi, rtol=0, atol=1e-12)
-        else:  # strong filters only: the closed form hands these over
-            r = pauli_expand(el)
-            assert (r**2).sum() > 10 * np.trace(r @ qd._ETA @ r.T @ qd._ETA)
-    assert closed.mean() > 0.5
+        np.testing.assert_allclose(pi[k], to_standard_form(el).pi, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_route_pi_of_rank_deficient_elements_matches_standard_form(rank):
+    # elements the standard form reaches only through its filter sweeps
+    elements = []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+        elements.append(HermitianOperator(g @ g.conj().T, (2, 2)))
+    pi, none = route_pi(elements)
+    assert not none.any()
+    for k, el in enumerate(elements):
+        np.testing.assert_allclose(pi[k], to_standard_form(el).pi, rtol=0, atol=1e-11)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 @example(131396)  # smallest Lorentz value 1e-5 of the largest
-def test_lorentz_pi_is_invariant_under_local_filters(seed):
+def test_route_pi_is_invariant_under_local_filters(seed):
     rng = np.random.default_rng(seed)
     el = random_pd_element(rng)
     k = np.kron(_local_filter(rng, 0.5), _local_filter(rng, 0.5))
     moved = HermitianOperator(k @ el.matrix @ k.conj().T, (2, 2))
-    pi = _pipeline_pi([el, moved])
+    pi, none = route_pi([el, moved])
+    assert not none.any()
     scale = moved.trace() / el.trace()
     np.testing.assert_allclose(pi[1], scale * pi[0], rtol=0, atol=1e-12 * scale)
     q, _ = grids_from_pi(pi)
@@ -749,9 +697,8 @@ def test_lorentz_pi_is_invariant_under_local_filters(seed):
         assert verdicts[0] == verdicts[1]
 
 
-def test_strongly_filtered_element_takes_the_standard_form_path():
-    # boosts of rapidity 1.5 on both arms of a noisy Bell element: the closed
-    # form's eigenproblem would lose about 6e-11 here
+def test_route_pi_of_a_strongly_filtered_element():
+    # boosts of rapidity 1.5 on both arms of a noisy Bell element
     def boost(n):
         n = np.asarray(n, dtype=float) / np.linalg.norm(n)
         return np.cosh(1.5) * np.eye(2) + np.sinh(1.5) * np.einsum("i,ijk->jk", n, PAULIS[1:])
@@ -759,19 +706,17 @@ def test_strongly_filtered_element_takes_the_standard_form_path():
     phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
     k = np.kron(boost([1, 0, 1]), boost([0, 1, 1]))
     m = k @ (0.99 * np.outer(phi, phi) + 0.0025 * np.eye(4)) @ k.conj().T
-    el = HermitianOperator(m / np.trace(m).real, (2, 2))
-    _, closed = _batched_pi([el])
-    assert not closed[0]
-    np.testing.assert_allclose(_pipeline_pi([el])[0], [0.25, 0.2475, 0.2475, -0.2475], atol=1e-12)
+    pi, none = route_pi([HermitianOperator(m / np.trace(m).real, (2, 2))])
+    assert not none[0]
+    np.testing.assert_allclose(pi[0], [0.25, 0.2475, 0.2475, -0.2475], atol=1e-12)
 
 
-def test_diagonal_singlet_element_takes_the_closed_form_path():
+def test_route_reads_diagonal_singlet_elements_in_the_sign_rule():
     # 0.9 singlet + 0.1 * 1/4 and its Bell-diagonal partners: correlation
     # blocks already diagonal, read in the same sign rule as every other block
     freqs = expected_frequencies(bell_model(eps=1 / 37))
     povm = reconstruct_povm(freqs)
-    _, closed = _batched_pi(povm.elements)
-    assert closed.all()
+    assert not route_pi(povm.elements)[1].any()
     q, grids, _, failed = mc._quasi_batch(freqs.probs[None], freqs.basis_map, 1e-5, strict=True)
     assert not failed.any()
     for k, el in enumerate(povm.elements):
@@ -780,6 +725,30 @@ def test_diagonal_singlet_element_takes_the_closed_form_path():
         np.testing.assert_allclose(grids[0, k], qdist.grid, rtol=0, atol=1e-12)
     singlet = to_standard_form(povm.element("AA")).pi
     np.testing.assert_allclose(singlet, [0.25, 0.225, 0.225, -0.225], atol=1e-12)
+
+
+def _wootters_values(mats):
+    """Singular values of sqrt(E) (sigma_y (x) sigma_y) sqrt(E)^* of stacked mats[..., 4, 4]."""
+    vals, vecs = np.linalg.eigh(mats)
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+    return np.linalg.svd(root @ np.kron(PAULIS[2], PAULIS[2]) @ root.conj(), compute_uv=False)
+
+
+@pytest.mark.parametrize("eps, counts, seed", [(0.0, 10000, 0), (0.1, 1000, 3), (0.3, 10000, 0)])
+def test_most_negative_cell_is_the_concurrence_line(eps, counts, seed):
+    # criterion 8's data and two noisy sets: each resampled, repaired
+    # element's most negative cell is -(t/6) max(0, l1 - l2 - l3 - l4) / sum(l)
+    freqs = relative_frequencies(draw_counts(bell_model(eps, counts), seed))
+    probs = mc._draw_probs(freqs, mc._pair_factors(freqs), range(200), 0, 1.05)
+    _, grids, _, failed = mc._quasi_batch(probs, freqs.basis_map, 1e-5)
+    assert not failed.any()
+    _, mats = invert_frequencies(probs, freqs.basis_map)
+    p, _ = repair_strength(np.linalg.eigvalsh(mats)[..., 0], 1e-5)
+    mats = (1 - p)[:, None, None, None] * mats + p[:, None, None, None] * np.eye(4) / mats.shape[1]
+    t = np.trace(mats, axis1=-2, axis2=-1).real
+    lam = _wootters_values(mats)
+    line = -(t / 6) * np.maximum(0.0, lam[..., 0] - lam[..., 1:].sum(axis=-1)) / lam.sum(axis=-1)
+    np.testing.assert_allclose(np.minimum(grids.min(axis=(-2, -1)), 0.0), line, rtol=0, atol=1e-13)
 
 
 def test_noise_free_samples_share_the_reference_sign_rule():

@@ -27,9 +27,8 @@ from povm_entangle import (
 )
 from povm_entangle import standard_form
 from povm_entangle.pauli import PAULIS, pauli_eigenstate, pauli_matrices
-from povm_entangle.quasidist import _lorentz_pi
 
-from conftest import random_pd_element, recompose
+from conftest import random_pd_element, recompose, route_pi
 
 SINGLET_PI = np.array([0.25, 0.25, 0.25, -0.25])
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -199,7 +198,7 @@ def test_construct_and_invert_rotations(rng):
 def test_sorting_permutation_convention():
     # exactly diagonal blocks, ties and mixed signs included: magnitudes come
     # out nonincreasing and the sign of the block's determinant lands on the
-    # last entry, as the closed form reads them
+    # last entry, as the Monte Carlo's route reads them
     cases = [
         ([0.25, 0.1, 0.2, 0.05], [0.25, 0.2, 0.1, 0.05]),
         ([0.25, 0.05, -0.2, 0.1], [0.25, 0.2, 0.1, -0.05]),
@@ -208,6 +207,7 @@ def test_sorting_permutation_convention():
         ([0.25, -0.1, 0.2, 0.2], [0.25, 0.2, 0.2, -0.1]),
         ([0.25, 0.1, -0.2, 0.2], [0.25, 0.2, 0.2, -0.1]),
     ]
+    positive = 0
     for pi_in, pi_out in cases:
         el = standard_operator(pi_in)
         form = to_standard_form(el)
@@ -219,9 +219,15 @@ def test_sorting_permutation_convention():
         t = form.transform
         assert np.linalg.det(so3_from_su2(t.rotation_a)) == pytest.approx(1.0, abs=1e-9)
         assert np.linalg.det(so3_from_su2(t.rotation_b)) == pytest.approx(1.0, abs=1e-9)
-        pi, closed = _lorentz_pi(pauli_expand(el))
-        assert closed
-        np.testing.assert_allclose(pi, form.pi, rtol=0, atol=1e-12)
+        # Wootters values, and so the route, are defined for positive
+        # elements, as every repaired Monte Carlo element is; the first and
+        # the last two cases have a negative Bell weight
+        if min_eigenvalue(el) > -1e-12:
+            positive += 1
+            pi, none = route_pi([el])
+            assert not none[0]
+            np.testing.assert_allclose(pi[0], form.pi, rtol=0, atol=1e-12)
+    assert positive == 3
 
 
 def test_idempotence(rng):

@@ -8,10 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import povm_entangle
-from povm_entangle import cli
+from povm_entangle import CoincidenceCounts, bell_model, cli, expected_frequencies
 
 SRC = str(Path(povm_entangle.__file__).parents[1])
 PACKAGE = "povm_entangle."
@@ -99,6 +100,16 @@ def test_errors_on_closed_form_data_loads_only_the_array_path(dataset):
         "cli", "commands", "commands.errors", "errors", "pauli", "tomography", "quasidist", "streams", "montecarlo", "svg"
     )
     assert package == {PACKAGE + m for m in expected}
+
+
+def test_errors_on_exact_bell_counts_loads_no_standard_form(dataset):
+    # exact Bell expectations reconstruct rank-1 reference elements, which
+    # the standard form reaches only through its filter sweeps
+    freqs = expected_frequencies(bell_model())
+    counts = CoincidenceCounts(freqs.outcomes, np.rint(freqs.probs * 10**4).astype(np.int64), freqs.basis_map)
+    (dataset / "bell.csv").write_text(counts.to_csv())
+    loaded = modules_after(["errors", "--counts", "bell.csv", "--samples", "20", "-o", "e5"], dataset)
+    assert {PACKAGE + "operators", PACKAGE + "standard_form"} & loaded == set()
 
 
 COMMANDS = sorted(cli._COMMANDS)
