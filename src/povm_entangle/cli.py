@@ -46,9 +46,9 @@ handler imports its own layers when it runs, and so do the readers: the
 counts and basis-map readers import `tomography`, the POVM reader the
 operator layer.  A process so compiles and executes only the modules its
 command uses.  `reconstruct` never loads the Monte Carlo, witness or
-simulator modules, nor `numpy.random`; `errors` on data the closed form
-covers loads neither the operator layer nor the standard form; `quasidist`
-and `witness` load no `tomography`.
+simulator modules, nor `numpy.random`; `errors` loads neither the operator
+layer nor the standard form; `quasidist` and `witness` load no
+`tomography`.
 
 Exit: `process_main`, the entry of `python -m povm_entangle.cli` and of the
 `povm-entangle` script, registers this module under its own name when it
